@@ -15,16 +15,13 @@ do not apply to the given shape say so instead of guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from .hyperdet import ThreeQubitClass, cayley_hyperdeterminant, classify_three_qubit
+import numpy as np
+
+from .hyperdet import _class_of, cayley_hyperdeterminant
 from .majorana import NotSymmetricError, classify_symmetric
-from .schmidt import (
-    bipartite_determinant,
-    det_squared,
-    is_product_multipartite,
-    schmidt_decompose,
-)
+from .schmidt import bipartite_determinant, det_squared, schmidt_decompose
 from .states import StateVector, ValidationError
 
 __all__ = ["DefinitionCheck", "ClassificationReport", "classify_state"]
@@ -58,12 +55,9 @@ class ClassificationReport:
     warnings: tuple[str, ...] = ()
 
 
-def _definition_1(state: StateVector, tolerance: float) -> DefinitionCheck:
-    ranks = [
-        schmidt_decompose(state, (k,), tolerance).rank
-        for k in range(state.n_parties)
-    ]
-    product = is_product_multipartite(state, tolerance)
+def _definition_1(lambdas: list[np.ndarray]) -> DefinitionCheck:
+    ranks = [cut.size for cut in lambdas]
+    product = all(r == 1 for r in ranks)
     return DefinitionCheck(
         definition=1,
         verdict="product" if product else "entangled",
@@ -71,22 +65,18 @@ def _definition_1(state: StateVector, tolerance: float) -> DefinitionCheck:
     )
 
 
-def _definition_2(state: StateVector, tolerance: float) -> DefinitionCheck:
-    ranks = {}
-    lambdas = {}
-    for k in range(state.n_parties):
-        dec = schmidt_decompose(state, (k,), tolerance)
-        ranks[f"cut_{k}"] = dec.rank
-        lambdas[f"cut_{k}"] = [float(v) for v in dec.lambdas]
+def _definition_2(lambdas: list[np.ndarray]) -> DefinitionCheck:
+    ranks = {f"cut_{k}": cut.size for k, cut in enumerate(lambdas)}
+    coeffs = {f"cut_{k}": [float(v) for v in cut] for k, cut in enumerate(lambdas)}
     entangled = any(r > 1 for r in ranks.values())
     return DefinitionCheck(
         definition=2,
         verdict="entangled" if entangled else "product",
-        evidence={"ranks": ranks, "schmidt_coefficients": lambdas},
+        evidence={"ranks": ranks, "schmidt_coefficients": coeffs},
     )
 
 
-def _definition_3(state: StateVector, tolerance: float):
+def _definition_3(state: StateVector, lambdas: list[np.ndarray], tolerance: float):
     """Closed-form LU invariant where one exists; extra warnings second."""
     dims = state.dims
     if dims == (2, 2):
@@ -103,23 +93,21 @@ def _definition_3(state: StateVector, tolerance: float):
         return check, [_DET_WARNING]
     if dims == (2, 2, 2):
         det = cayley_hyperdeterminant(state)
-        cls = classify_three_qubit(state)
         return (
             DefinitionCheck(
                 definition=3,
-                verdict=cls.value,
+                verdict=_class_of(det).value,
                 evidence={"hyperdeterminant": det, "abs_hyperdeterminant": abs(det)},
             ),
             [],
         )
     if state.n_parties == 2:
-        dec = schmidt_decompose(state, (0,), tolerance)
         return (
             DefinitionCheck(
                 definition=3,
-                verdict="entangled" if dec.rank > 1 else "product",
+                verdict="entangled" if lambdas[0].size > 1 else "product",
                 evidence={
-                    "schmidt_coefficients": [float(v) for v in dec.lambdas],
+                    "schmidt_coefficients": [float(v) for v in lambdas[0]],
                     "note": "the Schmidt multiset is the complete LU invariant "
                     "for two parties",
                 },
@@ -160,10 +148,7 @@ def _definition_4(state: StateVector, tolerance: float) -> DefinitionCheck:
         evidence={
             "distinct_stars": con.distinct_count,
             "partition": list(con.partition),
-            "stars": [
-                {"theta": s.theta, "phi": s.phi, "multiplicity": s.multiplicity}
-                for s in con.stars
-            ],
+            "stars": [asdict(s) for s in con.stars],
             "abs_discriminant": abs(con.discriminant),
         },
     )
@@ -189,12 +174,15 @@ def classify_state(
     """
     if state.n_parties < 2:
         raise ValidationError("classification needs at least two parties")
-    warnings: list[str] = []
-    d3, extra = _definition_3(state, tolerance)
-    warnings.extend(extra)
+    # one decomposition per single-party cut; keep only its coefficients,
+    # since holding every cut's Schmidt bases at once would multiply peak memory
+    lambdas = [
+        schmidt_decompose(state, (k,), tolerance).lambdas for k in range(state.n_parties)
+    ]
+    d3, warnings = _definition_3(state, lambdas, tolerance)
     checks = (
-        _definition_1(state, tolerance),
-        _definition_2(state, tolerance),
+        _definition_1(lambdas),
+        _definition_2(lambdas),
         d3,
         _definition_4(state, tolerance),
     )

@@ -14,13 +14,14 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import stateio
 from .classify import classify_state
-from .hyperdet import cayley_hyperdeterminant, classify_three_qubit
+from .hyperdet import _class_of, cayley_hyperdeterminant
 from .majorana import (
     MajoranaConstellation,
     classify_symmetric,
@@ -56,22 +57,17 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _jsonify(obj):
+def _json_default(obj):
+    """``json.dumps`` hook: complex as a re/im pair, numpy scalars as Python values."""
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit_json(doc) -> None:
-    print(json.dumps(_jsonify(doc), indent=2))
+    print(json.dumps(doc, indent=2, default=_json_default))
 
 
 def _load(path: str) -> stateio.LoadedState:
@@ -125,7 +121,7 @@ def _cmd_det(args) -> int:
 def _cmd_hyperdet3q(args) -> int:
     loaded = _load(args.file)
     det = cayley_hyperdeterminant(loaded.state)
-    cls = classify_three_qubit(loaded.state)
+    cls = _class_of(det)
     if args.json:
         _emit_json({"hyperdeterminant": det, "abs": abs(det), "class": cls.value})
         return 0
@@ -222,19 +218,7 @@ def _cmd_majorana(args) -> int:
         Path(args.svg).write_text(_constellation_svg(con), encoding="utf-8")
         print(f"note: wrote {args.svg}", file=sys.stderr)
     if args.json:
-        _emit_json(
-            {
-                "n": con.n,
-                "stars": [
-                    {"theta": s.theta, "phi": s.phi, "multiplicity": s.multiplicity}
-                    for s in con.stars
-                ],
-                "distinct_count": con.distinct_count,
-                "partition": list(con.partition),
-                "discriminant": complex(con.discriminant),
-                "onion_level": cls.onion_level,
-            }
-        )
+        _emit_json({**asdict(con), "onion_level": cls.onion_level})
         return 0
     print("theta,phi,multiplicity")
     for s in con.stars:
@@ -248,13 +232,7 @@ def _cmd_check_invariance(args) -> int:
     report = invariance_suite(
         loaded.state, args.invariant, group=group, trials=args.trials, seed=args.seed
     )
-    doc = {
-        "invariant_name": report.invariant_name,
-        "trials": report.trials,
-        "max_abs_drift": report.max_abs_drift,
-        "mean_abs_drift": report.mean_abs_drift,
-        "seed": report.seed,
-    }
+    doc = asdict(report)
     if args.json:
         _emit_json(doc)
         return 0
@@ -285,20 +263,7 @@ def _cmd_classify(args) -> int:
     loaded = _load(args.file)
     report = classify_state(loaded.state, state_id=Path(args.file).stem)
     if args.json:
-        _emit_json(
-            {
-                "state_id": report.state_id,
-                "checks": [
-                    {
-                        "definition": c.definition,
-                        "verdict": c.verdict,
-                        "evidence": c.evidence,
-                    }
-                    for c in report.checks
-                ],
-                "warnings": list(report.warnings),
-            }
-        )
+        _emit_json(asdict(report))
         return 0
     print(f"state: {report.state_id}")
     for c in report.checks:

@@ -20,6 +20,9 @@ from .states import StateVector, ValidationError
 
 __all__ = ["ThreeQubitClass", "cayley_hyperdeterminant", "classify_three_qubit"]
 
+#: |Det| above this puts a three-qubit state in the GHZ class
+_GHZ_TOLERANCE = 1e-10
+
 
 class ThreeQubitClass(Enum):
     GHZ = "GHZClass"
@@ -66,7 +69,7 @@ def cayley_hyperdeterminant(state: StateVector) -> complex:
 
 
 def classify_three_qubit(
-    state: StateVector, tolerance: float = 1e-10
+    state: StateVector, tolerance: float = _GHZ_TOLERANCE
 ) -> ThreeQubitClass:
     """Split three-qubit states by whether the hyperdeterminant vanishes.
 
@@ -75,5 +78,9 @@ def classify_three_qubit(
     separation inside the stratum is the job of
     :func:`entkit.schmidt.is_product_multipartite`.
     """
-    det = cayley_hyperdeterminant(state)
+    return _class_of(cayley_hyperdeterminant(state), tolerance)
+
+
+def _class_of(det: complex, tolerance: float = _GHZ_TOLERANCE) -> ThreeQubitClass:
+    """The class split of :func:`classify_three_qubit` for a known ``det``."""
     return ThreeQubitClass.GHZ if abs(det) > tolerance else ThreeQubitClass.DEGENERATE

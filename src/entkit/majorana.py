@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import NumericError, StateVector, ValidationError, make_state
+from .states import NumericError, StateVector, ValidationError, _check_size
 
 __all__ = [
     "NotSymmetricError",
@@ -205,17 +205,19 @@ def symmetrize_check(state: StateVector, tolerance: float = 1e-9) -> DickeExpans
 
 
 def dicke_state(expansion: DickeExpansion) -> StateVector:
-    """Full n-qubit state with the given Dicke coefficients."""
+    """Full n-qubit state with the given Dicke coefficients.
+
+    Basis index i carries c_k / sqrt(C(n, k)) with k the popcount of i.
+    """
     n = expansion.n
-    entries = {}
-    for k, c in enumerate(expansion.coeffs):
-        if c == 0:
-            continue
-        w = c / math.sqrt(math.comb(n, k))
-        for ones in itertools.combinations(range(n), k):
-            idx = tuple(1 if j in ones else 0 for j in range(n))
-            entries[idx] = w
-    return make_state((2,) * n, entries)
+    _check_size(2**n)
+    weights = expansion.coeffs / np.array([math.sqrt(math.comb(n, k)) for k in range(n + 1)])
+    # popcount of 0 .. 2**n - 1: setting the next high bit adds one to every count
+    popcount = np.zeros(1, dtype=np.uint8)
+    for _ in range(n):
+        popcount = np.concatenate((popcount, popcount + 1))
+    amps = weights[popcount]
+    return StateVector((2,) * n, amps / np.linalg.norm(amps))
 
 
 def majorana_polynomial(expansion: DickeExpansion) -> np.ndarray:

@@ -51,11 +51,15 @@ def trial_rng(seed: int, counter: int = 0) -> np.random.Generator:
 
     The 128-bit Philox key holds the seed in the high word and the
     counter in the low word, so trials drawn from distinct counters are
-    independent and any single trial can be replayed alone.
+    independent and any single trial can be replayed alone.  Both must
+    lie in [0, 2**64).
     """
-    if counter < 0:
-        raise ValidationError(f"counter must be non-negative, got {counter}")
-    key = ((int(seed) & 0xFFFFFFFFFFFFFFFF) << 64) | (int(counter) & 0xFFFFFFFFFFFFFFFF)
+    seed, counter = int(seed), int(counter)
+    if not (0 <= seed < 2**64 and 0 <= counter < 2**64):
+        raise ValidationError(
+            f"seed and counter must lie in [0, 2**64), got {seed} and {counter}"
+        )
+    key = (seed << 64) | counter
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -118,14 +122,10 @@ def _group_factories(state: StateVector, group):
     factories = []
     for tok, d in zip(tokens, dims):
         base = tok.lower().strip()
-        if base in ("su", "u"):
-            kind, dim = base, d
-        elif base.startswith("su"):
-            kind, dim = "su", int(base[2:])
-        elif base.startswith("u"):
-            kind, dim = "u", int(base[1:])
-        else:
+        kind = base.rstrip("0123456789")
+        if kind not in ("su", "u"):
             raise ValidationError(f"unknown group token {tok!r}")
+        dim = int(base[len(kind):] or d)
         if dim != d:
             raise ValidationError(
                 f"group token {tok!r} does not match party dimension {d}"

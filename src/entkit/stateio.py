@@ -58,14 +58,16 @@ def state_from_json(doc: dict) -> LoadedState:
         raise ValidationError(f"malformed state document: {exc}") from None
     if not isinstance(raw_entries, list):
         raise ValidationError("'amplitudes' must be a list")
-    entries = []
+    entries = {}
     for item in raw_entries:
         try:
             index = tuple(int(i) for i in item["index"])
             value = complex(float(item["re"]), float(item.get("im", 0.0)))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed amplitude entry {item!r}: {exc}") from None
-        entries.append((index, value))
+        if index in entries:
+            raise ValidationError(f"amplitude index {list(index)} is listed twice")
+        entries[index] = value
     arr, norm = make_state_raw(dims, entries)
     return LoadedState(StateVector(tuple(dims), arr / norm), norm)
 

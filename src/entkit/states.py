@@ -50,6 +50,14 @@ class NumericError(ArithmeticError):
     usable result at working precision)."""
 
 
+def _check_size(size: int) -> None:
+    """Reject a dense amplitude count above ``MAX_ENTRIES``; call before allocating."""
+    if size > MAX_ENTRIES:
+        raise ValidationError(
+            f"state size {size} exceeds the dense storage cap {MAX_ENTRIES}"
+        )
+
+
 def _as_complex_array(values, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.complex128)
     if not np.all(np.isfinite(arr.view(np.float64))):
@@ -83,10 +91,7 @@ class StateVector:
         if len(dims) < 1 or any(d < 2 for d in dims):
             raise ValidationError(f"every local dimension must be >= 2, got {dims}")
         size = math.prod(dims)
-        if size > MAX_ENTRIES:
-            raise ValidationError(
-                f"state size {size} exceeds the dense storage cap {MAX_ENTRIES}"
-            )
+        _check_size(size)
         amps = _as_complex_array(self.amplitudes, "amplitudes").reshape(-1)
         if amps.size != size:
             raise ValidationError(
@@ -155,6 +160,7 @@ def make_state_raw(dims, entries) -> tuple[np.ndarray, float]:
     dims = tuple(int(d) for d in dims)
     if any(d < 2 for d in dims):
         raise ValidationError(f"every local dimension must be >= 2, got {dims}")
+    _check_size(math.prod(dims))
     arr = np.zeros(dims, dtype=np.complex128)
     items = entries.items() if hasattr(entries, "items") else entries
     count = 0

@@ -1,6 +1,8 @@
 import pytest
 from conftest import rand_state
 
+import entkit.classify
+
 from entkit import (
     DefinitionCheck,
     ValidationError,
@@ -106,6 +108,36 @@ class TestOtherShapes:
     def test_single_party_rejected(self):
         with pytest.raises(ValidationError):
             classify_state(make_state([2], {(0,): 1.0}))
+
+
+class TestOnePass:
+    """Definitions 1-3 share one Schmidt decomposition per single-party cut."""
+
+    @staticmethod
+    def count_calls(monkeypatch, state):
+        calls = {"schmidt_decompose": 0, "cayley_hyperdeterminant": 0}
+        for name in calls:
+            fn = getattr(entkit.classify, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(entkit.classify, name, counted)
+        classify_state(state)
+        return calls
+
+    def test_ghz3(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, ghz_state(3))
+        assert calls == {"schmidt_decompose": 3, "cayley_hyperdeterminant": 1}
+
+    def test_product3(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, make_state([2, 2, 2], {(0, 0, 0): 1.0}))
+        assert calls == {"schmidt_decompose": 3, "cayley_hyperdeterminant": 1}
+
+    def test_two_qutrit(self, monkeypatch, rng):
+        calls = self.count_calls(monkeypatch, rand_state(rng, (3, 3)))
+        assert calls == {"schmidt_decompose": 2, "cayley_hyperdeterminant": 0}
 
 
 class TestCheckType:

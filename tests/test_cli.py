@@ -223,6 +223,24 @@ class TestExitCodes:
         code, _, _ = run(capsys, "check-invariance", str(path), "--invariant", "entropy")
         assert code == 2
 
+    @pytest.mark.parametrize("group", ["sux", "u3x", "su2,sux"])
+    def test_malformed_group_is_validation(self, tmp_path, capsys, group):
+        path = tmp_path / "bell.json"
+        run(capsys, "gen", "bell", "--out", str(path))
+        code, _, err = run(capsys, "check-invariance", str(path), "--invariant", "det",
+                           "--group", group, "--trials", "2")
+        assert code == 2
+        assert "group token" in err
+        assert "Traceback" not in err
+
+    def test_negative_seed_is_validation(self, tmp_path, capsys):
+        path = tmp_path / "bell.json"
+        run(capsys, "gen", "bell", "--out", str(path))
+        code, _, err = run(capsys, "check-invariance", str(path), "--invariant", "det",
+                           "--trials", "2", "--seed", "-1")
+        assert code == 2
+        assert "seed" in err
+
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

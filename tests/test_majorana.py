@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -93,6 +94,26 @@ class TestSymmetrizeCheck:
     def test_non_qubit_rejected(self):
         with pytest.raises(ValidationError):
             symmetrize_check(make_state([3, 3], {(0, 0): 1.0}))
+
+    @staticmethod
+    def dicke_reference(d: DickeExpansion) -> np.ndarray:
+        """Amplitudes built one basis index at a time, from the definition."""
+        n = d.n
+        entries = {}
+        for k, c in enumerate(d.coeffs):
+            if c == 0:
+                continue
+            w = c / math.sqrt(math.comb(n, k))
+            for ones in itertools.combinations(range(n), k):
+                entries[tuple(1 if j in ones else 0 for j in range(n))] = w
+        return make_state((2,) * n, entries).amplitudes
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_dicke_state_matches_reference(self, rng, n):
+        c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        c[rng.integers(n + 1)] = 0
+        d = DickeExpansion(n=n, coeffs=c / np.linalg.norm(c))
+        assert np.array_equal(dicke_state(d).amplitudes, self.dicke_reference(d))
 
     def test_dicke_state_round_trip(self, rng):
         for n in [1, 2, 4, 6]:

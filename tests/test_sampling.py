@@ -36,6 +36,15 @@ class TestTrialRng:
         with pytest.raises(ValidationError):
             trial_rng(0, -1)
 
+    @pytest.mark.parametrize("seed,counter", [(-1, 0), (2**64, 0), (0, 2**64)])
+    def test_out_of_range_rejected(self, seed, counter):
+        with pytest.raises(ValidationError):
+            trial_rng(seed, counter)
+
+    def test_top_of_range_accepted(self):
+        a = trial_rng(2**64 - 1, 2**64 - 1).standard_normal(8)
+        assert np.all(np.isfinite(a))
+
 
 class TestRandomSu2:
     def test_unitary_det_one(self):

@@ -96,6 +96,18 @@ class TestReader:
         with pytest.raises(ValidationError):
             state_from_json(doc)
 
+    def test_duplicate_index_rejected(self):
+        doc = {
+            "dims": [2, 2],
+            "amplitudes": [
+                {"index": [0, 0], "re": 1.0},
+                {"index": [1, 1], "re": 2.0},
+                {"index": [0, 0], "re": 5.0},
+            ],
+        }
+        with pytest.raises(ValidationError, match=r"\[0, 0\]"):
+            state_from_json(doc)
+
     def test_unreadable_path(self, tmp_path):
         with pytest.raises(ValidationError):
             read_state(tmp_path / "missing.json")

@@ -20,6 +20,8 @@ from entkit import (
 )
 from conftest import rand_state
 
+import entkit.states
+from entkit.majorana import coherent_state, dicke_state
 from entkit.states import make_state_raw
 
 R2 = 1.0 / math.sqrt(2.0)
@@ -94,6 +96,15 @@ class TestConstructors:
     def test_rejects_small_dims(self):
         with pytest.raises(ValidationError):
             make_state([2, 1], {(0, 0): 1.0})
+
+    def test_size_cap_checked_before_allocation(self, monkeypatch):
+        monkeypatch.setattr(entkit.states, "MAX_ENTRIES", 2**10)
+        with pytest.raises(ValidationError, match="storage cap"):
+            make_state_raw((2,) * 12, {(0,) * 12: 1.0})
+        with pytest.raises(ValidationError, match="storage cap"):
+            dicke_state(coherent_state((0.4, 1.0), 12))
+        assert make_state_raw((2,) * 10, {(0,) * 10: 1.0})[1] == 1.0
+        assert dicke_state(coherent_state((0.4, 1.0), 10)).dims == (2,) * 10
 
 
 class TestStateVector:
