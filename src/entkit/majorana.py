@@ -13,23 +13,27 @@ stars grades symmetric states from coherent (one star) to fully
 non-degenerate (n stars).
 
 Root finding uses companion-matrix eigenvalues on a geometrically
-scaled copy of the polynomial, a residual-guarded Newton polish, and
-single-linkage clustering in chordal metric whose acceptance radius
-adapts to the local root multiplicity.  The defaults recover the exact
-multiplicity partition for states built with repeated stars and keep
-genuinely distinct stars separate down to separations near the
-``cluster_tol`` floor.
+scaled copy of the polynomial and a residual-guarded Newton polish.
+The roots are clustered by splitting their minimum spanning tree in
+chordal metric at its longest edge until every part is accepted, which
+is the top-down cut of the single-linkage dendrogram.  A part is
+accepted when its diameter fits an acceptance radius that adapts to
+the local root multiplicity m: the rounding floor over the m-th Taylor
+coefficient at the part's mean, to the power 1/m.  One chart routine
+serves both hemispheres, the southern one through the chart of 1/z.
+The defaults recover the exact multiplicity partition for states built
+with repeated stars and keep genuinely distinct stars separate down to
+separations near the ``cluster_tol`` floor.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .states import NumericError, StateVector, ValidationError, _check_size
+from .states import NumericError, StateVector, ValidationError, _check_size, _normalized
 
 __all__ = [
     "NotSymmetricError",
@@ -217,7 +221,7 @@ def dicke_state(expansion: DickeExpansion) -> StateVector:
     for _ in range(n):
         popcount = np.concatenate((popcount, popcount + 1))
     amps = weights[popcount]
-    return StateVector((2,) * n, amps / np.linalg.norm(amps))
+    return StateVector((2,) * n, _normalized(amps)[0])
 
 
 def majorana_polynomial(expansion: DickeExpansion) -> np.ndarray:
@@ -300,169 +304,165 @@ def _scaled_core(core: np.ndarray) -> tuple[np.ndarray, float, int, int]:
     return bb, s, extra_inf, extra_zero
 
 
-def _polish(u_roots, poly, dpoly, abspoly, n: int):
-    """Newton-correct roots whose residual clearly exceeds rounding noise."""
+def _polish(u_roots, geom: _ClusterGeometry):
+    """Newton-correct roots whose residual clearly exceeds rounding noise.
+
+    Works in the geometry's u chart; returns the polished roots and the
+    count of non-finite ones, which are stars at infinity.
+    """
+    bb, _ = geom.u
+    d = len(bb) - 1
     out = []
     overflow = 0
-    for z in u_roots:
-        if not np.isfinite(abs(z)):
-            overflow += 1
-            continue
-        for _ in range(3):
-            pz = poly(z)
-            floor = _FLOOR_C * n * _EPS * abspoly(abs(z))
-            if not np.isfinite(abs(pz)) or abs(pz) <= 8.0 * floor:
-                break
-            dpz = dpoly(z)
-            if dpz == 0:
-                break
-            znew = z - pz / dpz
-            if not np.isfinite(abs(znew)) or abs(poly(znew)) >= abs(pz):
-                break
-            z = znew
-        out.append(complex(z))
+    # a far root overflows p(z); the finiteness checks stop its step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for z in u_roots:
+            if not np.isfinite(abs(z)):
+                overflow += 1
+                continue
+            for _ in range(3):
+                pz = geom.taylor(bb, z, 0)
+                if not np.isfinite(abs(pz)) or abs(pz) <= 8.0 * geom.floor(bb, z):
+                    break
+                dpz = d * geom.taylor(bb, z, 1)
+                if dpz == 0:
+                    break
+                znew = z - pz / dpz
+                if not np.isfinite(abs(znew)) or abs(geom.taylor(bb, znew, 0)) >= abs(pz):
+                    break
+                z = znew
+            out.append(complex(z))
     return out, overflow
-
-
-def _chordal_xyz(zeta_abs: float, zeta_angle: float) -> np.ndarray:
-    theta = 2.0 * math.atan(zeta_abs)
-    st = math.sin(theta)
-    return np.array(
-        [st * math.cos(zeta_angle), st * math.sin(zeta_angle), math.cos(theta)]
-    )
 
 
 class _ClusterGeometry:
     """Noise radii and representatives for clusters of scaled roots.
 
-    Kinds: 'u' roots carry a value in the scaled chart (z = s u); 'inf'
-    and 'zero' members are exact pole stars shed by trimming.
+    A cluster is given by the scaled roots ``u`` among its members
+    (z = s u) and by its counts of exact pole stars shed by trimming:
+    ``south`` at infinity and ``north`` at zero.  It is read in one of
+    two charts, each a pair (coefficients, scale): the u chart (bb, s)
+    or the v chart (bb[::-1], 1/s) of v = 1/u.  The v chart is the u
+    chart mirrored through the equator, theta -> pi - theta and
+    phi -> -phi.  A degree-0 ``bb`` serves polynomials whose stars all
+    sit at the poles.
     """
 
     def __init__(self, bb: np.ndarray, s: float, n: int):
-        self.s = s
         self.n = n
-        self.deg = len(bb) - 1
-        self.fwd = [np.polynomial.Polynomial(bb)]
-        self.rev = [np.polynomial.Polynomial(bb[::-1].copy())]
-        for _ in range(self.deg):
-            self.fwd.append(self.fwd[-1].deriv())
-            self.rev.append(self.rev[-1].deriv())
-        self.abs_fwd = np.polynomial.Polynomial(np.abs(bb))
-        self.abs_rev = np.polynomial.Polynomial(np.abs(bb[::-1]))
+        self.u = (bb, s)
+        self.v = (bb[::-1], 1.0 / s)
 
-    def noise_radius(self, kinds, values) -> float:
+    def floor(self, coeffs: np.ndarray, c: complex) -> float:
+        """Rounding floor of evaluating the chart polynomial at c."""
+        abs_value = np.polynomial.polynomial.polyval(abs(c), np.abs(coeffs))
+        return _FLOOR_C * self.n * _EPS * float(abs_value)
+
+    @staticmethod
+    def taylor(coeffs: np.ndarray, c: complex, m: int) -> complex:
+        """T_m(c) / C(d, m) for the m-th Taylor coefficient at c.
+
+        T_m(c) = sum_j C(j, m) b_j c^(j - m) = p^(m)(c) / m!.  The weights
+        C(j, m) / C(d, m), a descending product of (j - m) / j, lie in
+        (0, 1], so no degree overflows them.
+        """
+        j = np.arange(len(coeffs) - 1, m, -1.0)
+        w = np.cumprod(np.concatenate(([1.0], (j - m) / j)))[::-1]
+        return complex(np.polynomial.polynomial.polyval(c, w * coeffs[m:]))
+
+    def _chart(self, u: np.ndarray, south: int, north: int):
+        """(coeffs, scale, mirrored, member values) of the chart a cluster is read in.
+
+        South-pole members pick the v chart and north-pole members the u
+        chart; otherwise the chart is the one where the roots' mean
+        modulus is at most 1.  The pole on the far side of the chart is
+        dropped, the near one sits at 0.
+        """
+        mirrored = south > 0 or (north == 0 and np.mean(np.abs(u)) > 1.0)
+        coeffs, scale = self.v if mirrored else self.u
+        near_pole = np.zeros(south if mirrored else north)
+        values = np.concatenate((1.0 / u if mirrored else u, near_pole))
+        return coeffs, scale, mirrored, values
+
+    def noise_radius(self, u: np.ndarray, south: int, north: int) -> float:
         """Chordal radius a cluster of this size could owe to rounding.
 
         For a candidate m-fold root near c the perturbation delta moves
-        roots by about (m! delta / |p^(m)(c)|)^(1/m); evaluating that at
-        the polynomial's rounding floor bounds the ring a true multiplet
-        can spread into.  The m-th root makes the bound insensitive to
-        the floor estimate.
+        roots by about (delta / |T_m(c)|)^(1/m); evaluating that at the
+        polynomial's rounding floor bounds the ring a true multiplet can
+        spread into.  The m-th root makes the bound insensitive to the
+        floor estimate.
         """
-        us = [v for k, v in zip(kinds, values) if k == "u"]
-        m = len(us)
-        if m == 0:
+        m = len(u)
+        if m == 0 or (south and north):
             return 0.0
-        has_inf = "inf" in kinds
-        has_zero = "zero" in kinds
-        if has_inf and has_zero:
-            return 0.0
-        if has_inf:
-            chart = "v"
-        elif has_zero:
-            chart = "u"
-        else:
-            chart = "u" if np.mean([abs(u) for u in us]) <= 1.0 else "v"
-        if m > self.deg:
+        coeffs, scale, _, values = self._chart(u, south, north)
+        c = complex(np.mean(values))
+        t = self.taylor(coeffs, c, m)
+        if t == 0:
             return math.inf
-        if chart == "v":
-            vals = [0.0 if k == "inf" else 1.0 / v for k, v in zip(kinds, values) if k != "zero"]
-            if not all(np.isfinite(abs(v)) for v in vals):
-                return 0.0
-            cbar = np.mean(vals)
-            floor = _FLOOR_C * self.n * _EPS * self.abs_rev(abs(cbar))
-            dm = abs(self.rev[m](cbar))
-            if dm == 0.0:
-                return math.inf
-            r_plane = (math.factorial(m) * floor / dm) ** (1.0 / m)
-            wbar = abs(cbar) / self.s
-            return 2.0 * (r_plane / self.s) / (1.0 + wbar**2)
-        vals = [0.0 if k == "zero" else v for k, v in zip(kinds, values) if k != "inf"]
-        cbar = np.mean(vals)
-        floor = _FLOOR_C * self.n * _EPS * self.abs_fwd(abs(cbar))
-        dm = abs(self.fwd[m](cbar))
-        if dm == 0.0:
-            return math.inf
-        r_plane = (math.factorial(m) * floor / dm) ** (1.0 / m)
-        zbar = self.s * abs(cbar)
-        return 2.0 * (self.s * r_plane) / (1.0 + zbar**2)
+        # (floor / |T_m|)^(1/m), with T_m = C(d, m) t taken apart so it cannot overflow
+        log_binom = math.log(math.comb(len(coeffs) - 1, m))
+        r_plane = (self.floor(coeffs, c) / abs(t)) ** (1.0 / m) * math.exp(-log_binom / m)
+        x = scale * abs(c)
+        return 2.0 * scale * r_plane / (1.0 + x * x)
 
-    def representative(self, kinds, values) -> tuple[float, float]:
-        """(theta, phi) of a cluster, averaged in the better chart.
+    def representative(self, u: np.ndarray, south: int, north: int) -> tuple[float, float]:
+        """(theta, phi) of a cluster, averaged in its chart.
 
         Averaging the full multiplet cancels the symmetric part of the
         root perturbation, so repeated stars come back far more
         accurately than any single root.
         """
-        if all(k == "inf" for k in kinds):
-            return math.pi, 0.0
-        if all(k == "zero" for k in kinds):
-            return 0.0, 0.0
-        us = [v for k, v in zip(kinds, values) if k == "u"]
-        if "inf" in kinds or np.mean([abs(u) for u in us]) > 1.0:
-            vals = [0.0 if k == "inf" else 1.0 / v for k, v in zip(kinds, values) if k != "zero"]
-            vbar = complex(np.mean(vals))
-            if vbar == 0 or not np.isfinite(abs(vbar)):
-                return math.pi, 0.0
-            theta = math.pi - 2.0 * math.atan(abs(vbar) / self.s)
-            return theta, _wrap_phi(-float(np.angle(vbar)), self.n)
-        vals = [0.0 if k == "zero" else v for k, v in zip(kinds, values) if k != "inf"]
-        ubar = complex(np.mean(vals))
-        theta = 2.0 * math.atan(self.s * abs(ubar))
-        return theta, _wrap_phi(float(np.angle(ubar)), self.n) if ubar != 0 else 0.0
+        _, scale, mirrored, values = self._chart(u, south, north)
+        c = complex(np.mean(values))
+        theta = 2.0 * math.atan(scale * abs(c))
+        phi = float(np.angle(c))
+        if mirrored:
+            theta, phi = math.pi - theta, -phi
+        return theta, _wrap_phi(phi, self.n)
 
 
-def _single_linkage_clusters(pts, accept) -> list[list[int]]:
-    """Single-linkage merge tree, cut top-down at the accept predicate."""
-    m = len(pts)
-    if m == 1:
-        return [[0]]
-    dist = {}
-    for i, j in itertools.combinations(range(m), 2):
-        dist[(i, j)] = dist[(j, i)] = float(np.linalg.norm(pts[i] - pts[j]))
-    members = {i: [i] for i in range(m)}
-    children: dict[int, tuple[int, int]] = {}
-    active = list(range(m))
-    nid = m
-    while len(active) > 1:
-        best = min(
-            ((dist[(x, y)], x, y) for x, y in itertools.combinations(active, 2)),
-            key=lambda t: t[0],
-        )
-        _, x, y = best
-        members[nid] = members[x] + members[y]
-        children[nid] = (x, y)
-        for w in active:
-            if w not in (x, y):
-                dv = min(dist[(x, w)], dist[(y, w)])
-                dist[(nid, w)] = dist[(w, nid)] = dv
-        active = [w for w in active if w not in (x, y)]
-        active.append(nid)
-        nid += 1
-    out: list[list[int]] = []
+def _single_linkage_clusters(dist: np.ndarray, accept) -> list[list[int]]:
+    """Single-linkage clusters of a distance matrix, cut top-down at ``accept``.
 
-    def descend(cid: int) -> None:
-        mem = members[cid]
-        if len(mem) == 1 or accept(mem):
-            out.append(mem)
-            return
-        cx, cy = children[cid]
-        descend(cx)
-        descend(cy)
-
-    descend(nid - 1)
-    return out
+    A single-linkage dendrogram is the minimum spanning tree with its
+    edges sorted (Gower and Ross 1969), so the cut splits every part
+    that ``accept`` rejects at its longest tree edge.  Prim's method
+    grows the tree in O(m^2); ``order`` lists the nodes as they join,
+    each after its ``parent``, so a part kept in that order starts with
+    the node whose tree edge leaves the part.
+    """
+    m = len(dist)
+    order = [0]
+    parent = np.zeros(m, dtype=int)
+    weight = np.zeros(m)
+    best = dist[0].copy()
+    free = np.ones(m, dtype=bool)
+    free[0] = False
+    for _ in range(m - 1):
+        j = int(np.argmin(np.where(free, best, np.inf)))
+        free[j] = False
+        order.append(j)
+        weight[j] = best[j]
+        closer = free & (dist[j] < best)
+        best[closer] = dist[j, closer]
+        parent[closer] = j
+    clusters = []
+    parts = [order]
+    while parts:
+        part = parts.pop()
+        if len(part) == 1 or accept(part):
+            clusters.append(part)
+            continue
+        k = max(range(1, len(part)), key=lambda i: weight[part[i]])
+        side = {part[k]}
+        for i in part[k + 1 :]:
+            if parent[i] in side:
+                side.add(i)
+        parts.append([i for i in part if i not in side])
+        parts.append([i for i in part if i in side])
+    return clusters
 
 
 def find_stars(poly, n: int, cluster_tol: float = 1e-6) -> MajoranaConstellation:
@@ -502,64 +502,43 @@ def find_stars(poly, n: int, cluster_tol: float = 1e-6) -> MajoranaConstellation
     if float(np.max(np.abs(a))) < 1e-14:
         raise NumericError("degenerate polynomial: all coefficients below 1e-14")
 
-    core, n_inf, n_zero = _trim_exact(a)
-    if len(core) == 1:
-        kinds = ["inf"] * n_inf + ["zero"] * n_zero
-        values: list[complex] = [0j] * (n_inf + n_zero)
-        geom = None
-        s = 1.0
-    else:
-        bb, s, extra_inf, extra_zero = _scaled_core(core)
-        n_inf += extra_inf
-        n_zero += extra_zero
-        if len(bb) > 1:
-            raw = np.polynomial.Polynomial(bb).roots()
-        else:
-            raw = np.array([], dtype=np.complex128)
-        poly_b = np.polynomial.Polynomial(bb)
-        roots, overflow = _polish(
-            raw, poly_b, poly_b.deriv(), np.polynomial.Polynomial(np.abs(bb)), n
-        )
-        n_inf += overflow
-        kinds = ["u"] * len(roots) + ["inf"] * n_inf + ["zero"] * n_zero
-        values = list(roots) + [0j] * (n_inf + n_zero)
-        geom = _ClusterGeometry(bb, s, n)
-    if len(kinds) != n:
-        raise NumericError(f"recovered {len(kinds)} roots for degree {n}")
+    core, south, north = _trim_exact(a)
+    bb, s = core, 1.0
+    if len(core) > 1:
+        bb, s, extra_south, extra_north = _scaled_core(core)
+        south += extra_south
+        north += extra_north
+    geom = _ClusterGeometry(bb, s, n)
+    roots, overflow = _polish(np.polynomial.polynomial.polyroots(bb), geom)
+    roots = np.array(roots, dtype=np.complex128)
+    south += overflow
+    r = len(roots)
+    if r + south + north != n:
+        raise NumericError(f"recovered {r + south + north} roots for degree {n}")
 
-    pts = []
-    for k, v in zip(kinds, values):
-        if k == "u":
-            zu = s * abs(v)
-            pts.append(_chordal_xyz(zu if np.isfinite(zu) else math.inf, float(np.angle(v))))
-        elif k == "inf":
-            pts.append(np.array([0.0, 0.0, -1.0]))
-        else:
-            pts.append(np.array([0.0, 0.0, 1.0]))
+    # members: roots 0 .. r-1, then the south-pole stars, then the north-pole ones
+    with np.errstate(over="ignore"):
+        theta = 2.0 * np.arctan(s * np.abs(roots))
+    theta = np.concatenate((theta, np.full(south, math.pi), np.zeros(north)))
+    azimuth = np.concatenate((np.angle(roots), np.zeros(south + north)))
+    pts = np.column_stack(
+        (np.sin(theta) * np.cos(azimuth), np.sin(theta) * np.sin(azimuth), np.cos(theta))
+    )
+    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+
+    def cluster(mem: list[int]) -> tuple[np.ndarray, int, int]:
+        idx = np.array(mem)
+        n_south = int(np.count_nonzero((idx >= r) & (idx < r + south)))
+        return roots[idx[idx < r]], n_south, int(np.count_nonzero(idx >= r + south))
 
     def accept(mem: list[int]) -> bool:
-        diam = max(
-            float(np.linalg.norm(pts[i] - pts[j]))
-            for i, j in itertools.combinations(mem, 2)
-        )
-        radius = (
-            geom.noise_radius([kinds[i] for i in mem], [values[i] for i in mem])
-            if geom is not None
-            else 0.0
-        )
-        return diam <= max(cluster_tol, _GAMMA * radius)
+        diam = float(dist[np.ix_(mem, mem)].max())
+        return diam <= max(cluster_tol, _GAMMA * geom.noise_radius(*cluster(mem)))
 
-    groups = _single_linkage_clusters(pts, accept)
-
-    stars = []
-    for mem in groups:
-        ks = [kinds[i] for i in mem]
-        vs = [values[i] for i in mem]
-        if geom is None:
-            theta, phi = (math.pi, 0.0) if ks[0] == "inf" else (0.0, 0.0)
-        else:
-            theta, phi = geom.representative(ks, vs)
-        stars.append(SpherePoint(theta=theta, phi=phi, multiplicity=len(mem)))
+    stars = [
+        SpherePoint(*geom.representative(*cluster(mem)), multiplicity=len(mem))
+        for mem in _single_linkage_clusters(dist, accept)
+    ]
     stars.sort(key=lambda sp: (-sp.multiplicity, sp.theta, sp.phi))
     partition = tuple(sorted((sp.multiplicity for sp in stars), reverse=True))
     return MajoranaConstellation(
@@ -606,9 +585,12 @@ def binary_discriminant(poly, n: int) -> complex:
     for i in range(m):
         syl[i, i : i + m + 1] = p_desc
         syl[m + i, i : i + m + 1] = q_desc
-    resultant = complex(np.linalg.det(syl))
+    # the determinant and n^(n-2) are combined in log space; both overflow near n = 171
+    phase, log_abs = np.linalg.slogdet(syl)
+    if phase == 0:
+        return 0j
     sign = -1.0 if (n * (n - 1) // 2) % 2 else 1.0
-    return sign * resultant / float(n) ** (n - 2)
+    return sign * complex(phase) * math.exp(log_abs - (n - 2) * math.log(n))
 
 
 def classify_symmetric(

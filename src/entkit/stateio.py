@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import StateVector, ValidationError, make_state_raw
+from .states import StateVector, ValidationError, _normalized, make_state_raw
 
 __all__ = ["LoadedState", "read_state", "write_state", "state_to_json", "state_from_json"]
 
@@ -69,7 +69,7 @@ def state_from_json(doc: dict) -> LoadedState:
             raise ValidationError(f"amplitude index {list(index)} is listed twice")
         entries[index] = value
     arr, norm = make_state_raw(dims, entries)
-    return LoadedState(StateVector(tuple(dims), arr / norm), norm)
+    return LoadedState(StateVector(tuple(dims), _normalized(arr)[0]), norm)
 
 
 def read_state(path) -> LoadedState:

@@ -177,10 +177,26 @@ def make_state_raw(dims, entries) -> tuple[np.ndarray, float]:
         count += 1
     if count == 0:
         raise ValidationError("no amplitude entries given")
-    norm = float(np.linalg.norm(arr))
-    if norm == 0.0:
+    return arr.reshape(-1), _normalized(arr)[1]
+
+
+def _normalized(arr: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(arr / ||arr||, ||arr||)`` of a nonzero array, computed through arr / peak.
+
+    Dividing by the largest real or imaginary part first keeps the sum
+    of squares finite and nonzero for amplitudes near 1e308 or 1e-320.
+    """
+    parts = np.ascontiguousarray(arr, dtype=np.complex128).reshape(-1).view(np.float64)
+    peak = float(np.max(np.abs(parts)))
+    if peak == 0.0:
         raise ValidationError("all amplitudes are zero")
-    return arr.reshape(-1), norm
+    # real division: numpy's complex division by a subnormal overflows
+    scaled = (parts / peak).view(np.complex128)
+    ratio = float(np.linalg.norm(scaled))
+    norm = peak * ratio
+    if not math.isfinite(norm):
+        raise ValidationError(f"the norm of the amplitudes, {ratio:.6g} x {peak:.6g}, overflows")
+    return scaled / ratio, norm
 
 
 def make_state(dims, entries) -> StateVector:
@@ -203,8 +219,8 @@ def make_state(dims, entries) -> StateVector:
     >>> make_state([2, 2], {(0, 0): 1, (1, 1): 1}).amplitude((0, 0))
     (0.7071067811865475+0j)
     """
-    arr, norm = make_state_raw(dims, entries)
-    return StateVector(tuple(int(d) for d in dims), arr / norm)
+    arr, _ = make_state_raw(dims, entries)
+    return StateVector(tuple(int(d) for d in dims), _normalized(arr)[0])
 
 
 def bell_state(which: str) -> StateVector:

@@ -180,6 +180,20 @@ class TestOutputs:
         assert "normalized" in err
 
 
+    def test_huge_amplitudes_survive(self, tmp_path, capsys):
+        # the norm, 1.41e308, is a float although its square is not
+        path = tmp_path / "big.json"
+        amps = [{"index": [0, 0], "re": 1e308}, {"index": [1, 1], "re": 1e308}]
+        path.write_text(json.dumps({"dims": [2, 2], "amplitudes": amps}))
+        code, out, _ = run(capsys, "schmidt", str(path))
+        assert code == 0
+        assert "rank: 2" in out
+        code, out, _ = run(capsys, "det", str(path))
+        assert code == 0
+        det = next(line for line in out.splitlines() if line.startswith("det:"))
+        assert abs(complex(det.split()[1])) == pytest.approx(0.5, rel=1e-12)
+
+
 class TestExitCodes:
     def test_wrong_dims_is_validation(self, tmp_path, capsys):
         path = tmp_path / "g.json"
@@ -216,6 +230,17 @@ class TestExitCodes:
         code, _, err = run(capsys, "qutrit-inv", "1e200", "1", "1")
         assert code == 3
         assert "numeric" in err
+
+    def test_norm_overflow_is_validation(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        amps = [
+            {"index": [0, 0], "re": 1.5e308, "im": 1.5e308},
+            {"index": [1, 1], "re": 1.5e308},
+        ]
+        path.write_text(json.dumps({"dims": [2, 2], "amplitudes": amps}))
+        code, _, err = run(capsys, "schmidt", str(path))
+        assert code == 2
+        assert "overflows" in err
 
     def test_unknown_invariant_is_validation(self, tmp_path, capsys):
         path = tmp_path / "bell.json"

@@ -26,6 +26,7 @@ from entkit import (
     symmetrize_check,
     w_state,
 )
+from entkit.majorana import _ClusterGeometry, _single_linkage_clusters
 from entkit.sampling import random_su2, trial_rng
 from entkit.states import LocalUnitary
 
@@ -205,6 +206,12 @@ class TestFindStars:
         )
         assert con.partition == (1, 1)
 
+    def test_n200_coherent_state(self):
+        # the acceptance radius and the discriminant stay finite past n = 171
+        con = find_stars(majorana_polynomial(coherent_state((0.7, 1.0), 200)), 200)
+        assert con.partition == (200,)
+        assert math.isfinite(abs(con.discriminant))
+
     def test_degenerate_polynomial(self):
         with pytest.raises(NumericError):
             find_stars(np.array([1e-16, 1e-15]), 2)
@@ -216,6 +223,51 @@ class TestFindStars:
     def test_bad_n(self):
         with pytest.raises(ValidationError):
             find_stars(np.ones(2), 0)
+
+
+class TestClusterMachinery:
+    @staticmethod
+    def agglomerative(dist, accept):
+        """Merge the two closest clusters until one is left, then cut the tree top-down."""
+        active = [(i,) for i in range(len(dist))]
+        halves = {}
+        while len(active) > 1:
+            a, b = min(
+                itertools.combinations(active, 2),
+                key=lambda pair: dist[np.ix_(pair[0], pair[1])].min(),
+            )
+            active.remove(a)
+            active.remove(b)
+            active.append(a + b)
+            halves[a + b] = (a, b)
+        out = []
+        while active:
+            mem = active.pop()
+            if len(mem) == 1 or accept(list(mem)):
+                out.append(sorted(mem))
+            else:
+                active.extend(halves[mem])
+        return sorted(out)
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 12, 30])
+    def test_mst_split_matches_agglomeration(self, rng, m):
+        pts = rng.standard_normal((m, 3))
+        dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+        for t in (0.3, 0.8, 1.5, 3.0):
+
+            def accept(mem):
+                return dist[np.ix_(mem, mem)].max() <= t
+
+            got = sorted(sorted(c) for c in _single_linkage_clusters(dist, accept))
+            assert got == self.agglomerative(dist, accept)
+
+    def test_taylor_coefficient_is_scaled_derivative(self, rng):
+        b = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        c = 0.3 - 0.7j
+        for m in range(9):
+            want = np.polynomial.Polynomial(b).deriv(m)(c) / math.factorial(m)
+            got = _ClusterGeometry.taylor(b, c, m) * math.comb(8, m)
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestCoherent:

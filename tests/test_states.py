@@ -79,6 +79,14 @@ class TestConstructors:
         assert norm == pytest.approx(5.0)
         assert arr[0] == 3.0
 
+    def test_extreme_finite_amplitudes_normalize(self):
+        for scale in (1e308, 1e-320):
+            arr, norm = make_state_raw([2, 2], {(0, 0): scale, (1, 1): scale})
+            assert norm == pytest.approx(math.sqrt(2.0) * scale, rel=1e-3)
+            s = make_state([2, 2], {(0, 0): scale, (1, 1): scale})
+            assert s.norm() == pytest.approx(1.0, abs=1e-15)
+            assert s.amplitude((1, 1)) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
+
     def test_rejects_zero_state(self):
         with pytest.raises(ValidationError):
             make_state([2, 2], {(0, 0): 0.0})
