@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Every subcommand prints a human-readable listing by default and a
-machine-readable document with --json.  Floating-point output is
+Every subcommand returns a machine-readable document and a
+human-readable listing; ``main`` prints the document with --json and
+the listing otherwise.  Floating-point output is
 printed with 12 significant digits; JSON numbers are emitted unrounded.
 Exit codes: 0 on success, 2 on validation problems (bad files, wrong
 dimensions, asymmetric input to majorana, bad arguments), 3 on numeric
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -66,10 +66,6 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _emit_json(doc) -> None:
-    print(json.dumps(doc, indent=2, default=_json_default))
-
-
 def _load(path: str) -> stateio.LoadedState:
     loaded = stateio.read_state(path)
     if abs(loaded.pre_norm - 1.0) > 1e-9:
@@ -80,61 +76,52 @@ def _load(path: str) -> stateio.LoadedState:
     return loaded
 
 
-# -- subcommands -----------------------------------------------------------
+# -- subcommands: each returns (JSON document, text lines) ------------------
 
 
-def _cmd_schmidt(args) -> int:
+def _listing(doc: dict) -> list[str]:
+    return [f"{key}: {_fmt(val)}" for key, val in doc.items()]
+
+
+def _cmd_schmidt(args):
     loaded = _load(args.file)
     dec = schmidt_decompose(loaded.state, tuple(args.cut), args.tolerance)
-    if args.json:
-        _emit_json(
-            {
-                "cut": list(dec.cut),
-                "rank": dec.rank,
-                "lambdas": [float(v) for v in dec.lambdas],
-                "tolerance": dec.tolerance_used,
-                "pre_norm": loaded.pre_norm,
-            }
-        )
-        return 0
-    print(f"cut: {','.join(str(c) for c in dec.cut)}")
-    print(f"rank: {dec.rank}")
-    for k, v in enumerate(dec.lambdas):
-        print(f"lambda_{k}: {_fmt(float(v))}")
-    return 0
+    lambdas = [float(v) for v in dec.lambdas]
+    doc = {
+        "cut": list(dec.cut),
+        "rank": dec.rank,
+        "lambdas": lambdas,
+        "tolerance": dec.tolerance_used,
+        "pre_norm": loaded.pre_norm,
+    }
+    text = [f"cut: {','.join(str(c) for c in dec.cut)}", f"rank: {dec.rank}"]
+    return doc, text + [f"lambda_{k}: {_fmt(v)}" for k, v in enumerate(lambdas)]
 
 
-def _cmd_det(args) -> int:
+def _cmd_det(args):
     loaded = _load(args.file)
     det = bipartite_determinant(loaded.state)
     two = bipartite_determinant(loaded.state, rescale=True)
     sq = det_squared(loaded.state)
-    if args.json:
-        _emit_json({"det": det, "two_det": two, "det_squared": sq})
-        return 0
-    print(f"det: {_fmt(det)}")
-    print(f"2*det: {_fmt(two)}")
-    print(f"det^2: {_fmt(sq)}")
-    return 0
+    doc = {"det": det, "two_det": two, "det_squared": sq}
+    return doc, [f"det: {_fmt(det)}", f"2*det: {_fmt(two)}", f"det^2: {_fmt(sq)}"]
 
 
-def _cmd_hyperdet3q(args) -> int:
+def _cmd_hyperdet3q(args):
     loaded = _load(args.file)
     det = cayley_hyperdeterminant(loaded.state)
-    cls = _class_of(det)
-    if args.json:
-        _emit_json({"hyperdeterminant": det, "abs": abs(det), "class": cls.value})
-        return 0
-    print(f"Det: {_fmt(det)}")
-    print(f"|Det|: {_fmt(abs(det))}")
-    print(f"class: {cls.value}")
-    return 0
+    cls = _class_of(det).value
+    doc = {"hyperdeterminant": det, "abs": abs(det), "class": cls}
+    return doc, [f"Det: {_fmt(det)}", f"|Det|: {_fmt(abs(det))}", f"class: {cls}"]
 
 
-def _cmd_qutrit_inv(args) -> int:
-    coeffs = NormalFormCoefficients(a1=args.a1, a2=args.a2, a3=args.a3)
+def _coefficients(args) -> NormalFormCoefficients:
+    return NormalFormCoefficients(a1=args.a1, a2=args.a2, a3=args.a3)
+
+
+def _cmd_qutrit_inv(args):
+    coeffs = _coefficients(args)
     report = fundamental_invariants(coeffs)
-    combo = hyperdeterminant_333(report)
     doc = {
         "a1": coeffs.a1,
         "a2": coeffs.a2,
@@ -144,22 +131,9 @@ def _cmd_qutrit_inv(args) -> int:
         "I12": report.i12,
         "J12": report.j12,
         "Delta": report.delta,
-        "Delta_from_invariants": combo,
+        "Delta_from_invariants": hyperdeterminant_333(report),
     }
-    if args.json:
-        _emit_json(doc)
-        return 0
-    for key, val in doc.items():
-        print(f"{key}: {_fmt(val)}")
-    return 0
-
-
-def _star_xyz(theta: float, phi: float) -> tuple[float, float, float]:
-    return (
-        math.sin(theta) * math.cos(phi),
-        math.sin(theta) * math.sin(phi),
-        math.cos(theta),
-    )
+    return doc, _listing(doc)
 
 
 def _constellation_svg(con: MajoranaConstellation) -> str:
@@ -184,9 +158,9 @@ def _constellation_svg(con: MajoranaConstellation) -> str:
         'font-size="11">+z</text>',
     ]
     # far hemisphere first so near stars overdraw them
-    order = sorted(con.stars, key=lambda s: _star_xyz(s.theta, s.phi)[1], reverse=True)
+    order = sorted(con.stars, key=lambda s: s.xyz()[1], reverse=True)
     for s in order:
-        x, y, z = _star_xyz(s.theta, s.phi)
+        x, y, z = s.xyz()
         px = c + r * x
         py = c - r * z
         far = y > 0
@@ -210,35 +184,26 @@ def _constellation_svg(con: MajoranaConstellation) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _cmd_majorana(args) -> int:
+def _cmd_majorana(args):
     loaded = _load(args.file)
     cls = classify_symmetric(loaded.state, cluster_tol=args.cluster_tol)
     con = cls.constellation
     if args.svg:
         Path(args.svg).write_text(_constellation_svg(con), encoding="utf-8")
         print(f"note: wrote {args.svg}", file=sys.stderr)
-    if args.json:
-        _emit_json({**asdict(con), "onion_level": cls.onion_level})
-        return 0
-    print("theta,phi,multiplicity")
-    for s in con.stars:
-        print(f"{s.theta:.11e},{s.phi:.11e},{s.multiplicity}")
-    return 0
+    text = ["theta,phi,multiplicity"]
+    text += [f"{s.theta:.11e},{s.phi:.11e},{s.multiplicity}" for s in con.stars]
+    return {**asdict(con), "onion_level": cls.onion_level}, text
 
 
-def _cmd_check_invariance(args) -> int:
+def _cmd_check_invariance(args):
     loaded = _load(args.file)
     group = args.group.split(",") if "," in args.group else args.group
     report = invariance_suite(
         loaded.state, args.invariant, group=group, trials=args.trials, seed=args.seed
     )
     doc = asdict(report)
-    if args.json:
-        _emit_json(doc)
-        return 0
-    for key, val in doc.items():
-        print(f"{key}: {_fmt(val)}")
-    return 0
+    return doc, _listing(doc)
 
 
 def _evidence_brief(check) -> str:
@@ -259,48 +224,24 @@ def _evidence_brief(check) -> str:
     return ev.get("note", "")
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     loaded = _load(args.file)
     report = classify_state(loaded.state, state_id=Path(args.file).stem)
-    if args.json:
-        _emit_json(asdict(report))
-        return 0
-    print(f"state: {report.state_id}")
-    for c in report.checks:
-        print(f"Def {c.definition}: {c.verdict}  [{_evidence_brief(c)}]")
-    for w in report.warnings:
-        print(f"warning: {w}")
-    return 0
+    text = [f"state: {report.state_id}"]
+    text += [f"Def {c.definition}: {c.verdict}  [{_evidence_brief(c)}]"
+             for c in report.checks]
+    text += [f"warning: {w}" for w in report.warnings]
+    return asdict(report), text
 
 
-def _cmd_gen(args) -> int:
-    if args.kind == "bell":
-        state = bell_state(args.which)
-    elif args.kind == "ghz":
-        state = ghz_state(args.n)
-    elif args.kind == "w":
-        state = w_state()
-    elif args.kind == "coherent":
-        state = dicke_state(coherent_state((args.theta, args.phi), args.n))
-    elif args.kind == "qutrit-nf":
-        state = build_normal_form_state(
-            NormalFormCoefficients(a1=args.a1, a2=args.a2, a3=args.a3)
-        )
-    else:
-        state = phi_family(args.alpha, args.beta).state
+def _cmd_gen(args):
+    state = args.build(args)
     stateio.write_state(state, args.out)
-    if args.json:
-        _emit_json({"path": str(args.out), "dims": list(state.dims)})
-        return 0
-    print(f"wrote {args.out} (dims {','.join(str(d) for d in state.dims)})")
-    return 0
+    doc = {"path": str(args.out), "dims": list(state.dims)}
+    return doc, [f"wrote {args.out} (dims {','.join(str(d) for d in state.dims)})"]
 
 
 # -- parser ----------------------------------------------------------------
-
-
-def _add_json(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -309,40 +250,32 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Entanglement invariants of pure multipartite states.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands, generators = [], []
 
-    p = sub.add_parser("schmidt", help="Schmidt decomposition across a cut")
-    p.add_argument("file")
+    def command(name, func, summary, file=True):
+        p = sub.add_parser(name, help=summary)
+        if file:
+            p.add_argument("file")
+        p.set_defaults(func=func)
+        commands.append(p)
+        return p
+
+    p = command("schmidt", _cmd_schmidt, "Schmidt decomposition across a cut")
     p.add_argument("--cut", nargs="+", type=int, default=[0], metavar="PARTY")
     p.add_argument("--tolerance", type=float, default=1e-9)
-    _add_json(p)
-    p.set_defaults(func=_cmd_schmidt)
 
-    p = sub.add_parser("det", help="two-qubit determinant invariant")
-    p.add_argument("file")
-    _add_json(p)
-    p.set_defaults(func=_cmd_det)
+    command("det", _cmd_det, "two-qubit determinant invariant")
+    command("hyperdet3q", _cmd_hyperdet3q, "three-qubit hyperdeterminant")
 
-    p = sub.add_parser("hyperdet3q", help="three-qubit hyperdeterminant")
-    p.add_argument("file")
-    _add_json(p)
-    p.set_defaults(func=_cmd_hyperdet3q)
+    p = command("qutrit-inv", _cmd_qutrit_inv, "qutrit normal-form invariants", file=False)
+    for a in ("a1", "a2", "a3"):
+        p.add_argument(a, type=complex)
 
-    p = sub.add_parser("qutrit-inv", help="qutrit normal-form invariants")
-    p.add_argument("a1", type=complex)
-    p.add_argument("a2", type=complex)
-    p.add_argument("a3", type=complex)
-    _add_json(p)
-    p.set_defaults(func=_cmd_qutrit_inv)
-
-    p = sub.add_parser("majorana", help="Majorana stars of a symmetric state")
-    p.add_argument("file")
+    p = command("majorana", _cmd_majorana, "Majorana stars of a symmetric state")
     p.add_argument("--svg", metavar="PATH", help="also write an SVG sphere view")
     p.add_argument("--cluster-tol", type=float, default=1e-6)
-    _add_json(p)
-    p.set_defaults(func=_cmd_majorana)
 
-    p = sub.add_parser("check-invariance", help="Monte-Carlo invariance report")
-    p.add_argument("file")
+    p = command("check-invariance", _cmd_check_invariance, "Monte-Carlo invariance report")
     p.add_argument(
         "--invariant",
         required=True,
@@ -355,64 +288,50 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    _add_json(p)
-    p.set_defaults(func=_cmd_check_invariance)
 
-    p = sub.add_parser("classify", help="run all four definitional checks")
-    p.add_argument("file")
-    _add_json(p)
-    p.set_defaults(func=_cmd_classify)
+    command("classify", _cmd_classify, "run all four definitional checks")
 
-    p = sub.add_parser("gen", help="write a named example state to a file")
-    gsub = p.add_subparsers(dest="kind", required=True)
+    gen = sub.add_parser("gen", help="write a named example state to a file")
+    gsub = gen.add_subparsers(dest="kind", required=True)
 
-    g = gsub.add_parser("bell")
+    def generator(kind, build):
+        g = gsub.add_parser(kind)
+        g.set_defaults(func=_cmd_gen, build=build)
+        generators.append(g)
+        return g
+
+    g = generator("bell", lambda a: bell_state(a.which))
     g.add_argument("--which", choices=["phi+", "psi+", "phi-", "psi-"], default="phi+")
-    g.add_argument("--out", required=True)
-    _add_json(g)
-    g.set_defaults(func=_cmd_gen)
-
-    g = gsub.add_parser("ghz")
+    g = generator("ghz", lambda a: ghz_state(a.n))
     g.add_argument("--n", type=int, default=3)
-    g.add_argument("--out", required=True)
-    _add_json(g)
-    g.set_defaults(func=_cmd_gen)
-
-    g = gsub.add_parser("w")
-    g.add_argument("--out", required=True)
-    _add_json(g)
-    g.set_defaults(func=_cmd_gen)
-
-    g = gsub.add_parser("coherent")
+    generator("w", lambda a: w_state())
+    g = generator(
+        "coherent", lambda a: dicke_state(coherent_state((a.theta, a.phi), a.n))
+    )
     g.add_argument("--theta", type=float, required=True)
     g.add_argument("--phi", type=float, required=True)
     g.add_argument("--n", type=int, required=True)
-    g.add_argument("--out", required=True)
-    _add_json(g)
-    g.set_defaults(func=_cmd_gen)
-
-    g = gsub.add_parser("qutrit-nf")
-    g.add_argument("a1", type=complex)
-    g.add_argument("a2", type=complex)
-    g.add_argument("a3", type=complex)
-    g.add_argument("--out", required=True)
-    _add_json(g)
-    g.set_defaults(func=_cmd_gen)
-
-    g = gsub.add_parser("phi")
+    g = generator("qutrit-nf", lambda a: build_normal_form_state(_coefficients(a)))
+    for a in ("a1", "a2", "a3"):
+        g.add_argument(a, type=complex)
+    g = generator("phi", lambda a: phi_family(a.alpha, a.beta).state)
     g.add_argument("--alpha", type=complex, required=True)
     g.add_argument("--beta", type=complex, required=True)
-    g.add_argument("--out", required=True)
-    _add_json(g)
-    g.set_defaults(func=_cmd_gen)
 
+    for g in generators:
+        g.add_argument("--out", required=True)
+    for p in commands + generators:
+        p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        doc, text = args.func(args)
+        out = json.dumps(doc, indent=2, default=_json_default) if args.json else "\n".join(text)
+        print(out)
+        return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -245,6 +245,7 @@ def coherent_state(direction, n: int) -> DickeExpansion:
     Parameters
     ----------
     direction : SpherePoint or (theta, phi) pair
+        Finite angles in radians.
     n : int
         Qubit count, at least 1.
     """
@@ -254,6 +255,8 @@ def coherent_state(direction, n: int) -> DickeExpansion:
         theta, phi = direction.theta, direction.phi
     else:
         theta, phi = float(direction[0]), float(direction[1])
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise ValidationError(f"coherent_state needs finite angles, got ({theta}, {phi})")
     half = theta / 2.0
     c = np.array(
         [
@@ -479,7 +482,7 @@ def find_stars(poly, n: int, cluster_tol: float = 1e-6) -> MajoranaConstellation
         Chordal floor below which roots always merge.  The effective
         merge radius additionally adapts to the local multiplicity, so
         repeated roots whose numerical ring is wider than this floor
-        are still gathered into one star.
+        are still gathered into one star.  Must be finite and >= 0.
 
     Returns
     -------
@@ -493,6 +496,8 @@ def find_stars(poly, n: int, cluster_tol: float = 1e-6) -> MajoranaConstellation
     a = np.asarray(poly, dtype=np.complex128).reshape(-1)
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
+    if not (math.isfinite(cluster_tol) and cluster_tol >= 0.0):
+        raise ValidationError(f"cluster_tol must be finite and >= 0, got {cluster_tol}")
     if a.size > n + 1:
         raise ValidationError(f"polynomial degree {a.size - 1} exceeds qubit count {n}")
     if a.size < n + 1:

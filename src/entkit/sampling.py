@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import states
 from .hyperdet import cayley_hyperdeterminant
 from .schmidt import bipartite_determinant, schmidt_decompose
 from .states import LocalUnitary, StateVector, ValidationError, apply_local_unitary
@@ -197,6 +198,7 @@ def invariance_suite(
         "su" (default) or "u" for every party, or per-party tokens
         like ("su2", "su2") / ("u3", "u3").
     trials : int, optional
+        At least 1 and at most ``states.MAX_ENTRIES``.
     seed : int, optional
 
     Returns
@@ -205,6 +207,8 @@ def invariance_suite(
     """
     if trials < 1:
         raise ValidationError(f"need at least one trial, got {trials}")
+    if trials > states.MAX_ENTRIES:
+        raise ValidationError(f"trials {trials} exceeds the cap {states.MAX_ENTRIES}")
     label, fn = named_invariant(invariant)
     factories = _group_factories(state, group)
     baseline = fn(state)

@@ -47,23 +47,44 @@ def state_to_json(state: StateVector, threshold: float = 0.0) -> dict:
     return {"dims": list(state.dims), "amplitudes": entries}
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer; floats, bools and strings raise instead of truncating."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    """A JSON number as a float; bools and strings raise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{what} must be a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise TypeError(f"{what} lies outside the float range") from None
+
+
 def state_from_json(doc: dict) -> LoadedState:
-    """Parse the state document; normalizes and records the input norm."""
+    """Parse the state document; normalizes and records the input norm.
+
+    ``dims`` and ``index`` entries must be JSON integers and ``re``/``im``
+    JSON numbers; anything else raises :class:`ValidationError`.
+    """
     if not isinstance(doc, dict):
         raise ValidationError("state document must be a JSON object")
     try:
-        dims = [int(d) for d in doc["dims"]]
+        dims = [_integer(d, "dims entry") for d in doc["dims"]]
         raw_entries = doc["amplitudes"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed state document: {exc}") from None
     if not isinstance(raw_entries, list):
         raise ValidationError("'amplitudes' must be a list")
     entries = {}
     for item in raw_entries:
         try:
-            index = tuple(int(i) for i in item["index"])
-            value = complex(float(item["re"]), float(item.get("im", 0.0)))
-        except (KeyError, TypeError, ValueError) as exc:
+            index = tuple(_integer(i, "index entry") for i in item["index"])
+            value = complex(_number(item["re"], "re"), _number(item.get("im", 0.0), "im"))
+        except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed amplitude entry {item!r}: {exc}") from None
         if index in entries:
             raise ValidationError(f"amplitude index {list(index)} is listed twice")
@@ -79,7 +100,7 @@ def read_state(path) -> LoadedState:
             doc = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ValidationError(f"{path} is not valid JSON: {exc}") from None
     return state_from_json(doc)
 

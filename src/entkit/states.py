@@ -75,7 +75,8 @@ class StateVector:
         Local dimension of each party, every entry at least 2.
     amplitudes : numpy.ndarray
         Complex amplitudes of length ``prod(dims)`` in row-major
-        multi-index order.  Stored read-only.
+        multi-index order, with norm 1 within ``ATOL``.  Stored
+        read-only.
 
     Notes
     -----
@@ -97,6 +98,9 @@ class StateVector:
             raise ValidationError(
                 f"amplitude count {amps.size} does not match prod(dims) = {size}"
             )
+        norm = float(np.linalg.norm(amps))
+        if abs(norm - 1.0) > ATOL:
+            raise ValidationError(f"amplitudes have norm {norm:.6g}, not 1")
         amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "dims", dims)

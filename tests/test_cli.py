@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -40,10 +44,46 @@ CORPUS = [
 ]
 
 
+TRIALS_25 = ["--trials", "25", "--seed", "4"]
+
+# (golden file stem, subcommand, corpus state or None, extra arguments)
+TEXT_CASES = (
+    [(f"schmidt_{name}", "schmidt", name, []) for name, _, _ in CORPUS]
+    + [(f"classify_{name}", "classify", name, []) for name, _, _ in CORPUS]
+    + [("det_bell", "det", "bell", [])]
+    + [(f"hyperdet3q_{name}", "hyperdet3q", name, []) for name in ("ghz3", "w")]
+    + [(f"majorana_{name}", "majorana", name, [])
+       for name in ("bell", "ghz3", "w", "coherent")]
+    + [
+        ("check_invariance_bell", "check-invariance", "bell",
+         ["--invariant", "det", *TRIALS_25]),
+        ("check_invariance_ghz3", "check-invariance", "ghz3",
+         ["--invariant", "hyperdet3q", *TRIALS_25]),
+        ("check_invariance_qutritnf", "check-invariance", "qutritnf",
+         ["--invariant", "schmidt-rank", "--group", "u3,su3,u", *TRIALS_25]),
+        ("qutrit_inv_qutritnf", "qutrit-inv", None, ["1", "1", "0"]),
+    ]
+)
+
+_NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def assert_text_close(got: str, want: str, tol=1e-10):
+    """Non-numeric tokens match exactly, numbers within ``tol`` (so -0.0 == 0.0)."""
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    assert len(got_lines) == len(want_lines), f"{got!r} vs {want!r}"
+    for g, w in zip(got_lines, want_lines):
+        gt, wt = _NUMBER.split(g), _NUMBER.split(w)
+        assert len(gt) == len(wt) and gt[::2] == wt[::2], f"{g!r} vs {w!r}"
+        for x, y in zip(gt[1::2], wt[1::2]):
+            x, y = float(x), float(y)
+            assert abs(x - y) <= tol * max(1.0, abs(x), abs(y)), f"{g!r} vs {w!r}"
 
 
 def assert_json_close(got, want, tol=1e-12, where="$"):
@@ -99,6 +139,34 @@ class TestGoldenCorpus:
         assert code == 0
         golden = json.loads((GOLDEN / "schmidt_bell.json").read_text())
         assert_json_close(json.loads(out), golden)
+
+    @pytest.mark.parametrize("stem,command,name,extra", TEXT_CASES,
+                             ids=[c[0] for c in TEXT_CASES])
+    def test_text_output_matches_golden(self, tmp_path, capsys, stem, command, name, extra):
+        argv = [command, *extra]
+        if name is not None:
+            gen_args = next(c[1] for c in CORPUS if c[0] == name)
+            path = tmp_path / f"{name}.json"
+            run(capsys, *gen_args, "--out", str(path))
+            argv.insert(1, str(path))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert_text_close(out, (GOLDEN / f"{stem}.txt").read_text())
+
+    @pytest.mark.parametrize("got,want,ok", [
+        ("x: 1.00000000001e+00", "x: 1.00000000000e+00", True),
+        ("x: -0.00000000000e+00+1.0e+00j", "x: 0.0+1.0e+00j", True),
+        ("x: 1.00000001000e+00", "x: 1.00000000000e+00", False),
+        ("y: 1.00000000000e+00", "x: 1.00000000000e+00", False),
+        ("x: 1.00000000000e+00j", "x: 1.00000000000e+00", False),
+        ("x: 1\nx: 1", "x: 1", False),
+    ])
+    def test_text_comparison(self, got, want, ok):
+        if ok:
+            assert_text_close(got, want)
+        else:
+            with pytest.raises(AssertionError):
+                assert_text_close(got, want)
 
 
 class TestOutputs:
@@ -265,6 +333,49 @@ class TestExitCodes:
                            "--trials", "2", "--seed", "-1")
         assert code == 2
         assert "seed" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_cluster_tol_is_validation(self, tmp_path, capsys, tol):
+        path = tmp_path / "coh.json"
+        run(capsys, "gen", "coherent", "--theta", "1.0", "--phi", "0.5", "--n", "6",
+            "--out", str(path))
+        code, out, err = run(capsys, "majorana", str(path), "--cluster-tol", tol)
+        assert code == 2
+        assert out == ""
+        assert "cluster_tol" in err
+
+    @pytest.mark.parametrize("theta,phi", [("inf", "1"), ("nan", "1"), ("1", "inf")])
+    def test_non_finite_coherent_angle_is_validation(self, tmp_path, theta, phi):
+        # a child process, so the interpreter's own warning printer is what runs
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "entkit.cli", "gen", "coherent", "--theta", theta,
+             "--phi", phi, "--n", "3", "--out", str(tmp_path / "c.json")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "finite angles" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert not (tmp_path / "c.json").exists()
+
+    def test_trials_cap_is_validation(self, tmp_path, capsys):
+        path = tmp_path / "bell.json"
+        run(capsys, "gen", "bell", "--out", str(path))
+        code, _, err = run(capsys, "check-invariance", str(path), "--invariant", "norm",
+                           "--trials", "10000000000000")
+        assert code == 2
+        assert "exceeds the cap" in err
+
+    def test_non_integer_index_is_validation(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(
+            {"dims": [2, 2], "amplitudes": [{"index": [0.5, 0], "re": 1.0}]}
+        ))
+        code, _, err = run(capsys, "schmidt", str(path))
+        assert code == 2
+        assert "index entry must be a JSON integer, got 0.5" in err
 
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

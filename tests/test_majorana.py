@@ -224,6 +224,14 @@ class TestFindStars:
         with pytest.raises(ValidationError):
             find_stars(np.ones(2), 0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-6, float("inf")])
+    def test_bad_cluster_tol(self, tol):
+        coherent = coherent_state((1.0, 0.5), 6)
+        with pytest.raises(ValidationError, match="cluster_tol"):
+            find_stars(majorana_polynomial(coherent), 6, cluster_tol=tol)
+        with pytest.raises(ValidationError, match="cluster_tol"):
+            classify_symmetric(dicke_state(coherent), cluster_tol=tol)
+
 
 class TestClusterMachinery:
     @staticmethod
@@ -326,6 +334,11 @@ class TestCoherent:
     def test_bad_n(self):
         with pytest.raises(ValidationError):
             coherent_state((0.5, 0.5), 0)
+
+    @pytest.mark.parametrize("direction", [(math.inf, 0.5), (math.nan, 0.5), (0.5, math.inf)])
+    def test_non_finite_angles(self, direction):
+        with pytest.raises(ValidationError, match="finite angles"):
+            coherent_state(direction, 3)
 
 
 class TestRotationCovariance:

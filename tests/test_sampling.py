@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from conftest import rand_state
 
+import entkit.states
 from entkit import (
     InvarianceReport,
     ValidationError,
@@ -140,6 +141,12 @@ class TestInvarianceSuite:
     def test_trials_validated(self):
         with pytest.raises(ValidationError):
             invariance_suite(bell_state("phi+"), "norm", "su", trials=0)
+
+    def test_trials_capped_before_allocation(self, monkeypatch):
+        monkeypatch.setattr(entkit.states, "MAX_ENTRIES", 8)
+        with pytest.raises(ValidationError, match="exceeds the cap 8"):
+            invariance_suite(bell_state("phi+"), "norm", "su", trials=9)
+        assert invariance_suite(bell_state("phi+"), "norm", "su", trials=8).trials == 8
 
     def test_named_invariant_registry(self):
         label, fn = named_invariant("schmidt-rank")

@@ -96,6 +96,34 @@ class TestReader:
         with pytest.raises(ValidationError):
             state_from_json(doc)
 
+    @pytest.mark.parametrize(
+        "message,dims,entry",
+        [
+            ("index entry must be a JSON integer", [2, 2], {"index": [0.5, 0], "re": 1.0}),
+            ("index entry must be a JSON integer", [2, 2], {"index": [True, 0], "re": 1.0}),
+            ("index entry must be a JSON integer", [2, 2], {"index": ["1", 0], "re": 1.0}),
+            ("dims entry must be a JSON integer", [2.7, 2], {"index": [0, 0], "re": 1.0}),
+            ("dims entry must be a JSON integer", [2.0, 2], {"index": [0, 0], "re": 1.0}),
+            ("dims entry must be a JSON integer", [2, True], {"index": [0, 0], "re": 1.0}),
+            ("dims entry must be a JSON integer", ["2", 2], {"index": [0, 0], "re": 1.0}),
+            ("re must be a JSON number", [2, 2], {"index": [0, 0], "re": True}),
+            ("re must be a JSON number", [2, 2], {"index": [0, 0], "re": "0.5"}),
+            ("re must be a JSON number", [2, 2], {"index": [0, 0], "re": None}),
+            ("im must be a JSON number", [2, 2], {"index": [0, 0], "re": 1.0, "im": "1"}),
+            ("im must be a JSON number", [2, 2], {"index": [0, 0], "re": 1.0, "im": False}),
+            ("re lies outside the float range", [2, 2], {"index": [0, 0], "re": 10**400}),
+        ],
+    )
+    def test_entry_types_are_strict(self, message, dims, entry):
+        with pytest.raises(ValidationError, match=message):
+            state_from_json({"dims": dims, "amplitudes": [entry]})
+
+    def test_integer_amplitudes_accepted(self):
+        doc = {"dims": [2, 2], "amplitudes": [{"index": [0, 0], "re": 3, "im": 4}]}
+        loaded = state_from_json(doc)
+        assert loaded.pre_norm == 5.0
+        assert loaded.state.amplitude((0, 0)) == pytest.approx(0.6 + 0.8j)
+
     def test_duplicate_index_rejected(self):
         doc = {
             "dims": [2, 2],
@@ -116,6 +144,13 @@ class TestReader:
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ValidationError):
+            read_state(path)
+
+    def test_integer_past_digit_limit(self, tmp_path):
+        # json raises a plain ValueError for an integer longer than 4300 digits
+        path = tmp_path / "long.json"
+        path.write_text('{"dims": [' + "2" * 5000 + "]}", encoding="utf-8")
+        with pytest.raises(ValidationError, match="not valid JSON"):
             read_state(path)
 
     def test_written_file_is_plain_json(self, tmp_path):

@@ -129,6 +129,11 @@ class TestStateVector:
         with pytest.raises(ValidationError):
             StateVector((2,), np.array([np.inf, 0.0]))
 
+    @pytest.mark.parametrize("amps", [[3, 0, 0, 0], [0, 0, 0, 0], [1, 1e-4, 0, 0]])
+    def test_non_unit_norm_rejected(self, amps):
+        with pytest.raises(ValidationError, match="norm"):
+            StateVector((2, 2), np.array(amps, dtype=complex))
+
 
 class TestLocalUnitary:
     def test_pauli_x_on_phi_plus_gives_psi_plus(self):
