@@ -46,26 +46,30 @@ def cayley_hyperdeterminant(state: StateVector) -> complex:
         raise ValidationError(
             f"cayley_hyperdeterminant needs dims (2, 2, 2), got {state.dims}"
         )
-    c = state.tensor()
+    return complex(_cayley(state.tensor()))
+
+
+def _cayley(c):
+    """The polynomial on amplitudes ``c[..., i, j, k]``; leading axes are a batch."""
     squares = (
-        (c[0, 0, 0] * c[1, 1, 1]) ** 2
-        + (c[0, 0, 1] * c[1, 1, 0]) ** 2
-        + (c[0, 1, 0] * c[1, 0, 1]) ** 2
-        + (c[1, 0, 0] * c[0, 1, 1]) ** 2
+        (c[..., 0, 0, 0] * c[..., 1, 1, 1]) ** 2
+        + (c[..., 0, 0, 1] * c[..., 1, 1, 0]) ** 2
+        + (c[..., 0, 1, 0] * c[..., 1, 0, 1]) ** 2
+        + (c[..., 1, 0, 0] * c[..., 0, 1, 1]) ** 2
     )
     pairs = (
-        c[0, 0, 0] * c[0, 0, 1] * c[1, 1, 0] * c[1, 1, 1]
-        + c[0, 0, 0] * c[0, 1, 0] * c[1, 0, 1] * c[1, 1, 1]
-        + c[0, 0, 0] * c[1, 0, 0] * c[0, 1, 1] * c[1, 1, 1]
-        + c[0, 0, 1] * c[0, 1, 0] * c[1, 0, 1] * c[1, 1, 0]
-        + c[0, 0, 1] * c[1, 0, 0] * c[0, 1, 1] * c[1, 1, 0]
-        + c[0, 1, 0] * c[1, 0, 0] * c[0, 1, 1] * c[1, 0, 1]
+        c[..., 0, 0, 0] * c[..., 0, 0, 1] * c[..., 1, 1, 0] * c[..., 1, 1, 1]
+        + c[..., 0, 0, 0] * c[..., 0, 1, 0] * c[..., 1, 0, 1] * c[..., 1, 1, 1]
+        + c[..., 0, 0, 0] * c[..., 1, 0, 0] * c[..., 0, 1, 1] * c[..., 1, 1, 1]
+        + c[..., 0, 0, 1] * c[..., 0, 1, 0] * c[..., 1, 0, 1] * c[..., 1, 1, 0]
+        + c[..., 0, 0, 1] * c[..., 1, 0, 0] * c[..., 0, 1, 1] * c[..., 1, 1, 0]
+        + c[..., 0, 1, 0] * c[..., 1, 0, 0] * c[..., 0, 1, 1] * c[..., 1, 0, 1]
     )
     quads = (
-        c[0, 0, 0] * c[0, 1, 1] * c[1, 0, 1] * c[1, 1, 0]
-        + c[0, 0, 1] * c[0, 1, 0] * c[1, 0, 0] * c[1, 1, 1]
+        c[..., 0, 0, 0] * c[..., 0, 1, 1] * c[..., 1, 0, 1] * c[..., 1, 1, 0]
+        + c[..., 0, 0, 1] * c[..., 0, 1, 0] * c[..., 1, 0, 0] * c[..., 1, 1, 1]
     )
-    return complex(squares - 2.0 * pairs + 4.0 * quads)
+    return squares - 2.0 * pairs + 4.0 * quads
 
 
 def classify_three_qubit(

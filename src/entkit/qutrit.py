@@ -21,6 +21,8 @@ of the normalization factor.
 from __future__ import annotations
 
 import cmath
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -125,6 +127,11 @@ def _delta_factored(a1: complex, a2: complex, a3: complex) -> complex:
     return -4.0 * prod
 
 
+def _ldexp(z: complex, e: int) -> complex:
+    """``z * 2**e``, part by part; raises OverflowError past the float range."""
+    return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
+
+
 def fundamental_invariants(coeffs: NormalFormCoefficients) -> QutritInvariantReport:
     """Evaluate I6, I9, I12, J12 and Delta for a coefficient triple.
 
@@ -136,32 +143,42 @@ def fundamental_invariants(coeffs: NormalFormCoefficients) -> QutritInvariantRep
     -------
     QutritInvariantReport
 
+    Raises
+    ------
+    NumericError
+        If an invariant overflows, or a nonzero one underflows below the
+        smallest normal float.
+
     Examples
     --------
     >>> r = fundamental_invariants(NormalFormCoefficients(1, 0, 0))
     >>> (r.i6, r.i9, r.i12, r.j12)
-    ((1+0j), 0j, (-1+0j), 0j)
+    ((1+0j), -0j, (-1-0j), 0j)
     """
-    a1, a2, a3 = coeffs.as_tuple()
-    try:
-        c1, c2, c3 = a1**3, a2**3, a3**3
-        i6 = a1**6 + a2**6 + a3**6 - 10.0 * (c1 * c2 + c1 * c3 + c2 * c3)
-        i9 = -(c1 - c2) * (c1 - c3) * (c2 - c3)
-        s = c1 + c2 + c3
-        i12 = -s * (s**3 + (6.0 * a1 * a2 * a3) ** 3)
-        j12 = (-i12 - i6**2) / 24.0
-        delta = _delta_factored(a1, a2, a3)
-    except OverflowError as exc:
-        raise NumericError(f"invariants overflowed; rescale the coefficients ({exc})")
-    if not all(cmath.isfinite(v) for v in (i6, i9, i12, j12, delta)):
-        raise NumericError("invariants overflowed; rescale the coefficients")
-    return QutritInvariantReport(
-        i6=complex(i6),
-        i9=complex(i9),
-        i12=complex(i12),
-        j12=complex(j12),
-        delta=complex(delta),
-    )
+    # each invariant is homogeneous (degrees 6, 9, 12, 12, 36): evaluate it
+    # on the triple divided by the power of two 2**e just above its largest
+    # part, then multiply by 2**(degree * e).  Both scalings are exact, so
+    # the values are those of the unscaled triple, and an underflow is
+    # caught instead of read as a vanishing invariant.
+    e = math.frexp(max(max(abs(v.real), abs(v.imag)) for v in coeffs.as_tuple()))[1]
+    a1, a2, a3 = (_ldexp(v, -e) for v in coeffs.as_tuple())
+    c1, c2, c3 = a1**3, a2**3, a3**3
+    i6 = a1**6 + a2**6 + a3**6 - 10.0 * (c1 * c2 + c1 * c3 + c2 * c3)
+    i9 = -(c1 - c2) * (c1 - c3) * (c2 - c3)
+    s = c1 + c2 + c3
+    i12 = -s * (s**3 + (6.0 * a1 * a2 * a3) ** 3)
+    j12 = (-i12 - i6**2) / 24.0
+    delta = _delta_factored(a1, a2, a3)
+    values = []
+    for v, degree in ((i6, 6), (i9, 9), (i12, 12), (j12, 12), (delta, 36)):
+        try:
+            value = _ldexp(v, degree * e)
+        except OverflowError as exc:
+            raise NumericError(f"invariants overflowed; rescale the coefficients ({exc})")
+        if v != 0 and max(abs(value.real), abs(value.imag)) < sys.float_info.min:
+            raise NumericError("invariants underflowed; rescale the coefficients")
+        values.append(value)
+    return QutritInvariantReport(*values)
 
 
 # -- exact-rational helpers for the Delta combination ----------------------
@@ -207,6 +224,8 @@ def hyperdeterminant_333(report: QutritInvariantReport) -> complex:
     ValidationError
         If the report violates -I12 - I6^2 = 24 J12 beyond relative
         1e-9.
+    NumericError
+        If the rounded combination lies beyond the float range.
     """
     resid = abs(-report.i12 - report.i6**2 - 24.0 * report.j12)
     scale = max(abs(report.i12), abs(report.i6) ** 2, 24.0 * abs(report.j12))
@@ -227,7 +246,10 @@ def hyperdeterminant_333(report: QutritInvariantReport) -> complex:
     total: _FC = (Fraction(0), Fraction(0))
     for t in terms:
         total = _fc_add(total, t)
-    return complex(float(total[0]), float(total[1]))
+    try:
+        return complex(float(total[0]), float(total[1]))
+    except OverflowError as exc:
+        raise NumericError(f"the Delta combination overflowed; rescale the coefficients ({exc})")
 
 
 def phi_family(alpha: complex, beta: complex) -> PhiFamilyResult:

@@ -6,6 +6,10 @@ disjoint counter ranges never collide.  The invariance suite applies a
 fresh local unitary per trial and reports how far a chosen functional
 drifts from its value on the untransformed state; genuine invariants
 stay at rounding level while the negative control moves at order one.
+Trials run in stacked blocks: each sampler below is the one-trial case
+of a map on a leading trial axis, and the suite applies that map, the
+unitarity and norm checks, the contraction and the functional once per
+block.
 """
 
 from __future__ import annotations
@@ -15,9 +19,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import states
-from .hyperdet import cayley_hyperdeterminant
-from .schmidt import bipartite_determinant, schmidt_decompose
-from .states import LocalUnitary, StateVector, ValidationError, apply_local_unitary
+from .hyperdet import _cayley, cayley_hyperdeterminant
+from .schmidt import _det2, _ranks, bipartite_determinant, schmidt_decompose
+
+# LocalUnitary and apply_local_unitary are unused here, but
+# perfbench/tracing.py patches both names on this module
+from .states import (  # noqa: F401
+    LocalUnitary,
+    StateVector,
+    ValidationError,
+    _as_complex_array,
+    _check_unit_norm,
+    _check_unitary,
+    apply_local_unitary,
+)
 
 __all__ = [
     "InvarianceReport",
@@ -28,6 +43,10 @@ __all__ = [
     "named_invariant",
     "invariance_suite",
 ]
+
+#: amplitudes held by one stacked block of trials, so memory stays bounded
+#: for any trial count; a block holds at least one trial
+_BLOCK_ENTRIES = 2**13
 
 
 @dataclass(frozen=True)
@@ -47,6 +66,16 @@ class InvarianceReport:
             raise ValidationError("drift statistics must be non-negative")
 
 
+def _philox_key(seed: int, counter: int) -> tuple[int, int]:
+    """``(seed, counter)`` as ints, rejected unless both lie in [0, 2**64)."""
+    seed, counter = int(seed), int(counter)
+    if not (0 <= seed < 2**64 and 0 <= counter < 2**64):
+        raise ValidationError(
+            f"seed and counter must lie in [0, 2**64), got {seed} and {counter}"
+        )
+    return seed, counter
+
+
 def trial_rng(seed: int, counter: int = 0) -> np.random.Generator:
     """Counter-based generator; identical (seed, counter) → identical stream.
 
@@ -55,25 +84,34 @@ def trial_rng(seed: int, counter: int = 0) -> np.random.Generator:
     independent and any single trial can be replayed alone.  Both must
     lie in [0, 2**64).
     """
-    seed, counter = int(seed), int(counter)
-    if not (0 <= seed < 2**64 and 0 <= counter < 2**64):
-        raise ValidationError(
-            f"seed and counter must lie in [0, 2**64), got {seed} and {counter}"
-        )
-    key = (seed << 64) | counter
-    return np.random.Generator(np.random.Philox(key=key))
+    seed, counter = _philox_key(seed, counter)
+    return np.random.Generator(np.random.Philox(key=(seed << 64) | counter))
+
+
+def _su2(q: np.ndarray) -> np.ndarray:
+    """Rows of 4 normals → Haar SU(2) matrices, one uniform unit quaternion each."""
+    w, x, y, z = np.moveaxis(q / np.linalg.norm(q, axis=-1, keepdims=True), -1, 0)
+    entries = [w + 1j * z, y + 1j * x, -y + 1j * x, w - 1j * z]
+    return np.stack(entries, axis=-1).reshape(q.shape[:-1] + (2, 2))
+
+
+def _haar(g: np.ndarray, d: int) -> np.ndarray:
+    """Rows of 2 d^2 normals (real parts, then imaginary) → :func:`haar_unitary` matrices."""
+    z = (g[..., : d * d] + 1j * g[..., d * d :]).reshape(g.shape[:-1] + (d, d))
+    q, r = np.linalg.qr(z / np.sqrt(2.0))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def _sud(g: np.ndarray, d: int) -> np.ndarray:
+    """:func:`_haar` divided by the principal d-th root of each determinant."""
+    u = _haar(g, d)
+    return u / np.exp(np.log(np.linalg.det(u)) / d)[..., None, None]
 
 
 def random_su2(rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed SU(2) matrix from a uniform unit quaternion."""
-    q = rng.standard_normal(4)
-    q /= np.linalg.norm(q)
-    return np.array(
-        [
-            [q[0] + 1j * q[3], q[2] + 1j * q[1]],
-            [-q[2] + 1j * q[1], q[0] - 1j * q[3]],
-        ]
-    )
+    return _su2(rng.standard_normal((1, 4)))[0]
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -84,10 +122,7 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """
     if d < 1:
         raise ValidationError(f"need d >= 1, got {d}")
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    return _haar(rng.standard_normal((1, 2 * d * d)), d)[0]
 
 
 def random_sud(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -99,13 +134,11 @@ def random_sud(d: int, rng: np.random.Generator) -> np.ndarray:
     """
     if d < 2:
         raise ValidationError(f"need d >= 2, got {d}")
-    u = haar_unitary(d, rng)
-    det = complex(np.linalg.det(u))
-    return u / np.exp(np.log(det) / d)
+    return _sud(rng.standard_normal((1, 2 * d * d)), d)[0]
 
 
-def _group_factories(state: StateVector, group):
-    """Per-party samplers from a group descriptor.
+def _group_maps(state: StateVector, group):
+    """Per-party ``(normals per trial, map to (trials, d, d))`` from a group descriptor.
 
     The descriptor is either a single token applied to every party ("su",
     "u") or a sequence of per-party tokens with explicit dimensions
@@ -120,7 +153,7 @@ def _group_factories(state: StateVector, group):
         raise ValidationError(
             f"group descriptor has {len(tokens)} factors for {len(dims)} parties"
         )
-    factories = []
+    maps = []
     for tok, d in zip(tokens, dims):
         base = tok.lower().strip()
         kind = base.rstrip("0123456789")
@@ -132,24 +165,72 @@ def _group_factories(state: StateVector, group):
                 f"group token {tok!r} does not match party dimension {d}"
             )
         if kind == "su" and dim == 2:
-            factories.append(random_su2)
+            maps.append((4, _su2))
         elif kind == "su":
-            factories.append(lambda rng, dd=dim: random_sud(dd, rng))
+            maps.append((2 * d * d, lambda g, d=d: _sud(g, d)))
         else:
-            factories.append(lambda rng, dd=dim: haar_unitary(dd, rng))
-    return factories
+            maps.append((2 * d * d, lambda g, d=d: _haar(g, d)))
+    return maps
+
+
+def _draw_block(maps, seed: int, start: int, stop: int) -> list:
+    """Factors of trials ``start..stop-1``: one ``(trials, d, d)`` array per party.
+
+    Trial t reads one run of normals, covering every party in order,
+    from the Philox stream of :func:`trial_rng` ``(seed, t)``; one bit
+    generator is rekeyed per trial.  The stream is the one the
+    single-draw functions read, so the factors are bit for bit theirs.
+    """
+    normals = np.empty((stop - start, sum(n for n, _ in maps)))
+    bits = np.random.Philox(0)
+    gen = np.random.Generator(bits)
+    fresh = bits.state
+    for row, t in enumerate(range(start, stop)):
+        fresh["state"]["key"][:] = (t, seed)  # (low, high) words of (seed << 64) | t
+        bits.state = fresh
+        gen.standard_normal(out=normals[row])
+    factors, offset = [], 0
+    for n, to_unitary in maps:
+        factors.append(to_unitary(normals[:, offset : offset + n]))
+        offset += n
+    return factors
+
+
+def _apply_block(tensor: np.ndarray, factors: list) -> np.ndarray:
+    """``(U_1 x ... x U_N) tensor`` for each trial, stacked on a leading axis."""
+    t = tensor.reshape(1, -1)
+    left = 1
+    for u in factors:
+        d = u.shape[-1]
+        # party k as the middle axis of (trial, parties before, d, parties after)
+        t = u[:, None] @ t.reshape(len(t), left, d, -1)
+        left *= d
+    return t.reshape((len(t),) + tensor.shape)
 
 
 def _schmidt_rank_first(state: StateVector) -> float:
     return float(schmidt_decompose(state, (0,)).rank)
 
 
+def _schmidt_ranks_first(t: np.ndarray) -> np.ndarray:
+    s = np.linalg.svd(t.reshape(t.shape[0], t.shape[1], -1), compute_uv=False)
+    return _ranks(s).astype(float)
+
+
+#: name -> (the functional of one state, the same functional of a stack of
+#: amplitude tensors with a leading trial axis)
 _REGISTRY = {
-    "norm": lambda s: s.norm(),
-    "det": bipartite_determinant,
-    "hyperdet3q": cayley_hyperdeterminant,
-    "schmidt-rank": _schmidt_rank_first,
-    "amp00": lambda s: complex(s.amplitudes[0]),
+    "norm": (
+        lambda s: s.norm(),
+        lambda t: np.linalg.norm(t.reshape(len(t), -1), axis=-1),
+    ),
+    "det": (bipartite_determinant, _det2),
+    "hyperdet3q": (cayley_hyperdeterminant, _cayley),
+    "schmidt-rank": (_schmidt_rank_first, _schmidt_ranks_first),
+    "amp00": (
+        lambda s: complex(s.amplitudes[0]),
+        lambda t: t.reshape(len(t), -1)[:, 0],
+    ),
 }
 
 
@@ -166,13 +247,18 @@ def named_invariant(invariant):
             raise ValidationError(
                 f"unknown invariant {invariant!r}; known: {sorted(_REGISTRY)}"
             )
-        return key, _REGISTRY[key]
+        return key, _REGISTRY[key][0]
     if callable(invariant):
         return getattr(invariant, "__name__", "custom"), invariant
     label, fn = invariant
     if not callable(fn):
         raise ValidationError("invariant descriptor must carry a callable")
     return str(label), fn
+
+
+def _per_row(fn, dims):
+    """A functional of one state, applied to each tensor of a stack as a StateVector."""
+    return lambda t: np.array([fn(StateVector(dims, row)) for row in t])
 
 
 def invariance_suite(
@@ -185,9 +271,17 @@ def invariance_suite(
     """Monte-Carlo drift of a functional under random local unitaries.
 
     Each trial draws one fresh unitary per party from the group
-    descriptor,
-    transforms the state, and records |f(U state) - f(state)|.  Runs
-    with equal (seed, trials) are bitwise identical.
+    descriptor, transforms the state, and records
+    |f(U state) - f(state)|.  Trials run in stacked blocks of bounded
+    size; trial t still draws from the Philox stream keyed (seed, t),
+    so any trial replays alone through :func:`trial_rng` and the
+    single-draw functions, and the report does not depend on the block
+    size.  Runs with equal (seed, trials) are bitwise identical.  Every
+    block's factors must pass the unitarity check of
+    :class:`~entkit.states.LocalUnitary` and its transformed states the
+    finite-and-norm check of :class:`~entkit.states.StateVector`.
+    Registry functionals are evaluated on the whole block; a custom
+    callable sees each trial as a :class:`~entkit.states.StateVector`.
 
     Parameters
     ----------
@@ -200,6 +294,7 @@ def invariance_suite(
     trials : int, optional
         At least 1 and at most ``states.MAX_ENTRIES``.
     seed : int, optional
+        In [0, 2**64).
 
     Returns
     -------
@@ -210,17 +305,25 @@ def invariance_suite(
     if trials > states.MAX_ENTRIES:
         raise ValidationError(f"trials {trials} exceeds the cap {states.MAX_ENTRIES}")
     label, fn = named_invariant(invariant)
-    factories = _group_factories(state, group)
+    stacked = _REGISTRY[label][1] if isinstance(invariant, str) else _per_row(fn, state.dims)
+    maps = _group_maps(state, group)
     baseline = fn(state)
+    seed = _philox_key(seed, trials - 1)[0]
+    tensor = state.tensor()
+    block = max(1, _BLOCK_ENTRIES // tensor.size)
     drifts = np.empty(trials)
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        lu = LocalUnitary(factors=tuple(f(rng) for f in factories))
-        drifts[t] = abs(fn(apply_local_unitary(state, lu)) - baseline)
+    for start in range(0, trials, block):
+        stop = min(start + block, trials)
+        factors = _draw_block(maps, seed, start, stop)
+        for k, u in enumerate(factors):
+            _check_unitary(u, f"factor {k}")
+        out = _as_complex_array(_apply_block(tensor, factors), "amplitudes")
+        _check_unit_norm(out.reshape(len(out), -1))
+        drifts[start:stop] = np.abs(stacked(out) - baseline)
     return InvarianceReport(
         invariant_name=label,
         trials=trials,
         max_abs_drift=float(np.max(drifts)),
         mean_abs_drift=float(np.mean(drifts)),
-        seed=int(seed),
+        seed=seed,
     )

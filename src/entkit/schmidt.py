@@ -110,7 +110,7 @@ def schmidt_decompose(
         raise ValidationError(f"tolerance must lie in (0, 1), got {tolerance}")
     m, cut = bipartition_matrix(state, cut)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    rank = int(np.sum(s > tolerance * s[0]))
+    rank = int(_ranks(s, tolerance))
     return SchmidtDecomposition(
         lambdas=s[:rank].copy(),
         rank=rank,
@@ -119,6 +119,11 @@ def schmidt_decompose(
         cut=cut,
         tolerance_used=float(tolerance),
     )
+
+
+def _ranks(s: np.ndarray, tolerance: float = 1e-9) -> np.ndarray:
+    """Count of descending singular values ``s[..., k] > tolerance * s[..., 0]``."""
+    return np.sum(s > tolerance * s[..., :1], axis=-1)
 
 
 def is_entangled_bipartite(state: StateVector, cut, tolerance: float = 1e-9) -> bool:
@@ -158,9 +163,13 @@ def bipartite_determinant(state: StateVector, rescale: bool = False) -> complex:
     """
     if state.dims != (2, 2):
         raise ValidationError(f"bipartite_determinant needs dims (2, 2), got {state.dims}")
-    c = state.tensor()
-    det = complex(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0])
+    det = complex(_det2(state.tensor()))
     return 2.0 * det if rescale else det
+
+
+def _det2(c):
+    """``c00 c11 - c01 c10`` on amplitudes ``c[..., i, j]``; leading axes are a batch."""
+    return c[..., 0, 0] * c[..., 1, 1] - c[..., 0, 1] * c[..., 1, 0]
 
 
 def det_squared(state: StateVector) -> complex:

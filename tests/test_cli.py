@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entkit import (
     bell_state,
@@ -17,6 +22,7 @@ from entkit import (
     w_state,
 )
 from entkit.cli import main
+from entkit.states import MAX_ENTRIES
 from entkit.majorana import coherent_state, dicke_state
 from entkit.qutrit import NormalFormCoefficients, build_normal_form_state
 
@@ -299,6 +305,14 @@ class TestExitCodes:
         assert code == 3
         assert "numeric" in err
 
+    @pytest.mark.parametrize("scale", ["1e-30", "1e-60"])
+    def test_underflow_is_numeric(self, capsys, scale):
+        a = [str(k * float(scale)) for k in (1, 2, 3)]
+        code, out, err = run(capsys, "qutrit-inv", *a)
+        assert code == 3
+        assert out == ""
+        assert "underflowed" in err
+
     def test_norm_overflow_is_validation(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
         amps = [
@@ -386,3 +400,47 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["gen", "bell"])
         assert exc.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Small state files for the check-invariance fuzz test."""
+    work = tmp_path_factory.mktemp("fuzz")
+    paths = []
+    for name, gen_args in [("bell", ["gen", "bell"]), ("ghz3", ["gen", "ghz", "--n", "3"]),
+                           ("qutritnf", ["gen", "qutrit-nf", "1", "1", "0"])]:
+        path = work / f"{name}.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*gen_args, "--out", str(path)]) == 0
+        paths.append(str(path))
+    return paths
+
+
+class TestCheckInvarianceFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        file_index=st.integers(0, 2),
+        trials=st.sampled_from([0, -1, 1, 25, MAX_ENTRIES + 1, 2**64]),
+        seed=st.sampled_from([-1, 0, 2**64 - 1, 2**64]),
+        group=st.sampled_from(["su", "u", "su2", "u2,su2", "su3,u3,u", "SU", " u ",
+                               "sux", "u3x", "", ",", "u0", "su-1", "su2,su2,su2",
+                               "su99999999999999999999"]),
+        invariant=st.sampled_from(["det", "hyperdet3q", "norm", "schmidt-rank", "amp00",
+                                   "DET", "entropy", ""]),
+        as_json=st.booleans(),
+    )
+    def test_exit_codes(self, fuzz_files, file_index, trials, seed, group, invariant, as_json):
+        argv = ["check-invariance", fuzz_files[file_index], "--invariant", invariant,
+                "--group", group, "--trials", str(trials), "--seed", str(seed)]
+        argv += ["--json"] if as_json else []
+        err = io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse rejects the argv itself
+                    code = exc.code
+        assert code in (0, 2, 3), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert (code == 0) == (err.getvalue() == "")

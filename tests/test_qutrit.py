@@ -93,6 +93,32 @@ class TestInvariants:
         with pytest.raises(NumericError):
             fundamental_invariants(NormalFormCoefficients(1e200, 1.0, 1.0))
 
+    def test_underflow_raises_numeric(self):
+        # Delta of (1, 2, 3) is -5.9e16; scaled by 1e-30 it is ~1e-1064
+        with pytest.raises(NumericError, match="underflowed"):
+            fundamental_invariants(NormalFormCoefficients(1e-30, 2e-30, 3e-30))
+
+    def test_scaling_is_exact(self):
+        # a power-of-two scale factors out of every invariant exactly
+        r = fundamental_invariants(NormalFormCoefficients(1, 2, 3))
+        s = fundamental_invariants(NormalFormCoefficients(2.0**-20, 2.0**-19, 3 * 2.0**-20))
+        for got, want, degree in zip(
+            (s.i6, s.i9, s.i12, s.j12, s.delta),
+            (r.i6, r.i9, r.i12, r.j12, r.delta),
+            (6, 9, 12, 12, 36),
+        ):
+            assert got == want * 2.0 ** (-20 * degree)
+
+    def test_exact_zeros_stay_zero(self):
+        r = fundamental_invariants(NormalFormCoefficients(1e-20, 1e-20, 0))
+        assert r.i9 == 0 and r.delta == 0
+
+    def test_combination_overflow_raises_numeric(self):
+        # every invariant is finite, but the rounded Delta combination is not
+        r = fundamental_invariants(NormalFormCoefficients(1e10, 1.0, 1.0))
+        with pytest.raises(NumericError, match="combination overflowed"):
+            hyperdeterminant_333(r)
+
     def test_coefficient_validation(self):
         with pytest.raises(ValidationError):
             NormalFormCoefficients(0, 0, 0)

@@ -1,20 +1,56 @@
 import numpy as np
 import pytest
-from conftest import rand_state
+from conftest import rand_product_state, rand_state
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import entkit.sampling as sampling
 import entkit.states
 from entkit import (
     InvarianceReport,
+    LocalUnitary,
+    NormalFormCoefficients,
+    StateVector,
     ValidationError,
+    apply_local_unitary,
     bell_state,
+    bipartite_determinant,
+    build_normal_form_state,
     ghz_state,
     haar_unitary,
     invariance_suite,
     random_su2,
     random_sud,
+    schmidt_decompose,
     trial_rng,
 )
 from entkit.sampling import named_invariant
+
+#: (dims, group token) pairs the stacked draws are checked on
+DIMS_GROUPS = [
+    ((2, 2), "su"), ((2, 2), "u"), ((2, 2), "su2"),
+    ((2, 2, 2), "su"), ((2, 2, 2), "u"), ((2, 2, 2), "su2"),
+    ((4, 4), "su"), ((4, 4), "u"),
+    ((3, 3, 3), "su"), ((3, 3, 3), "u"), ((3, 3, 3), "u3"),
+]
+
+ULP = np.finfo(float).eps
+
+#: the benchmark's five state/invariant/group cases
+REFERENCE_CASES = [
+    (ghz_state(3), "hyperdet3q", "su"),
+    (bell_state("psi-"), "det", "su"),
+    (rand_state(np.random.default_rng(3), (4, 4)), "schmidt-rank", "u"),
+    (build_normal_form_state(NormalFormCoefficients(2, 1, 1)), "norm", "su"),
+    (ghz_state(3), "amp00", "su"),
+]
+
+
+def single_draw(token: str, d: int, rng) -> np.ndarray:
+    """The public one-trial sampler a group token stands for."""
+    if token.startswith("su"):
+        return random_su2(rng) if d == 2 else random_sud(d, rng)
+    return haar_unitary(d, rng)
 
 
 class TestTrialRng:
@@ -152,6 +188,106 @@ class TestInvarianceSuite:
         label, fn = named_invariant("schmidt-rank")
         assert label == "schmidt-rank"
         assert fn(bell_state("phi+")) == 2.0
+
+
+class TestStackedTrials:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(DIMS_GROUPS),
+        st.integers(0, 2**64 - 1),
+        st.integers(0, 2**20),
+        st.integers(1, 40),
+        st.integers(0, 2**31 - 1),
+        st.booleans(),
+    )
+    def test_draws_and_row_values(self, dims_group, seed, start, trials, state_seed, product):
+        dims, token = dims_group
+        maps = sampling._group_maps(StateVector(dims, np.eye(np.prod(dims))[0]), token)
+        factors = sampling._draw_block(maps, seed, start, start + trials)
+        for row in range(trials):
+            rng = trial_rng(seed, start + row)
+            for k, d in enumerate(dims):
+                assert np.array_equal(factors[k][row], single_draw(token, d, rng))
+
+        make = rand_product_state if product else rand_state
+        state = make(np.random.default_rng(state_seed), dims)
+        out = sampling._apply_block(state.tensor(), factors)
+        rows = [StateVector(dims, t) for t in out]
+        for row, r in enumerate(rows):
+            lu = LocalUnitary(tuple(f[row] for f in factors))
+            want = apply_local_unitary(state, lu).amplitudes
+            assert np.max(np.abs(r.amplitudes - want)) <= 8 * ULP
+        names = ["norm", "amp00", "schmidt-rank"]
+        names += {(2, 2): ["det"], (2, 2, 2): ["hyperdet3q"]}.get(dims, [])
+        for name in names:
+            scalar, stacked = sampling._REGISTRY[name]
+            got = stacked(out)
+            for g, r in zip(got, rows):
+                want = scalar(r)
+                if name == "schmidt-rank":
+                    assert g == want == schmidt_decompose(r, (0,)).rank
+                else:
+                    assert abs(g - want) <= 4 * ULP * max(1.0, abs(want))
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 40), st.sampled_from(["su", "u", "su2"]))
+    def test_custom_callable_matches_registry(self, seed, trials, group):
+        state = rand_state(np.random.default_rng(seed % 2**32), (2, 2))
+        custom = ("det", lambda s: bipartite_determinant(s))
+        assert invariance_suite(state, custom, group, trials, seed) == invariance_suite(
+            state, "det", group, trials, seed
+        )
+
+    @pytest.mark.parametrize("state,invariant,group", REFERENCE_CASES)
+    def test_report_matches_per_trial_loop(self, state, invariant, group):
+        # the per-trial loop the engine replaced, kept here as the reference
+        _, fn = named_invariant(invariant)
+        tokens = [group] * state.n_parties
+        drifts = []
+        for t in range(60):
+            rng = trial_rng(5, t)
+            lu = LocalUnitary(tuple(single_draw(g, d, rng) for g, d in zip(tokens, state.dims)))
+            drifts.append(abs(fn(apply_local_unitary(state, lu)) - fn(state)))
+        rep = invariance_suite(state, invariant, group, trials=60, seed=5)
+        assert rep.max_abs_drift == pytest.approx(max(drifts), rel=1e-12, abs=8 * ULP)
+        assert rep.mean_abs_drift == pytest.approx(np.mean(drifts), rel=1e-12, abs=8 * ULP)
+
+    @pytest.mark.parametrize("state,invariant,group", REFERENCE_CASES)
+    def test_report_independent_of_block_size(self, monkeypatch, state, invariant, group):
+        size = state.amplitudes.size
+        trials = sampling._BLOCK_ENTRIES // size + 1  # one past the default block
+        reports = []
+        for entries in (size, 7 * size, sampling._BLOCK_ENTRIES):
+            monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", entries)
+            reports.append(invariance_suite(state, invariant, group, trials, seed=11))
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_stacked_unitarity_check_is_live(self, monkeypatch):
+        su2 = sampling._su2
+        monkeypatch.setattr(sampling, "_su2", lambda q: 1.01 * su2(q))
+        with pytest.raises(ValidationError, match="factor 0 is not unitary"):
+            invariance_suite(bell_state("phi+"), "det", "su", trials=20)
+
+    def test_non_finite_factor_rejected(self, monkeypatch):
+        monkeypatch.setattr(sampling, "_su2", lambda q: np.full(q.shape[:-1] + (2, 2), np.nan))
+        with pytest.raises(ValidationError, match="not unitary"):
+            invariance_suite(bell_state("phi+"), "det", "su", trials=20)
+
+    def test_stacked_norm_check_is_live(self, monkeypatch):
+        apply = sampling._apply_block
+        monkeypatch.setattr(sampling, "_apply_block", lambda t, f: 1.5 * apply(t, f))
+        with pytest.raises(ValidationError, match="norm 1.5"):
+            invariance_suite(bell_state("phi+"), "norm", "su", trials=20)
+
+    def test_custom_callable_sees_state_vectors(self):
+        seen = []
+
+        def record(s):
+            seen.append(type(s))
+            return s.norm()
+
+        invariance_suite(bell_state("phi+"), record, "su", trials=9)
+        assert seen == [StateVector] * 10  # the baseline and each trial
 
 
 class TestReportType:
