@@ -21,7 +21,7 @@ import numpy as np
 
 from .hyperdet import _class_of, cayley_hyperdeterminant
 from .majorana import NotSymmetricError, classify_symmetric
-from .schmidt import bipartite_determinant, det_squared, schmidt_decompose
+from .schmidt import bipartite_determinant, schmidt_decompose
 from .states import StateVector, ValidationError
 
 __all__ = ["DefinitionCheck", "ClassificationReport", "classify_state"]
@@ -84,11 +84,7 @@ def _definition_3(state: StateVector, lambdas: list[np.ndarray], tolerance: floa
         check = DefinitionCheck(
             definition=3,
             verdict="entangled" if abs(det) > tolerance else "product",
-            evidence={
-                "det": det,
-                "det_squared": det_squared(state),
-                "two_det": bipartite_determinant(state, rescale=True),
-            },
+            evidence={"det": det, "det_squared": det**2, "two_det": 2.0 * det},
         )
         return check, [_DET_WARNING]
     if dims == (2, 2, 2):

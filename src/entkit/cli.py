@@ -36,7 +36,7 @@ from .qutrit import (
     phi_family,
 )
 from .sampling import invariance_suite
-from .schmidt import bipartite_determinant, det_squared, schmidt_decompose
+from .schmidt import bipartite_determinant, schmidt_decompose
 from .states import (
     NumericError,
     ValidationError,
@@ -101,8 +101,7 @@ def _cmd_schmidt(args):
 def _cmd_det(args):
     loaded = _load(args.file)
     det = bipartite_determinant(loaded.state)
-    two = bipartite_determinant(loaded.state, rescale=True)
-    sq = det_squared(loaded.state)
+    two, sq = 2.0 * det, det**2
     doc = {"det": det, "two_det": two, "det_squared": sq}
     return doc, [f"det: {_fmt(det)}", f"2*det: {_fmt(two)}", f"det^2: {_fmt(sq)}"]
 

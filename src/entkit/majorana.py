@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import NumericError, StateVector, ValidationError, _check_size, _normalized
+from .states import _as_complex_array, _check_unit_norm
 
 __all__ = [
     "NotSymmetricError",
@@ -88,14 +89,11 @@ class DickeExpansion:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValidationError(f"need at least one qubit, got n={self.n}")
-        c = np.asarray(self.coeffs, dtype=np.complex128).reshape(-1)
+        c = _as_complex_array(np.reshape(self.coeffs, -1), "Dicke coefficient vector")
         if c.size != self.n + 1:
             raise ValidationError(f"need {self.n + 1} Dicke coefficients, got {c.size}")
-        if not np.all(np.isfinite(c.view(np.float64))):
-            raise ValidationError("Dicke coefficients contain non-finite entries")
-        if abs(np.linalg.norm(c) - 1.0) > 1e-9:
-            raise ValidationError("Dicke coefficients are not normalized")
         c = c.copy()
+        _check_unit_norm(c, "Dicke coefficients")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -174,6 +172,11 @@ class SymmetricClassification:
         return self.onion_level < other.onion_level
 
 
+def _dicke_weights(n: int) -> np.ndarray:
+    """sqrt(C(n, k)) for k = 0 .. n: the norm of the unnormalized Dicke state |D_n^k>."""
+    return np.array([math.sqrt(math.comb(n, k)) for k in range(n + 1)])
+
+
 def symmetrize_check(state: StateVector, tolerance: float = 1e-9) -> DickeExpansion:
     """Verify permutation symmetry and project onto the Dicke basis.
 
@@ -199,9 +202,7 @@ def symmetrize_check(state: StateVector, tolerance: float = 1e-9) -> DickeExpans
                 f"swap of qubits {k} and {k + 1} moves amplitudes by {drift:.3e}"
             )
     flat = state.amplitudes
-    coeffs = np.array(
-        [math.sqrt(math.comb(n, k)) * flat[2**k - 1] for k in range(n + 1)]
-    )
+    coeffs = np.array([w * flat[2**k - 1] for k, w in enumerate(_dicke_weights(n))])
     norm = np.linalg.norm(coeffs)
     if norm == 0.0:
         raise NumericError("symmetric projection vanished")
@@ -215,7 +216,7 @@ def dicke_state(expansion: DickeExpansion) -> StateVector:
     """
     n = expansion.n
     _check_size(2**n)
-    weights = expansion.coeffs / np.array([math.sqrt(math.comb(n, k)) for k in range(n + 1)])
+    weights = expansion.coeffs / _dicke_weights(n)
     # popcount of 0 .. 2**n - 1: setting the next high bit adds one to every count
     popcount = np.zeros(1, dtype=np.uint8)
     for _ in range(n):
@@ -231,8 +232,8 @@ def majorana_polynomial(expansion: DickeExpansion) -> np.ndarray:
     """
     n = expansion.n
     a = np.zeros(n + 1, dtype=np.complex128)
-    for k in range(n + 1):
-        a[n - k] = (-1) ** k * math.sqrt(math.comb(n, k)) * expansion.coeffs[k]
+    for k, w in enumerate(_dicke_weights(n)):
+        a[n - k] = (-1) ** k * w * expansion.coeffs[k]
     return a
 
 
@@ -258,18 +259,27 @@ def coherent_state(direction, n: int) -> DickeExpansion:
     if not (math.isfinite(theta) and math.isfinite(phi)):
         raise ValidationError(f"coherent_state needs finite angles, got ({theta}, {phi})")
     half = theta / 2.0
+    # one power per k: an array power rounds differently at large n
     c = np.array(
         [
-            math.sqrt(math.comb(n, k))
-            * math.cos(half) ** (n - k)
-            * (np.exp(1j * phi) * math.sin(half)) ** k
-            for k in range(n + 1)
+            w * math.cos(half) ** (n - k) * (np.exp(1j * phi) * math.sin(half)) ** k
+            for k, w in enumerate(_dicke_weights(n))
         ]
     )
     return DickeExpansion(n=n, coeffs=c / np.linalg.norm(c))
 
 
 # -- root finding ----------------------------------------------------------
+
+
+def _padded(poly, n: int) -> np.ndarray:
+    """Ascending coefficients of degree at most n >= 1, zero-padded to length n + 1."""
+    if n < 1:
+        raise ValidationError(f"need n >= 1, got {n}")
+    a = np.asarray(poly, dtype=np.complex128).reshape(-1)
+    if a.size > n + 1:
+        raise ValidationError(f"polynomial degree {a.size - 1} exceeds qubit count {n}")
+    return np.concatenate([a, np.zeros(n + 1 - a.size, dtype=np.complex128)])
 
 
 def _trim_exact(a: np.ndarray) -> tuple[np.ndarray, int, int]:
@@ -493,15 +503,9 @@ def find_stars(poly, n: int, cluster_tol: float = 1e-6) -> MajoranaConstellation
     NumericError
         If every coefficient is below 1e-14 in magnitude.
     """
-    a = np.asarray(poly, dtype=np.complex128).reshape(-1)
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
+    a = _padded(poly, n)
     if not (math.isfinite(cluster_tol) and cluster_tol >= 0.0):
         raise ValidationError(f"cluster_tol must be finite and >= 0, got {cluster_tol}")
-    if a.size > n + 1:
-        raise ValidationError(f"polynomial degree {a.size - 1} exceeds qubit count {n}")
-    if a.size < n + 1:
-        a = np.concatenate([a, np.zeros(n + 1 - a.size, dtype=np.complex128)])
     if not np.all(np.isfinite(a.view(np.float64))):
         raise NumericError("polynomial coefficients are not finite")
     if float(np.max(np.abs(a))) < 1e-14:
@@ -568,13 +572,7 @@ def binary_discriminant(poly, n: int) -> complex:
     vanish.  For n = 1 there are no root pairs and the value is 1 by
     convention.
     """
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
-    a = np.asarray(poly, dtype=np.complex128).reshape(-1)
-    if a.size > n + 1:
-        raise ValidationError(f"polynomial degree {a.size - 1} exceeds qubit count {n}")
-    if a.size < n + 1:
-        a = np.concatenate([a, np.zeros(n + 1 - a.size, dtype=np.complex128)])
+    a = _padded(poly, n)
     if n == 1:
         return 1.0 + 0j
     norm = float(np.linalg.norm(a))

@@ -23,7 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -192,23 +192,12 @@ def _fc(z: complex) -> _FC:
     return (Fraction(z.real), Fraction(z.imag))
 
 
-def _fc_add(x: _FC, y: _FC) -> _FC:
-    return (x[0] + y[0], x[1] + y[1])
-
-
-def _fc_mul(x: _FC, y: _FC) -> _FC:
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _fc_scale(k: int, x: _FC) -> _FC:
-    return (k * x[0], k * x[1])
-
-
-def _fc_pow(x: _FC, n: int) -> _FC:
-    out: _FC = (Fraction(1), Fraction(0))
-    for _ in range(n):
-        out = _fc_mul(out, x)
-    return out
+def _fc_mul(*factors: _FC) -> _FC:
+    """Exact product of any number of complex rationals."""
+    re, im = Fraction(1), Fraction(0)
+    for x, y in factors:
+        re, im = re * x - im * y, re * y + im * x
+    return re, im
 
 
 def hyperdeterminant_333(report: QutritInvariantReport) -> complex:
@@ -235,17 +224,14 @@ def hyperdeterminant_333(report: QutritInvariantReport) -> complex:
             f"exceeds relative 1e-9"
         )
     i6, i9, j12 = _fc(report.i6), _fc(report.i9), _fc(report.j12)
-    i9_2 = _fc_mul(i9, i9)
     terms = (
-        _fc_mul(_fc_pow(i6, 3), i9_2),
-        _fc_scale(-1, _fc_mul(_fc_pow(i6, 2), _fc_pow(j12, 2))),
-        _fc_scale(36, _fc_mul(_fc_mul(i6, i9_2), j12)),
-        _fc_scale(108, _fc_mul(i9_2, i9_2)),
-        _fc_scale(-32, _fc_pow(j12, 3)),
+        (1, _fc_mul(i6, i6, i6, i9, i9)),
+        (-1, _fc_mul(i6, i6, j12, j12)),
+        (36, _fc_mul(i6, i9, i9, j12)),
+        (108, _fc_mul(i9, i9, i9, i9)),
+        (-32, _fc_mul(j12, j12, j12)),
     )
-    total: _FC = (Fraction(0), Fraction(0))
-    for t in terms:
-        total = _fc_add(total, t)
+    total = [sum(k * t[part] for k, t in terms) for part in (0, 1)]
     try:
         return complex(float(total[0]), float(total[1]))
     except OverflowError as exc:
@@ -281,16 +267,7 @@ def phi_family(alpha: complex, beta: complex) -> PhiFamilyResult:
     entries = {k: v for k, v in entries.items() if v != 0}
     state = make_state((3, 3, 3), entries)
     i6 = -8.0 * alpha**2 * beta**4
-    partial = QutritInvariantReport(
-        i6=i6, i9=0j, i12=0j, j12=-(i6**2) / 24.0, delta=0j
-    )
-    pipeline_delta = hyperdeterminant_333(partial)
-    report = QutritInvariantReport(
-        i6=partial.i6,
-        i9=partial.i9,
-        i12=partial.i12,
-        j12=partial.j12,
-        delta=pipeline_delta,
-    )
+    report = QutritInvariantReport(i6=i6, i9=0j, i12=0j, j12=-(i6**2) / 24.0, delta=0j)
+    report = replace(report, delta=hyperdeterminant_333(report))
     closed = (4096.0 / 27.0) * (alpha * beta**2) ** 12
     return PhiFamilyResult(state=state, report=report, delta=complex(closed))

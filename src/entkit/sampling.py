@@ -14,6 +14,7 @@ block.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,13 +63,18 @@ class InvarianceReport:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValidationError(f"need at least one trial, got {self.trials}")
-        if self.max_abs_drift < 0.0 or self.mean_abs_drift < 0.0:
-            raise ValidationError("drift statistics must be non-negative")
+        if not (self.max_abs_drift >= 0.0 and self.mean_abs_drift >= 0.0):  # NaN fails too
+            raise ValidationError("drift statistics must be non-negative numbers")
 
 
 def _philox_key(seed: int, counter: int) -> tuple[int, int]:
-    """``(seed, counter)`` as ints, rejected unless both lie in [0, 2**64)."""
-    seed, counter = int(seed), int(counter)
+    """``(seed, counter)`` as ints; floats and values outside [0, 2**64) raise."""
+    try:
+        seed, counter = operator.index(seed), operator.index(counter)
+    except TypeError:
+        raise ValidationError(
+            f"seed and counter must be integers, got {seed!r} and {counter!r}"
+        ) from None
     if not (0 <= seed < 2**64 and 0 <= counter < 2**64):
         raise ValidationError(
             f"seed and counter must lie in [0, 2**64), got {seed} and {counter}"
@@ -82,7 +88,7 @@ def trial_rng(seed: int, counter: int = 0) -> np.random.Generator:
     The 128-bit Philox key holds the seed in the high word and the
     counter in the low word, so trials drawn from distinct counters are
     independent and any single trial can be replayed alone.  Both must
-    lie in [0, 2**64).
+    be integers in [0, 2**64).
     """
     seed, counter = _philox_key(seed, counter)
     return np.random.Generator(np.random.Philox(key=(seed << 64) | counter))
@@ -294,7 +300,7 @@ def invariance_suite(
     trials : int, optional
         At least 1 and at most ``states.MAX_ENTRIES``.
     seed : int, optional
-        In [0, 2**64).
+        An integer in [0, 2**64).
 
     Returns
     -------

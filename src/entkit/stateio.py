@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import StateVector, ValidationError, _normalized, make_state_raw
+from .states import StateVector, ValidationError, _dense, _normalized
 
 __all__ = ["LoadedState", "read_state", "write_state", "state_to_json", "state_from_json"]
 
@@ -36,14 +36,13 @@ def state_to_json(state: StateVector, threshold: float = 0.0) -> dict:
     Entries with |amplitude| <= threshold are omitted; the default keeps
     every nonzero entry.
     """
-    t = state.tensor()
-    entries = []
-    for index in np.ndindex(*state.dims):
-        v = t[index]
-        if abs(v) > threshold:
-            entries.append(
-                {"index": [int(i) for i in index], "re": float(v.real), "im": float(v.imag)}
-            )
+    amps = state.amplitudes
+    keep = np.flatnonzero(np.abs(amps) > threshold)
+    indices = np.column_stack(np.unravel_index(keep, state.dims)).tolist()
+    entries = [
+        {"index": index, "re": float(v.real), "im": float(v.imag)}
+        for index, v in zip(indices, amps[keep])
+    ]
     return {"dims": list(state.dims), "amplitudes": entries}
 
 
@@ -79,18 +78,16 @@ def state_from_json(doc: dict) -> LoadedState:
         raise ValidationError(f"malformed state document: {exc}") from None
     if not isinstance(raw_entries, list):
         raise ValidationError("'amplitudes' must be a list")
-    entries = {}
+    entries = []
     for item in raw_entries:
         try:
             index = tuple(_integer(i, "index entry") for i in item["index"])
             value = complex(_number(item["re"], "re"), _number(item.get("im", 0.0), "im"))
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed amplitude entry {item!r}: {exc}") from None
-        if index in entries:
-            raise ValidationError(f"amplitude index {list(index)} is listed twice")
-        entries[index] = value
-    arr, norm = make_state_raw(dims, entries)
-    return LoadedState(StateVector(tuple(dims), _normalized(arr)[0]), norm)
+        entries.append((index, value))
+    amps, norm = _normalized(_dense(dims, entries))
+    return LoadedState(StateVector(tuple(dims), amps), norm)
 
 
 def read_state(path) -> LoadedState:

@@ -65,13 +65,13 @@ def _as_complex_array(values, what: str) -> np.ndarray:
     return arr
 
 
-def _check_unit_norm(amps: np.ndarray) -> None:
+def _check_unit_norm(amps: np.ndarray, what: str = "amplitudes") -> None:
     """Reject unless every row of finite, C-contiguous ``amps`` has norm 1 within ATOL."""
     parts = amps.view(np.float64)  # (re, im) pairs: one pass and no temporary copy
     norms = np.sqrt(np.einsum("...i,...i->...", parts, parts)).reshape(-1)
     worst = float(norms[np.argmax(np.abs(norms - 1.0))])
     if abs(worst - 1.0) > ATOL:
-        raise ValidationError(f"amplitudes have norm {worst:.6g}, not 1")
+        raise ValidationError(f"{what} have norm {worst:.6g}, not 1")
 
 
 def _check_unitary(m: np.ndarray, what: str) -> None:
@@ -165,11 +165,11 @@ class LocalUnitary:
         return tuple(f.shape[0] for f in self.factors)
 
 
-def make_state_raw(dims, entries) -> tuple[np.ndarray, float]:
-    """Assemble an unnormalized amplitude array from sparse entries.
+def _dense(dims, entries) -> np.ndarray:
+    """Flat amplitude array from sparse ``(multi-index, amplitude)`` pairs, in one pass.
 
-    Returns the dense array together with its Euclidean norm.  Most
-    callers want :func:`make_state`, which normalizes.
+    Rejects a local dimension below 2, a wrong arity, an out-of-range or
+    repeated index, a non-finite value and an empty entry list.
     """
     dims = tuple(int(d) for d in dims)
     if any(d < 2 for d in dims):
@@ -177,21 +177,33 @@ def make_state_raw(dims, entries) -> tuple[np.ndarray, float]:
     _check_size(math.prod(dims))
     arr = np.zeros(dims, dtype=np.complex128)
     items = entries.items() if hasattr(entries, "items") else entries
-    count = 0
+    seen = set()
     for index, value in items:
         index = tuple(int(i) for i in index)
         if len(index) != len(dims) or any(
             not 0 <= i < d for i, d in zip(index, dims)
         ):
             raise ValidationError(f"index {index} out of range for dims {dims}")
+        if index in seen:
+            raise ValidationError(f"amplitude index {list(index)} is listed twice")
+        seen.add(index)
         value = complex(value)
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             raise ValidationError(f"non-finite amplitude at index {index}")
         arr[index] = value
-        count += 1
-    if count == 0:
+    if not seen:
         raise ValidationError("no amplitude entries given")
-    return arr.reshape(-1), _normalized(arr)[1]
+    return arr.reshape(-1)
+
+
+def make_state_raw(dims, entries) -> tuple[np.ndarray, float]:
+    """Assemble an unnormalized amplitude array from sparse entries.
+
+    Returns the dense array together with its Euclidean norm.  Most
+    callers want :func:`make_state`, which normalizes.
+    """
+    arr = _dense(dims, entries)
+    return arr, _normalized(arr)[1]
 
 
 def _normalized(arr: np.ndarray) -> tuple[np.ndarray, float]:
@@ -221,7 +233,8 @@ def make_state(dims, entries) -> StateVector:
     dims : sequence of int
         Local dimensions, each at least 2.
     entries : mapping or iterable of pairs
-        Multi-index to complex amplitude; omitted indices are zero.
+        Multi-index to complex amplitude; omitted indices are zero and
+        each index may appear once.
 
     Returns
     -------
@@ -233,8 +246,8 @@ def make_state(dims, entries) -> StateVector:
     >>> make_state([2, 2], {(0, 0): 1, (1, 1): 1}).amplitude((0, 0))
     (0.7071067811865475+0j)
     """
-    arr, _ = make_state_raw(dims, entries)
-    return StateVector(tuple(int(d) for d in dims), _normalized(arr)[0])
+    dims = tuple(int(d) for d in dims)
+    return StateVector(dims, _normalized(_dense(dims, entries))[0])
 
 
 def bell_state(which: str) -> StateVector:

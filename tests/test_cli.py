@@ -444,3 +444,84 @@ class TestCheckInvarianceFuzz:
         assert code in (0, 2, 3), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
         assert (code == 0) == (err.getvalue() == "")
+
+
+#: well-formed dims, each with at most 64 amplitudes
+FUZZ_DIMS = [[2], [2, 2], [3, 3], [2, 3], [2, 2, 2], [2, 2, 2, 2, 2, 2]]
+FUZZ_BAD_DIMS = [[], [1, 2], [0], [-2, 2], [2.0, 2], ["2", 2], [True, 2], 2, None, "2,2"]
+#: amplitude parts that are ordinary, extreme, NaN/Infinity literals or wrong JSON types
+FUZZ_ODD_PARTS = [0.0, -0.0, 1e308, -1e308, 1e-320, -1e-320, math.nan, math.inf,
+                  -math.inf, 3, 10**400, True, "1", None, [1.0]]
+FUZZ_BAD_INDICES = [[], [0], [0, 0, 0], [2, 0], [0, 3], [-1, 0], [0.0, 0], [True, 0],
+                    ["0", 0], [None, 0], 0, None, "0", {"0": 0}]
+#: at most one document-level fault each; None leaves the document well-formed
+FUZZ_FAULTS = [None] * 6 + ["top", "dims", "no dims", "no amplitudes", "amplitudes type",
+                            "bad index", "odd part", "entry type", "repeat", "all zero"]
+FUZZ_COMMANDS = [
+    ["schmidt"], ["schmidt", "--cut", "1"], ["det"], ["hyperdet3q"], ["majorana"], ["classify"],
+    ["check-invariance", "--invariant", "norm", "--trials", "3"],
+    ["check-invariance", "--invariant", "amp00", "--trials", "3", "--group", "u"],
+]
+
+
+@st.composite
+def state_documents(draw):
+    """Small state documents, well-formed or broken in one of the ways a file can be."""
+    fault = draw(st.sampled_from(FUZZ_FAULTS))
+    if fault == "top":
+        return draw(st.sampled_from([[], [{"dims": [2]}], 3, "dims", None, True]))
+    dims = draw(st.sampled_from(FUZZ_BAD_DIMS if fault == "dims" else FUZZ_DIMS))
+    shape = dims if fault != "dims" else [2, 2]
+    index = st.tuples(*[st.integers(0, d - 1) for d in shape]).map(list)
+    part = st.floats(-4.0, 4.0, allow_subnormal=False)
+    if fault == "all zero":
+        part = st.just(0.0)
+    entries = draw(st.lists(
+        st.fixed_dictionaries({"index": index, "re": part}, optional={"im": part}),
+        min_size=0 if fault == "all zero" else 1, max_size=6,
+        unique_by=lambda entry: tuple(entry["index"]),
+    ))
+    if fault == "bad index":
+        entries.append({"index": draw(st.sampled_from(FUZZ_BAD_INDICES)), "re": 1.0})
+    elif fault == "odd part":
+        entry = {"index": draw(index), "re": 1.0}
+        entry[draw(st.sampled_from(["re", "im"]))] = draw(st.sampled_from(FUZZ_ODD_PARTS))
+        entries.append(entry)
+    elif fault == "entry type":
+        entries.append(draw(st.sampled_from([[[0], 1.0], "entry", None, {"re": 1.0},
+                                             {"index": [0]}])))
+    elif fault == "repeat":
+        entries.append(draw(st.sampled_from(entries)))
+    doc = {"dims": dims, "amplitudes": draw(st.permutations(entries))}
+    if fault == "amplitudes type":
+        doc["amplitudes"] = draw(st.sampled_from([{"0": 1.0}, "none", 1.0, None]))
+    elif fault in ("no dims", "no amplitudes"):
+        del doc[fault.removeprefix("no ")]
+    return doc
+
+
+@pytest.fixture(scope="module")
+def doc_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("documents")
+
+
+class TestStateDocumentFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(doc=state_documents(), command=st.sampled_from(FUZZ_COMMANDS), as_json=st.booleans())
+    def test_every_document_ends_in_a_documented_exit(self, doc_dir, doc, command, as_json):
+        path = doc_dir / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")  # NaN and Infinity as literals
+        argv = [command[0], str(path), *command[1:]] + (["--json"] if as_json else [])
+        err = io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+        message = err.getvalue()
+        assert code in (0, 2, 3), (argv, doc, message)
+        assert "Traceback" not in message
+        if code == 0:
+            assert message == "" or re.fullmatch(
+                r"note: input normalized \(norm before was \S+\)\n", message
+            ), (doc, message)
+

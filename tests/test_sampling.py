@@ -82,6 +82,18 @@ class TestTrialRng:
         a = trial_rng(2**64 - 1, 2**64 - 1).standard_normal(8)
         assert np.all(np.isfinite(a))
 
+    @pytest.mark.parametrize(
+        "seed,counter", [(1.7, 0), (2.0, 0), (0, 1.0), (np.float64(3.0), 0)]
+    )
+    def test_float_rejected_not_truncated(self, seed, counter):
+        with pytest.raises(ValidationError, match="must be integers"):
+            trial_rng(seed, counter)
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(7), np.uint8(7), True])
+    def test_integer_types_accepted(self, seed):
+        a = trial_rng(seed, np.int32(2)).standard_normal(8)
+        np.testing.assert_array_equal(a, trial_rng(int(seed), 2).standard_normal(8))
+
 
 class TestRandomSu2:
     def test_unitary_det_one(self):
@@ -173,6 +185,20 @@ class TestInvarianceSuite:
     def test_unknown_invariant_rejected(self):
         with pytest.raises(ValidationError):
             invariance_suite(bell_state("phi+"), "entropy", "su", trials=5)
+
+    @pytest.mark.parametrize("seed", [1.7, 2.0])
+    def test_float_seed_rejected(self, seed):
+        with pytest.raises(ValidationError, match="must be integers"):
+            invariance_suite(bell_state("phi+"), "norm", trials=3, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        report = invariance_suite(bell_state("phi+"), "amp00", trials=3, seed=np.uint64(5))
+        assert report == invariance_suite(bell_state("phi+"), "amp00", trials=3, seed=5)
+        assert type(report.seed) is int
+
+    def test_nan_drift_rejected(self):
+        with pytest.raises(ValidationError, match="non-negative"):
+            invariance_suite(bell_state("phi+"), ("bad", lambda s: float("nan")), trials=3)
 
     def test_trials_validated(self):
         with pytest.raises(ValidationError):
@@ -299,4 +325,12 @@ class TestReportType:
         with pytest.raises(ValidationError):
             InvarianceReport(
                 invariant_name="x", trials=1, max_abs_drift=-1.0, mean_abs_drift=0.0, seed=0
+            )
+
+    @pytest.mark.parametrize("max_drift,mean_drift", [(float("nan"), 0.0), (0.0, float("nan"))])
+    def test_nan_statistics_rejected(self, max_drift, mean_drift):
+        with pytest.raises(ValidationError):
+            InvarianceReport(
+                invariant_name="x", trials=1, max_abs_drift=max_drift,
+                mean_abs_drift=mean_drift, seed=0,
             )

@@ -5,6 +5,7 @@ import pytest
 from conftest import rand_state
 
 from entkit import (
+    StateVector,
     ValidationError,
     bell_state,
     ghz_state,
@@ -46,6 +47,24 @@ class TestRoundTrip:
     def test_zero_entries_omitted(self):
         doc = state_to_json(ghz_state(3))
         assert len(doc["amplitudes"]) == 2
+
+    @pytest.mark.parametrize("dims", [(2,), (2, 2), (3, 2, 4), (2, 2, 2, 2, 2)])
+    @pytest.mark.parametrize("threshold", [0.0, 0.2])
+    def test_entries_match_elementwise_loop(self, rng, dims, threshold):
+        # the per-index loop the vectorized selection replaced, kept as the reference
+        v = rng.standard_normal(np.prod(dims)) + 1j * rng.standard_normal(np.prod(dims))
+        v[2::3] = 0.0
+        v.real[1::4] = -0.0  # kept entries with a signed-zero part
+        s = StateVector(dims, v / np.linalg.norm(v))
+        t = s.tensor()
+        expected = [
+            {"index": [int(i) for i in index], "re": float(t[index].real),
+             "im": float(t[index].imag)}
+            for index in np.ndindex(*dims)
+            if abs(t[index]) > threshold
+        ]
+        doc = state_to_json(s, threshold)
+        assert json.dumps(doc) == json.dumps({"dims": list(dims), "amplitudes": expected})
 
     def test_threshold_drops_small_entries(self):
         s = state_from_json(

@@ -97,6 +97,14 @@ class TestConstructors:
         with pytest.raises(ValidationError):
             make_state([2, 2], {(0, 0, 0): 1.0})
 
+    @pytest.mark.parametrize("build", [make_state, make_state_raw])
+    def test_rejects_repeated_index(self, build):
+        # the later pair used to overwrite the earlier one without a word
+        with pytest.raises(ValidationError, match=r"\[0\] is listed twice"):
+            build((2,), [((0,), 1), ((0,), 5), ((1,), 1)])
+        with pytest.raises(ValidationError, match="listed twice"):
+            build([2, 2], [((0, 1), 1.0), (np.array([0, 1]), 2.0)])
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError):
             make_state([2, 2], {(0, 0): float("nan")})
