@@ -40,6 +40,7 @@ from .schmidt import bipartite_determinant, schmidt_decompose
 from .states import (
     NumericError,
     ValidationError,
+    _check_qubit_count,
     bell_state,
     ghz_state,
     w_state,
@@ -233,6 +234,11 @@ def _cmd_classify(args):
     return asdict(report), text
 
 
+def _gen_coherent(args):
+    _check_qubit_count(args.n)  # before the expansion, whose binomials overflow from n = 1030
+    return dicke_state(coherent_state((args.theta, args.phi), args.n))
+
+
 def _cmd_gen(args):
     state = args.build(args)
     stateio.write_state(state, args.out)
@@ -304,9 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g = generator("ghz", lambda a: ghz_state(a.n))
     g.add_argument("--n", type=int, default=3)
     generator("w", lambda a: w_state())
-    g = generator(
-        "coherent", lambda a: dicke_state(coherent_state((a.theta, a.phi), a.n))
-    )
+    g = generator("coherent", _gen_coherent)
     g.add_argument("--theta", type=float, required=True)
     g.add_argument("--phi", type=float, required=True)
     g.add_argument("--n", type=int, required=True)

@@ -14,9 +14,13 @@ non-degenerate (n stars).
 
 Root finding uses companion-matrix eigenvalues on a geometrically
 scaled copy of the polynomial and a residual-guarded Newton polish.
-The roots are clustered by splitting their minimum spanning tree in
-chordal metric at its longest edge until every part is accepted, which
-is the top-down cut of the single-linkage dendrogram.  A part is
+Every star is then one member of a single array of chart values
+u = z / s: a polished root, ``inf`` for a star at the south pole (a
+degree deficit, a coefficient that underflows in the rescale, or a
+root that overflows) and ``0`` for one at the north pole.  The members
+are clustered by splitting their minimum spanning tree in chordal
+metric at its longest edge until every part is accepted, which is the
+top-down cut of the single-linkage dendrogram.  A part is
 accepted when its diameter fits an acceptance radius that adapts to
 the local root multiplicity m: the rounding floor over the m-th Taylor
 coefficient at the part's mean, to the power 1/m.  One chart routine
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import NumericError, StateVector, ValidationError, _check_size, _normalized
+from .states import NumericError, StateVector, ValidationError, _check_qubit_count, _normalized
 from .states import _as_complex_array, _check_unit_norm
 
 __all__ = [
@@ -173,8 +177,14 @@ class SymmetricClassification:
 
 
 def _dicke_weights(n: int) -> np.ndarray:
-    """sqrt(C(n, k)) for k = 0 .. n: the norm of the unnormalized Dicke state |D_n^k>."""
-    return np.array([math.sqrt(math.comb(n, k)) for k in range(n + 1)])
+    """sqrt(C(n, k)) for k = 0 .. n: the norm of the unnormalized Dicke state |D_n^k>.
+
+    Raises NumericError once some C(n, k) leaves the float range (n >= 1030).
+    """
+    try:
+        return np.array([math.sqrt(math.comb(n, k)) for k in range(n + 1)])
+    except OverflowError:
+        raise NumericError(f"binomial C({n}, k) exceeds the float range") from None
 
 
 def symmetrize_check(state: StateVector, tolerance: float = 1e-9) -> DickeExpansion:
@@ -215,7 +225,7 @@ def dicke_state(expansion: DickeExpansion) -> StateVector:
     Basis index i carries c_k / sqrt(C(n, k)) with k the popcount of i.
     """
     n = expansion.n
-    _check_size(2**n)
+    _check_qubit_count(n)
     weights = expansion.coeffs / _dicke_weights(n)
     # popcount of 0 .. 2**n - 1: setting the next high bit adds one to every count
     popcount = np.zeros(1, dtype=np.uint8)
@@ -282,56 +292,48 @@ def _padded(poly, n: int) -> np.ndarray:
     return np.concatenate([a, np.zeros(n + 1 - a.size, dtype=np.complex128)])
 
 
-def _trim_exact(a: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """Strip exact-zero ends; returns (core, leading_zeros, trailing_zeros)."""
-    hi = len(a) - 1
-    while hi > 0 and a[hi] == 0:
-        hi -= 1
-    lo = 0
-    while lo < hi and a[lo] == 0:
-        lo += 1
-    return a[lo : hi + 1], len(a) - 1 - hi, lo
+def _scaled_core(a: np.ndarray) -> tuple[np.ndarray, float, int, int]:
+    """Rescale z = s u so the polynomial's nonzero core has balanced end coefficients.
 
-
-def _scaled_core(core: np.ndarray) -> tuple[np.ndarray, float, int, int]:
-    """Rescale z = s u so the core polynomial has balanced end coefficients.
-
-    The scale satisfies s^d = |core_0 / core_d| and is applied in log
-    space; coefficients that underflow after the rescale are treated as
-    additional stars at the corresponding pole.  Returns the scaled
-    coefficients (max modulus 1), the scale s, and the extra
-    (infinity, zero) star counts shed by the rescale.
+    The scale satisfies s^d = |a_lo / a_hi| over the outermost nonzero
+    coefficients a_lo, a_hi (d = hi - lo), clamped to [e^-708, e^708],
+    and is applied in log space.  One trim of the scaled coefficients
+    then strips both the exact zero ends and the coefficients that
+    underflow in the rescale; each stripped coefficient is one star at
+    the corresponding pole.  Returns the scaled coefficients (max
+    modulus 1), the scale s, and the star counts at the south pole
+    (infinity) and the north pole (zero).
     """
-    d = len(core) - 1
-    logs = (math.log(abs(core[0])) - math.log(abs(core[d]))) / d
-    s = math.exp(logs)
-    logb = np.full(d + 1, -np.inf)
-    nz = core != 0
-    logb[nz] = np.log(np.abs(core[nz])) + np.arange(d + 1)[nz] * logs
-    shift = float(np.max(logb))
-    mags = np.where(np.isfinite(logb), np.exp(logb - shift), 0.0)
-    phases = np.ones(d + 1, dtype=np.complex128)
-    phases[nz] = core[nz] / np.abs(core[nz])
-    b = mags * phases
-    bb, extra_inf, extra_zero = _trim_exact(b)
-    return bb, s, extra_inf, extra_zero
+    nz = np.flatnonzero(a)
+    lo, hi = int(nz[0]), int(nz[-1])
+    logs = (math.log(abs(a[lo])) - math.log(abs(a[hi]))) / max(hi - lo, 1)
+    # s and 1/s stay normal floats; a star beyond that range is a pole star to rounding
+    logs = min(max(logs, -708.0), 708.0)
+    c = a[nz]
+    logb = np.log(np.abs(c)) + (nz - lo) * logs
+    # each phase is taken after an exact scaling to modulus [0.5, 1):
+    # numpy's complex division by a subnormal modulus overflows
+    c = np.ldexp(c.view(np.float64), -np.repeat(np.frexp(np.abs(c))[1], 2)).view(np.complex128)
+    b = np.zeros(len(a), dtype=np.complex128)
+    b[nz] = np.exp(logb - np.max(logb)) * (c / np.abs(c))
+    kept = np.flatnonzero(b)
+    return b[kept[0] : kept[-1] + 1], math.exp(logs), len(a) - 1 - kept[-1], kept[0]
 
 
-def _polish(u_roots, geom: _ClusterGeometry):
+def _polish(u_roots, geom: _ClusterGeometry) -> np.ndarray:
     """Newton-correct roots whose residual clearly exceeds rounding noise.
 
-    Works in the geometry's u chart; returns the polished roots and the
-    count of non-finite ones, which are stars at infinity.
+    Works in the geometry's u chart.  A non-finite root is a star at
+    infinity and comes back as ``inf``.
     """
     bb, _ = geom.u
     d = len(bb) - 1
     out = []
-    overflow = 0
     # a far root overflows p(z); the finiteness checks stop its step
     with np.errstate(over="ignore", invalid="ignore"):
         for z in u_roots:
             if not np.isfinite(abs(z)):
-                overflow += 1
+                out.append(math.inf)
                 continue
             for _ in range(3):
                 pz = geom.taylor(bb, z, 0)
@@ -345,20 +347,19 @@ def _polish(u_roots, geom: _ClusterGeometry):
                     break
                 z = znew
             out.append(complex(z))
-    return out, overflow
+    return np.array(out, dtype=np.complex128)
 
 
 class _ClusterGeometry:
-    """Noise radii and representatives for clusters of scaled roots.
+    """Noise radii and representatives for clusters of stars.
 
-    A cluster is given by the scaled roots ``u`` among its members
-    (z = s u) and by its counts of exact pole stars shed by trimming:
-    ``south`` at infinity and ``north`` at zero.  It is read in one of
-    two charts, each a pair (coefficients, scale): the u chart (bb, s)
-    or the v chart (bb[::-1], 1/s) of v = 1/u.  The v chart is the u
-    chart mirrored through the equator, theta -> pi - theta and
-    phi -> -phi.  A degree-0 ``bb`` serves polynomials whose stars all
-    sit at the poles.
+    A cluster is given by the u-chart values of its members (z = s u):
+    a root, ``inf`` for a star at the south pole or ``0`` for one at
+    the north pole.  It is read in one of two charts, each a pair
+    (coefficients, scale): the u chart (bb, s) or the v chart
+    (bb[::-1], 1/s) of v = 1/u.  The v chart is the u chart mirrored
+    through the equator, theta -> pi - theta and phi -> -phi.  A
+    degree-0 ``bb`` serves polynomials whose stars all sit at the poles.
     """
 
     def __init__(self, bb: np.ndarray, s: float, n: int):
@@ -383,33 +384,36 @@ class _ClusterGeometry:
         w = np.cumprod(np.concatenate(([1.0], (j - m) / j)))[::-1]
         return complex(np.polynomial.polynomial.polyval(c, w * coeffs[m:]))
 
-    def _chart(self, u: np.ndarray, south: int, north: int):
-        """(coeffs, scale, mirrored, member values) of the chart a cluster is read in.
+    def _chart(self, u: np.ndarray):
+        """(coeffs, scale, mirrored, chart values, root count) of a cluster's chart.
 
         South-pole members pick the v chart and north-pole members the u
         chart; otherwise the chart is the one where the roots' mean
-        modulus is at most 1.  The pole on the far side of the chart is
-        dropped, the near one sits at 0.
+        modulus is at most 1.  The chart values are the roots in member
+        order, then a 0 for each star at the near pole; the far pole is
+        dropped.
         """
-        mirrored = south > 0 or (north == 0 and np.mean(np.abs(u)) > 1.0)
+        south, north = np.isinf(u), u == 0
+        roots = u[~(south | north)]
+        mirrored = south.any() or (not north.any() and np.mean(np.abs(roots)) > 1.0)
         coeffs, scale = self.v if mirrored else self.u
-        near_pole = np.zeros(south if mirrored else north)
-        values = np.concatenate((1.0 / u if mirrored else u, near_pole))
-        return coeffs, scale, mirrored, values
+        near_pole = np.zeros(np.count_nonzero(south if mirrored else north))
+        values = np.concatenate((1.0 / roots if mirrored else roots, near_pole))
+        return coeffs, scale, mirrored, values, len(roots)
 
-    def noise_radius(self, u: np.ndarray, south: int, north: int) -> float:
+    def noise_radius(self, u: np.ndarray) -> float:
         """Chordal radius a cluster of this size could owe to rounding.
 
         For a candidate m-fold root near c the perturbation delta moves
         roots by about (delta / |T_m(c)|)^(1/m); evaluating that at the
         polynomial's rounding floor bounds the ring a true multiplet can
         spread into.  The m-th root makes the bound insensitive to the
-        floor estimate.
+        floor estimate.  Here m counts the cluster's roots; a cluster
+        with no root, or with stars at both poles, gets radius 0.
         """
-        m = len(u)
-        if m == 0 or (south and north):
+        coeffs, scale, _, values, m = self._chart(u)
+        if m == 0 or len(values) < len(u):  # fewer values: the far pole was dropped
             return 0.0
-        coeffs, scale, _, values = self._chart(u, south, north)
         c = complex(np.mean(values))
         t = self.taylor(coeffs, c, m)
         if t == 0:
@@ -420,14 +424,14 @@ class _ClusterGeometry:
         x = scale * abs(c)
         return 2.0 * scale * r_plane / (1.0 + x * x)
 
-    def representative(self, u: np.ndarray, south: int, north: int) -> tuple[float, float]:
+    def representative(self, u: np.ndarray) -> tuple[float, float]:
         """(theta, phi) of a cluster, averaged in its chart.
 
         Averaging the full multiplet cancels the symmetric part of the
         root perturbation, so repeated stars come back far more
         accurately than any single root.
         """
-        _, scale, mirrored, values = self._chart(u, south, north)
+        _, scale, mirrored, values, _ = self._chart(u)
         c = complex(np.mean(values))
         theta = 2.0 * math.atan(scale * abs(c))
         phi = float(np.angle(c))
@@ -511,41 +515,25 @@ def find_stars(poly, n: int, cluster_tol: float = 1e-6) -> MajoranaConstellation
     if float(np.max(np.abs(a))) < 1e-14:
         raise NumericError("degenerate polynomial: all coefficients below 1e-14")
 
-    core, south, north = _trim_exact(a)
-    bb, s = core, 1.0
-    if len(core) > 1:
-        bb, s, extra_south, extra_north = _scaled_core(core)
-        south += extra_south
-        north += extra_north
+    bb, s, south, north = _scaled_core(a)
     geom = _ClusterGeometry(bb, s, n)
-    roots, overflow = _polish(np.polynomial.polynomial.polyroots(bb), geom)
-    roots = np.array(roots, dtype=np.complex128)
-    south += overflow
-    r = len(roots)
-    if r + south + north != n:
-        raise NumericError(f"recovered {r + south + north} roots for degree {n}")
-
-    # members: roots 0 .. r-1, then the south-pole stars, then the north-pole ones
+    # members: the roots in the u chart, then the stars at the south and north poles
+    roots = _polish(np.polynomial.polynomial.polyroots(bb), geom)
+    u = np.concatenate((roots, np.full(south, np.inf), np.zeros(north)))
     with np.errstate(over="ignore"):
-        theta = 2.0 * np.arctan(s * np.abs(roots))
-    theta = np.concatenate((theta, np.full(south, math.pi), np.zeros(north)))
-    azimuth = np.concatenate((np.angle(roots), np.zeros(south + north)))
+        theta = 2.0 * np.arctan(s * np.abs(u))
+    azimuth = np.angle(u)
     pts = np.column_stack(
         (np.sin(theta) * np.cos(azimuth), np.sin(theta) * np.sin(azimuth), np.cos(theta))
     )
     dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
 
-    def cluster(mem: list[int]) -> tuple[np.ndarray, int, int]:
-        idx = np.array(mem)
-        n_south = int(np.count_nonzero((idx >= r) & (idx < r + south)))
-        return roots[idx[idx < r]], n_south, int(np.count_nonzero(idx >= r + south))
-
     def accept(mem: list[int]) -> bool:
         diam = float(dist[np.ix_(mem, mem)].max())
-        return diam <= max(cluster_tol, _GAMMA * geom.noise_radius(*cluster(mem)))
+        return diam <= max(cluster_tol, _GAMMA * geom.noise_radius(u[mem]))
 
     stars = [
-        SpherePoint(*geom.representative(*cluster(mem)), multiplicity=len(mem))
+        SpherePoint(*geom.representative(u[mem]), multiplicity=len(mem))
         for mem in _single_linkage_clusters(dist, accept)
     ]
     stars.sort(key=lambda sp: (-sp.multiplicity, sp.theta, sp.phi))

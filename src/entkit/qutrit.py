@@ -254,6 +254,11 @@ def phi_family(alpha: complex, beta: complex) -> PhiFamilyResult:
         through the combination of :func:`hyperdeterminant_333`), and
         the closed-form ``delta``.  The two delta routes agree to
         rounding.
+
+    Raises
+    ------
+    NumericError
+        If an invariant or the closed form overflows.
     """
     alpha = complex(alpha)
     beta = complex(beta)
@@ -266,8 +271,15 @@ def phi_family(alpha: complex, beta: complex) -> PhiFamilyResult:
         entries[idx] = beta
     entries = {k: v for k, v in entries.items() if v != 0}
     state = make_state((3, 3, 3), entries)
-    i6 = -8.0 * alpha**2 * beta**4
-    report = QutritInvariantReport(i6=i6, i9=0j, i12=0j, j12=-(i6**2) / 24.0, delta=0j)
+    try:
+        i6 = -8.0 * alpha**2 * beta**4
+        j12 = -(i6**2) / 24.0
+        closed = complex((4096.0 / 27.0) * (alpha * beta**2) ** 12)
+        finite = all(cmath.isfinite(v) for v in (i6, j12, closed))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise NumericError("phi-family invariants overflowed; rescale alpha and beta")
+    report = QutritInvariantReport(i6=i6, i9=0j, i12=0j, j12=j12, delta=0j)
     report = replace(report, delta=hyperdeterminant_333(report))
-    closed = (4096.0 / 27.0) * (alpha * beta**2) ** 12
-    return PhiFamilyResult(state=state, report=report, delta=complex(closed))
+    return PhiFamilyResult(state=state, report=report, delta=closed)

@@ -11,6 +11,7 @@ threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,9 +59,17 @@ def _check_size(size: int) -> None:
         )
 
 
+def _check_qubit_count(n: int) -> None:
+    """Reject n qubits whose 2**n amplitudes exceed ``MAX_ENTRIES``, without forming 2**n."""
+    if n >= MAX_ENTRIES.bit_length():
+        raise ValidationError(
+            f"{n} qubits need 2**{n} amplitudes, above the dense storage cap {MAX_ENTRIES}"
+        )
+
+
 def _as_complex_array(values, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.complex128)
-    if not np.all(np.isfinite(arr.view(np.float64))):
+    if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{what} contains non-finite entries")
     return arr
 
@@ -179,7 +188,10 @@ def _dense(dims, entries) -> np.ndarray:
     items = entries.items() if hasattr(entries, "items") else entries
     seen = set()
     for index, value in items:
-        index = tuple(int(i) for i in index)
+        try:
+            index = tuple(operator.index(i) for i in index)
+        except TypeError:
+            raise ValidationError(f"index {index!r} is not a sequence of integers") from None
         if len(index) != len(dims) or any(
             not 0 <= i < d for i, d in zip(index, dims)
         ):
@@ -277,6 +289,7 @@ def ghz_state(n_parties: int) -> StateVector:
     n = int(n_parties)
     if n < 2:
         raise ValidationError(f"ghz_state needs at least 2 parties, got {n}")
+    _check_qubit_count(n)
     return make_state((2,) * n, {(0,) * n: 1.0, (1,) * n: 1.0})
 
 

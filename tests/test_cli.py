@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entkit import (
@@ -267,6 +267,20 @@ class TestOutputs:
         det = next(line for line in out.splitlines() if line.startswith("det:"))
         assert abs(complex(det.split()[1])) == pytest.approx(0.5, rel=1e-12)
 
+    def test_subnormal_amplitude_reads(self, tmp_path, capsys):
+        # the Dicke coefficient 1e-320 is subnormal: both stars sit at the north pole
+        path = tmp_path / "tiny.json"
+        amps = [{"index": [0, 0], "re": 1.0}, {"index": [1, 1], "re": 1e-320}]
+        path.write_text(json.dumps({"dims": [2, 2], "amplitudes": amps}))
+        code, out, err = run(capsys, "majorana", str(path))
+        assert (code, err) == (0, "")
+        (star,) = out.splitlines()[1:]
+        theta, _, multiplicity = star.split(",")
+        assert float(theta) < 1e-150 and multiplicity == "2"
+        code, out, err = run(capsys, "classify", str(path))
+        assert (code, err) == (0, "")
+        assert "Def 4: level-1  [partition 2]" in out
+
 
 class TestExitCodes:
     def test_wrong_dims_is_validation(self, tmp_path, capsys):
@@ -444,6 +458,87 @@ class TestCheckInvarianceFuzz:
         assert code in (0, 2, 3), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
         assert (code == 0) == (err.getvalue() == "")
+
+
+FUZZ_REALS = ["0", "-0.5", "1e-9", "0.3", "2.5", "1e300", "-1e308", "1e-320", "nan", "inf",
+              "-inf", "x"]
+FUZZ_COMPLEX = ["0", "1", "-2.5", "1+2j", "1e100", "1e200", "1e-200", "1e-320", "nan", "inf",
+                "nanj", "x"]
+#: qubit counts small enough to write, over the 2**24 cap, past the float range of C(n, k),
+#: or too long to format
+FUZZ_COUNTS = ["-1", "0", "1", "2", "3", "5", "25", "1029", "1100", "100000",
+               "99999999999999999999", "x"]
+FUZZ_CUTS = ["-1", "0", "1", "2", "3", "99999999999999999999", "x"]
+FUZZ_FILES = ["bell", "ghz3", "qutritnf", "coherent5", "tiny"]
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    """State files named in FUZZ_FILES, and the directory ``gen --out`` writes into."""
+    work = tmp_path_factory.mktemp("argv")
+    for name, gen_args in [("bell", ["gen", "bell"]), ("ghz3", ["gen", "ghz", "--n", "3"]),
+                           ("qutritnf", ["gen", "qutrit-nf", "1", "1", "0"]),
+                           ("coherent5", ["gen", "coherent", "--theta", "1.1", "--phi", "2.2",
+                                          "--n", "5"])]:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*gen_args, "--out", str(work / f"{name}.json")]) == 0
+    amps = [{"index": [0, 0], "re": 1.0}, {"index": [1, 1], "re": 1e-320}]
+    (work / "tiny.json").write_text(json.dumps({"dims": [2, 2], "amplitudes": amps}))
+    return work
+
+
+@st.composite
+def argvs(draw):
+    """argv for schmidt, majorana, qutrit-inv and every gen kind; {dir} is the argv_dir."""
+    real, cplx, count = (st.sampled_from(v) for v in (FUZZ_REALS, FUZZ_COMPLEX, FUZZ_COUNTS))
+    file = st.sampled_from(FUZZ_FILES).map(lambda name: f"{{dir}}/{name}.json")
+    out = ["--out", draw(st.sampled_from(["{dir}/out.json", "{dir}", "{dir}/no/out.json"]))]
+    kind = draw(st.sampled_from(["schmidt", "majorana", "qutrit-inv", "bell", "ghz", "w",
+                                 "coherent", "qutrit-nf", "phi"]))
+    if kind == "schmidt":
+        cut = draw(st.lists(st.sampled_from(FUZZ_CUTS), min_size=1, max_size=3))
+        argv = ["schmidt", draw(file), "--cut", *cut, "--tolerance", draw(real)]
+    elif kind == "majorana":
+        argv = ["majorana", draw(file), "--cluster-tol", draw(real)]
+    elif kind in ("qutrit-inv", "qutrit-nf"):
+        argv = [kind, draw(cplx), draw(cplx), draw(cplx)]
+        argv = argv if kind == "qutrit-inv" else ["gen", *argv, *out]
+    elif kind == "bell":
+        argv = ["gen", "bell", "--which", draw(st.sampled_from(["phi+", "psi-", "xx"])), *out]
+    elif kind == "ghz":
+        argv = ["gen", "ghz", "--n", draw(count), *out]
+    elif kind == "w":
+        argv = ["gen", "w", *out]
+    elif kind == "coherent":
+        argv = ["gen", "coherent", "--theta", draw(real), "--phi", draw(real),
+                "--n", draw(count), *out]
+    else:
+        argv = ["gen", "phi", "--alpha", draw(cplx), "--beta", draw(cplx), *out]
+    return argv + (["--json"] if draw(st.booleans()) else [])
+
+
+class TestArgvFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(argv=argvs())
+    @example(argv=["gen", "ghz", "--n", "100000", "--out", "{dir}/out.json"])
+    @example(argv=["gen", "ghz", "--n", "99999999999999999999", "--out", "{dir}/out.json"])
+    @example(argv=["gen", "coherent", "--theta", "0.3", "--phi", "0", "--n", "1100",
+                   "--out", "{dir}/out.json"])
+    @example(argv=["gen", "phi", "--alpha", "1e100", "--beta", "1", "--out", "{dir}/out.json"])
+    @example(argv=["majorana", "{dir}/tiny.json"])
+    def test_every_argv_ends_in_a_documented_exit(self, argv_dir, argv):
+        argv = [token.replace("{dir}", str(argv_dir)) for token in argv]
+        err = io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse rejects the argv itself
+                    code = exc.code
+        assert code in (0, 2, 3), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert (code == 0) == (err.getvalue() == ""), (argv, err.getvalue())
 
 
 #: well-formed dims, each with at most 64 amplitudes

@@ -26,7 +26,7 @@ from entkit import (
     symmetrize_check,
     w_state,
 )
-from entkit.majorana import _ClusterGeometry, _single_linkage_clusters
+from entkit.majorana import _ClusterGeometry, _padded, _scaled_core, _single_linkage_clusters
 from entkit.sampling import random_su2, trial_rng
 from entkit.states import LocalUnitary
 
@@ -212,6 +212,26 @@ class TestFindStars:
         assert con.partition == (200,)
         assert math.isfinite(abs(con.discriminant))
 
+    @pytest.mark.parametrize(
+        "poly,n,theta",
+        [([1e-320, 0.0, 1.0], 2, 0.0), ([-1e-320, 1.0], 1, 0.0), ([1.0, -1e-320], 1, math.pi)],
+    )
+    def test_subnormal_coefficients(self, poly, n, theta):
+        # the star lies beyond the float range of z, within rounding of a pole
+        con = find_stars(np.array(poly), n)
+        assert con.partition == (n,)
+        assert con.stars[0].theta == pytest.approx(theta, abs=1e-150)
+
+    @pytest.mark.parametrize("theta", [0.001, math.pi - 0.001])
+    def test_subnormal_coherent_coefficients(self, theta):
+        # from n = 94 on the coefficients far from the star's pole are
+        # subnormal; the stars split (the near-pole clustering fault) but
+        # every one stays on the direction
+        con = find_stars(majorana_polynomial(coherent_state((theta, 0.4), 94)), 94)
+        assert sum(s.multiplicity for s in con.stars) == 94
+        for s in con.stars:
+            assert np.linalg.norm(xyz(s.theta, s.phi) - xyz(theta, 0.4)) < 0.02
+
     def test_degenerate_polynomial(self):
         with pytest.raises(NumericError):
             find_stars(np.array([1e-16, 1e-15]), 2)
@@ -231,6 +251,67 @@ class TestFindStars:
             find_stars(majorana_polynomial(coherent), 6, cluster_tol=tol)
         with pytest.raises(ValidationError, match="cluster_tol"):
             classify_symmetric(dicke_state(coherent), cluster_tol=tol)
+
+
+class TestPoleMembers:
+    """Stars at the poles are members with u-chart value 0 (north) or inf (south)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 30])
+    def test_north_pole_coherent_state_is_a_degree_zero_core(self, n):
+        a = majorana_polynomial(coherent_state((0.0, 0.7), n))
+        bb, _, south, north = _scaled_core(a)
+        assert (len(bb), south, north) == (1, 0, n)
+        con = find_stars(a, n)
+        assert con.partition == (n,)
+        assert con.stars[0] == SpherePoint(0.0, 0.0, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 30])
+    def test_south_pole_stars(self, n):
+        # cos(pi / 2) is 6e-17, not 0, so theta = pi leaves tiny coefficients
+        # beside the pole one; the exact expansion c_n = 1 has only that one
+        con = find_stars(majorana_polynomial(coherent_state((math.pi, 0.7), n)), n)
+        assert con.partition == (n,)
+        assert con.stars[0].theta == math.pi
+        c = np.zeros(n + 1)
+        c[n] = 1.0
+        a = majorana_polynomial(DickeExpansion(n, c))
+        bb, _, south, north = _scaled_core(a)
+        assert (len(bb), south, north) == (1, n, 0)
+        assert find_stars(a, n).stars == (SpherePoint(math.pi, 0.0, n),)
+
+    def test_exact_zeros_at_both_ends(self):
+        # z^2 (z^2 - 1) read as a 6-qubit polynomial
+        a = np.array([0.0, 0.0, -1.0, 0.0, 1.0])
+        _, _, south, north = _scaled_core(_padded(a, 6))
+        assert (south, north) == (2, 2)
+        con = find_stars(a, 6)
+        assert con.partition == (2, 2, 1, 1)
+        assert con.stars[:2] == (SpherePoint(0.0, 0.0, 2), SpherePoint(math.pi, 0.0, 2))
+        want = [xyz(math.pi / 2, 0.0), xyz(math.pi / 2, math.pi)]
+        match_sets([xyz(s.theta, s.phi) for s in con.stars[2:]], want, 1e-12)
+
+    def test_cluster_holding_both_poles(self):
+        # a cluster with stars at both poles is read in the v chart, where
+        # the north pole is the far one and is dropped from the average
+        con = find_stars(np.array([0.0, 1.0]), 2, cluster_tol=2.0)
+        assert con.stars == (SpherePoint(math.pi, 0.0, 2),)
+        geom = _ClusterGeometry(np.array([1.0, 1.0]), 1.0, 3)
+        assert geom.noise_radius(np.array([1.0, np.inf, 0.0])) == 0.0
+        want = (math.pi - 2.0 * math.atan(0.5), 0.0)
+        assert geom.representative(np.array([1.0, np.inf, 0.0])) == want
+
+    def test_root_polished_to_infinity_is_a_south_star(self, monkeypatch):
+        # z^2 - 1 read as a 3-qubit polynomial, with one companion root overflowing
+        polyroots = np.polynomial.polynomial.polyroots
+
+        def overflowing(c):
+            return np.concatenate(([complex(np.inf, np.nan)], polyroots(c)[1:]))
+
+        monkeypatch.setattr(np.polynomial.polynomial, "polyroots", overflowing)
+        con = find_stars(np.array([-1.0, 0.0, 1.0]), 3)
+        assert con.partition == (2, 1)
+        assert con.stars[0] == SpherePoint(math.pi, 0.0, 2)
+        assert con.stars[1].theta == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 class TestClusterMachinery:
@@ -339,6 +420,11 @@ class TestCoherent:
     def test_non_finite_angles(self, direction):
         with pytest.raises(ValidationError, match="finite angles"):
             coherent_state(direction, 3)
+
+    @pytest.mark.parametrize("n", [1030, 1100, 10**20])
+    def test_binomial_overflow_is_numeric(self, n):
+        with pytest.raises(NumericError, match="float range"):
+            coherent_state((0.3, 0.0), n)
 
 
 class TestRotationCovariance:

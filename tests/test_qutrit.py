@@ -195,3 +195,8 @@ class TestPhiFamily:
     def test_rejects_both_zero(self):
         with pytest.raises(ValidationError):
             phi_family(0, 0)
+
+    @pytest.mark.parametrize("alpha,beta", [(1e100, 1), (1e154, 1), (1, 1e100), (1e300, 1e-300)])
+    def test_overflow_is_numeric(self, alpha, beta):
+        with pytest.raises(NumericError, match="overflowed"):
+            phi_family(alpha, beta)

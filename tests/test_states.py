@@ -21,7 +21,7 @@ from entkit import (
 from conftest import rand_state
 
 import entkit.states
-from entkit.majorana import coherent_state, dicke_state
+from entkit.majorana import DickeExpansion, coherent_state, dicke_state
 from entkit.states import make_state_raw
 
 R2 = 1.0 / math.sqrt(2.0)
@@ -122,6 +122,23 @@ class TestConstructors:
         assert make_state_raw((2,) * 10, {(0,) * 10: 1.0})[1] == 1.0
         assert dicke_state(coherent_state((0.4, 1.0), 10)).dims == (2,) * 10
 
+    @pytest.mark.parametrize("n", [25, 100000, 10**20])
+    def test_qubit_count_checked_before_building(self, n):
+        # 2**n is never formed: at n = 100000 its decimal form is too long to print
+        with pytest.raises(ValidationError, match="storage cap"):
+            ghz_state(n)
+
+    def test_dicke_qubit_count_checked_before_building(self):
+        c = np.zeros(100001)
+        c[0] = 1.0
+        with pytest.raises(ValidationError, match="storage cap"):
+            dicke_state(DickeExpansion(100000, c))
+
+    @pytest.mark.parametrize("entries", [[(0, 1.0)], [((0.5,), 1.0)], [("a", 1.0)]])
+    def test_rejects_index_that_is_not_integers(self, entries):
+        with pytest.raises(ValidationError, match="not a sequence of integers"):
+            make_state((2,), entries)
+
 
 class TestStateVector:
     def test_amplitudes_read_only(self):
@@ -136,6 +153,10 @@ class TestStateVector:
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError):
             StateVector((2,), np.array([np.inf, 0.0]))
+
+    def test_strided_amplitudes_accepted(self):
+        s = StateVector((2,), np.array([1, 0, 0, 0], dtype=complex)[::2])
+        assert s.amplitudes.tolist() == [1, 0]
 
     @pytest.mark.parametrize("amps", [[3, 0, 0, 0], [0, 0, 0, 0], [1, 1e-4, 0, 0]])
     def test_non_unit_norm_rejected(self, amps):
