@@ -46,7 +46,7 @@ def cayley_hyperdeterminant(state: StateVector) -> complex:
         raise ValidationError(
             f"cayley_hyperdeterminant needs dims (2, 2, 2), got {state.dims}"
         )
-    return complex(_cayley(state.tensor()))
+    return complex(_cayley(state.tensor()[None])[0])
 
 
 def _cayley(c):

@@ -298,11 +298,13 @@ def _scaled_core(a: np.ndarray) -> tuple[np.ndarray, float, int, int]:
     The scale satisfies s^d = |a_lo / a_hi| over the outermost nonzero
     coefficients a_lo, a_hi (d = hi - lo), clamped to [e^-708, e^708],
     and is applied in log space.  One trim of the scaled coefficients
-    then strips both the exact zero ends and the coefficients that
-    underflow in the rescale; each stripped coefficient is one star at
-    the corresponding pole.  Returns the scaled coefficients (max
-    modulus 1), the scale s, and the star counts at the south pole
-    (infinity) and the north pole (zero).
+    then strips the ends below the smallest normal float: the exact
+    zeros, the coefficients that underflow in the rescale and the
+    subnormal ones, whose reciprocals would overflow the companion
+    matrix.  Each stripped coefficient is one star at the corresponding
+    pole.  Returns the scaled coefficients (max modulus 1), the scale
+    s, and the star counts at the south pole (infinity) and the north
+    pole (zero).
     """
     nz = np.flatnonzero(a)
     lo, hi = int(nz[0]), int(nz[-1])
@@ -316,7 +318,7 @@ def _scaled_core(a: np.ndarray) -> tuple[np.ndarray, float, int, int]:
     c = np.ldexp(c.view(np.float64), -np.repeat(np.frexp(np.abs(c))[1], 2)).view(np.complex128)
     b = np.zeros(len(a), dtype=np.complex128)
     b[nz] = np.exp(logb - np.max(logb)) * (c / np.abs(c))
-    kept = np.flatnonzero(b)
+    kept = np.flatnonzero(np.abs(b) >= np.finfo(float).tiny)
     return b[kept[0] : kept[-1] + 1], math.exp(logs), len(a) - 1 - kept[-1], kept[0]
 
 

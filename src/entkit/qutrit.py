@@ -47,6 +47,9 @@ _ANTI_CYCLIC = ((0, 2, 1), (1, 0, 2), (2, 1, 0))
 _PHI_ALPHA = ((2, 1, 0), (0, 1, 2))
 _PHI_BETA = ((2, 0, 1), (0, 2, 1), (1, 2, 0), (1, 0, 2))
 
+#: a primitive cube root of unity
+_OMEGA = cmath.exp(2j * cmath.pi / 3)
+
 
 @dataclass(frozen=True)
 class NormalFormCoefficients:
@@ -113,23 +116,62 @@ def build_normal_form_state(coeffs: NormalFormCoefficients) -> StateVector:
     return make_state((3, 3, 3), entries)
 
 
-def _delta_factored(a1: complex, a2: complex, a3: complex) -> complex:
+def _delta_factored(a1: complex, a2: complex, a3: complex) -> tuple[complex, list[complex]]:
+    """Delta on this family and the twelve linear forms whose cubes it multiplies."""
     # Delta restricted to this family factors into the twelve linear
     # forms a1, a2, a3 and a1 + w^j a2 + w^k a3 (w a primitive cube
     # root of unity), each cubed, with overall constant -4.  The
     # product form is exact algebra and avoids the catastrophic
     # cancellation of the expanded combination.
-    w = cmath.exp(2j * cmath.pi / 3)
+    forms = [a1 + _OMEGA**j * a2 + _OMEGA**k * a3 for j in range(3) for k in range(3)]
     prod = (a1 * a2 * a3) ** 3
-    for j in range(3):
-        for k in range(3):
-            prod *= (a1 + w**j * a2 + w**k * a3) ** 3
-    return -4.0 * prod
+    for f in forms:
+        prod *= f**3
+    return -4.0 * prod, [a1, a2, a3] + forms
 
 
 def _ldexp(z: complex, e: int) -> complex:
     """``z * 2**e``, part by part; raises OverflowError past the float range."""
     return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
+
+
+def _exponent(z: complex) -> int:
+    """The e with 2**(e-1) <= max(|Re z|, |Im z|) < 2**e; 0 for z = 0."""
+    return math.frexp(max(abs(z.real), abs(z.imag)))[1]
+
+
+def _in_range(value: complex, shift: int = 0, factors=None) -> complex:
+    """``value * 2**shift``, checked against the float range.
+
+    ``factors``, when given, are numbers whose product times ``2**shift``
+    is ``value`` in exact algebra.  A product of nonzero factors is not
+    0, so when ``value`` rounded to 0 (a partial product underflowed)
+    it is recomputed as that product with the power of two carried
+    apart.  Other zeros are kept: an exact zero factor, or a difference
+    that cancels.
+
+    Raises
+    ------
+    NumericError
+        If the value overflows, or a nonzero one lands below the
+        smallest normal float.
+    """
+    if value == 0 and factors is not None and all(factors):
+        value = 1 + 0j
+        for f in factors:
+            k = _exponent(f)
+            value *= _ldexp(f, -k)
+            j = _exponent(value)
+            value, shift = _ldexp(value, -j), shift + k + j
+    try:
+        out = _ldexp(value, shift)
+    except OverflowError as exc:
+        raise NumericError(f"invariants overflowed; rescale the coefficients ({exc})") from None
+    if not cmath.isfinite(out):
+        raise NumericError("invariants overflowed; rescale the coefficients")
+    if value != 0 and max(abs(out.real), abs(out.imag)) < sys.float_info.min:
+        raise NumericError("invariants underflowed; rescale the coefficients")
+    return out
 
 
 def fundamental_invariants(coeffs: NormalFormCoefficients) -> QutritInvariantReport:
@@ -159,26 +201,25 @@ def fundamental_invariants(coeffs: NormalFormCoefficients) -> QutritInvariantRep
     # on the triple divided by the power of two 2**e just above its largest
     # part, then multiply by 2**(degree * e).  Both scalings are exact, so
     # the values are those of the unscaled triple, and an underflow is
-    # caught instead of read as a vanishing invariant.
+    # caught instead of read as a vanishing invariant.  I9 and Delta are
+    # product forms: I9 = -prod_{i<j} prod_k (a_i - w^k a_j).
     e = math.frexp(max(max(abs(v.real), abs(v.imag)) for v in coeffs.as_tuple()))[1]
     a1, a2, a3 = (_ldexp(v, -e) for v in coeffs.as_tuple())
     c1, c2, c3 = a1**3, a2**3, a3**3
     i6 = a1**6 + a2**6 + a3**6 - 10.0 * (c1 * c2 + c1 * c3 + c2 * c3)
     i9 = -(c1 - c2) * (c1 - c3) * (c2 - c3)
+    i9_forms = [x - _OMEGA**k * y for x, y in ((a1, a2), (a1, a3), (a2, a3)) for k in range(3)]
     s = c1 + c2 + c3
     i12 = -s * (s**3 + (6.0 * a1 * a2 * a3) ** 3)
     j12 = (-i12 - i6**2) / 24.0
-    delta = _delta_factored(a1, a2, a3)
-    values = []
-    for v, degree in ((i6, 6), (i9, 9), (i12, 12), (j12, 12), (delta, 36)):
-        try:
-            value = _ldexp(v, degree * e)
-        except OverflowError as exc:
-            raise NumericError(f"invariants overflowed; rescale the coefficients ({exc})")
-        if v != 0 and max(abs(value.real), abs(value.imag)) < sys.float_info.min:
-            raise NumericError("invariants underflowed; rescale the coefficients")
-        values.append(value)
-    return QutritInvariantReport(*values)
+    delta, delta_forms = _delta_factored(a1, a2, a3)
+    return QutritInvariantReport(
+        i6=_in_range(i6, 6 * e),
+        i9=_in_range(i9, 9 * e, [-1.0] + i9_forms),
+        i12=_in_range(i12, 12 * e),
+        j12=_in_range(j12, 12 * e),
+        delta=_in_range(delta, 36 * e, [-4.0] + 3 * delta_forms),
+    )
 
 
 # -- exact-rational helpers for the Delta combination ----------------------
@@ -258,7 +299,8 @@ def phi_family(alpha: complex, beta: complex) -> PhiFamilyResult:
     Raises
     ------
     NumericError
-        If an invariant or the closed form overflows.
+        If an invariant or the closed form overflows, or a nonzero one
+        underflows below the smallest normal float.
     """
     alpha = complex(alpha)
     beta = complex(beta)
@@ -275,11 +317,13 @@ def phi_family(alpha: complex, beta: complex) -> PhiFamilyResult:
         i6 = -8.0 * alpha**2 * beta**4
         j12 = -(i6**2) / 24.0
         closed = complex((4096.0 / 27.0) * (alpha * beta**2) ** 12)
-        finite = all(cmath.isfinite(v) for v in (i6, j12, closed))
     except OverflowError:
-        finite = False
-    if not finite:
-        raise NumericError("phi-family invariants overflowed; rescale alpha and beta")
+        raise NumericError("invariants overflowed; rescale the coefficients") from None
+    # I6, J12 = -(8/3) alpha^4 beta^8 and the closed form: monomials c alpha^p beta^q
+    i6, j12, closed = (
+        _in_range(v, factors=[c] + p * [alpha] + q * [beta])
+        for v, c, p, q in ((i6, -8.0, 2, 4), (j12, -8.0 / 3.0, 4, 8), (closed, 4096.0 / 27.0, 12, 24))
+    )
     report = QutritInvariantReport(i6=i6, i9=0j, i12=0j, j12=j12, delta=0j)
     report = replace(report, delta=hyperdeterminant_333(report))
     return PhiFamilyResult(state=state, report=report, delta=closed)

@@ -9,7 +9,13 @@ stay at rounding level while the negative control moves at order one.
 Trials run in stacked blocks: each sampler below is the one-trial case
 of a map on a leading trial axis, and the suite applies that map, the
 unitarity and norm checks, the contraction and the functional once per
-block.
+block.  The public single-state path runs the same kernels on a stack
+of one trial: :func:`~entkit.states.apply_local_unitary` contracts with
+the suite's contraction and :func:`named_invariant` evaluates the
+suite's functional, so trial t replayed through :func:`trial_rng`, the
+single-draw samplers, :class:`~entkit.states.LocalUnitary`,
+:func:`~entkit.states.apply_local_unitary` and the invariant gives the
+suite's value bit for bit.
 """
 
 from __future__ import annotations
@@ -21,14 +27,15 @@ import numpy as np
 
 from . import states
 from .hyperdet import _cayley, cayley_hyperdeterminant
-from .schmidt import _det2, _ranks, bipartite_determinant, schmidt_decompose
 
-# LocalUnitary and apply_local_unitary are unused here, but
-# perfbench/tracing.py patches both names on this module
+# LocalUnitary, apply_local_unitary and schmidt_decompose are unused here,
+# but perfbench/tracing.py patches these names on this module
+from .schmidt import _det2, _ranks, bipartite_determinant, schmidt_decompose  # noqa: F401
 from .states import (  # noqa: F401
     LocalUnitary,
     StateVector,
     ValidationError,
+    _apply_block,
     _as_complex_array,
     _check_unit_norm,
     _check_unitary,
@@ -195,49 +202,30 @@ def _draw_block(maps, seed: int, start: int, stop: int) -> list:
         fresh["state"]["key"][:] = (t, seed)  # (low, high) words of (seed << 64) | t
         bits.state = fresh
         gen.standard_normal(out=normals[row])
-    factors, offset = [], 0
-    for n, to_unitary in maps:
-        factors.append(to_unitary(normals[:, offset : offset + n]))
-        offset += n
-    return factors
-
-
-def _apply_block(tensor: np.ndarray, factors: list) -> np.ndarray:
-    """``(U_1 x ... x U_N) tensor`` for each trial, stacked on a leading axis."""
-    t = tensor.reshape(1, -1)
-    left = 1
-    for u in factors:
-        d = u.shape[-1]
-        # party k as the middle axis of (trial, parties before, d, parties after)
-        t = u[:, None] @ t.reshape(len(t), left, d, -1)
-        left *= d
-    return t.reshape((len(t),) + tensor.shape)
-
-
-def _schmidt_rank_first(state: StateVector) -> float:
-    return float(schmidt_decompose(state, (0,)).rank)
+    runs = np.split(normals, np.cumsum([n for n, _ in maps])[:-1], axis=1)
+    return [to_unitary(g) for (_, to_unitary), g in zip(maps, runs)]
 
 
 def _schmidt_ranks_first(t: np.ndarray) -> np.ndarray:
+    if t.ndim < 3:
+        raise ValidationError("schmidt-rank needs at least two parties")
     s = np.linalg.svd(t.reshape(t.shape[0], t.shape[1], -1), compute_uv=False)
     return _ranks(s).astype(float)
 
 
-#: name -> (the functional of one state, the same functional of a stack of
-#: amplitude tensors with a leading trial axis)
+#: name -> the functional of a stack of amplitude tensors with a leading
+#: trial axis; one state is the stack of one trial
 _REGISTRY = {
-    "norm": (
-        lambda s: s.norm(),
-        lambda t: np.linalg.norm(t.reshape(len(t), -1), axis=-1),
-    ),
-    "det": (bipartite_determinant, _det2),
-    "hyperdet3q": (cayley_hyperdeterminant, _cayley),
-    "schmidt-rank": (_schmidt_rank_first, _schmidt_ranks_first),
-    "amp00": (
-        lambda s: complex(s.amplitudes[0]),
-        lambda t: t.reshape(len(t), -1)[:, 0],
-    ),
+    "norm": lambda t: np.linalg.norm(t.reshape(len(t), -1), axis=-1),
+    "det": _det2,
+    "hyperdet3q": _cayley,
+    "schmidt-rank": _schmidt_ranks_first,
+    "amp00": lambda t: t.reshape(len(t), -1)[:, 0],
 }
+
+#: registry names whose one-state functional is the public function, which
+#: checks the state's dims first
+_PUBLIC = {"det": bipartite_determinant, "hyperdet3q": cayley_hyperdeterminant}
 
 
 def named_invariant(invariant):
@@ -245,7 +233,10 @@ def named_invariant(invariant):
 
     Accepts a registry name ("norm", "det", "hyperdet3q",
     "schmidt-rank", or the deliberately non-invariant control "amp00"),
-    a (label, callable) pair, or a bare callable.
+    a (label, callable) pair, or a bare callable.  A registry name's
+    callable evaluates the suite's stacked functional on one state as a
+    one-trial stack; for "det" and "hyperdet3q" it is the public
+    function, which checks the dims first.
     """
     if isinstance(invariant, str):
         key = invariant.lower()
@@ -253,7 +244,8 @@ def named_invariant(invariant):
             raise ValidationError(
                 f"unknown invariant {invariant!r}; known: {sorted(_REGISTRY)}"
             )
-        return key, _REGISTRY[key][0]
+        stacked = _REGISTRY[key]
+        return key, _PUBLIC.get(key) or (lambda s: stacked(s.tensor()[None])[0].item())
     if callable(invariant):
         return getattr(invariant, "__name__", "custom"), invariant
     label, fn = invariant
@@ -282,8 +274,12 @@ def invariance_suite(
     size; trial t still draws from the Philox stream keyed (seed, t),
     so any trial replays alone through :func:`trial_rng` and the
     single-draw functions, and the report does not depend on the block
-    size.  Runs with equal (seed, trials) are bitwise identical.  Every
-    block's factors must pass the unitarity check of
+    size.  The replayed trial's :func:`~entkit.states.apply_local_unitary`
+    equals the suite's contraction bit for bit, and for a registry name
+    so does its :func:`named_invariant` value: the suite and the
+    single-state API run the same kernels, one state being a stack of
+    one trial.  Runs with equal (seed, trials) are bitwise identical.
+    Every block's factors must pass the unitarity check of
     :class:`~entkit.states.LocalUnitary` and its transformed states the
     finite-and-norm check of :class:`~entkit.states.StateVector`.
     Registry functionals are evaluated on the whole block; a custom
@@ -311,7 +307,7 @@ def invariance_suite(
     if trials > states.MAX_ENTRIES:
         raise ValidationError(f"trials {trials} exceeds the cap {states.MAX_ENTRIES}")
     label, fn = named_invariant(invariant)
-    stacked = _REGISTRY[label][1] if isinstance(invariant, str) else _per_row(fn, state.dims)
+    stacked = _REGISTRY[label] if isinstance(invariant, str) else _per_row(fn, state.dims)
     maps = _group_maps(state, group)
     baseline = fn(state)
     seed = _philox_key(seed, trials - 1)[0]

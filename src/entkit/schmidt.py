@@ -163,7 +163,7 @@ def bipartite_determinant(state: StateVector, rescale: bool = False) -> complex:
     """
     if state.dims != (2, 2):
         raise ValidationError(f"bipartite_determinant needs dims (2, 2), got {state.dims}")
-    det = complex(_det2(state.tensor()))
+    det = complex(_det2(state.tensor()[None])[0])
     return 2.0 * det if rescale else det
 
 

@@ -52,10 +52,15 @@ class NumericError(ArithmeticError):
 
 
 def _check_size(size: int) -> None:
-    """Reject a dense amplitude count above ``MAX_ENTRIES``; call before allocating."""
+    """Reject a dense amplitude count above ``MAX_ENTRIES``; call before allocating.
+
+    The message gives the count's power of two: the decimal digits of a
+    huge count exceed Python's integer-to-string limit.
+    """
     if size > MAX_ENTRIES:
         raise ValidationError(
-            f"state size {size} exceeds the dense storage cap {MAX_ENTRIES}"
+            f"state size of at least 2**{size.bit_length() - 1} amplitudes exceeds "
+            f"the dense storage cap {MAX_ENTRIES}"
         )
 
 
@@ -310,18 +315,32 @@ def apply_local_unitary(state: StateVector, u: LocalUnitary) -> StateVector:
     Returns
     -------
     StateVector
-        The transformed state; the norm is preserved by unitarity.
+        The transformed state; the norm is preserved by unitarity.  The
+        contraction is that of the invariance suite's stacked trials,
+        run on a stack of one, so the amplitudes equal the suite's bit
+        for bit.
     """
     if u.dims != state.dims:
         raise ValidationError(
             f"factor dims {u.dims} do not match state dims {state.dims}"
         )
-    t = state.tensor()
-    n = state.n_parties
-    for k, f in enumerate(u.factors):
-        # contract factor k with axis k, then restore the axis position
-        t = np.moveaxis(np.tensordot(f, t, axes=([1], [k])), 0, k)
-    return StateVector(state.dims, t.reshape(-1))
+    return StateVector(state.dims, _apply_block(state.tensor(), [f[None] for f in u.factors])[0])
+
+
+def _apply_block(tensor: np.ndarray, factors: list) -> np.ndarray:
+    """``(U_1 x ... x U_N) tensor`` for each trial, stacked on a leading axis.
+
+    ``factors`` holds one ``(trials, d, d)`` array per party; one state
+    is the stack of one trial.
+    """
+    t = tensor.reshape(1, -1)
+    left = 1
+    for u in factors:
+        d = u.shape[-1]
+        # party k as the middle axis of (trial, parties before, d, parties after)
+        t = u[:, None] @ t.reshape(len(t), left, d, -1)
+        left *= d
+    return t.reshape((len(t),) + tensor.shape)
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:

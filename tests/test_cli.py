@@ -281,6 +281,21 @@ class TestOutputs:
         assert (code, err) == (0, "")
         assert "Def 4: level-1  [partition 2]" in out
 
+    def test_subnormal_end_amplitudes_read(self, tmp_path, capsys):
+        # subnormal |00> and |11>: one star at each pole, not a LinAlgError
+        path = tmp_path / "ends.json"
+        amps = [
+            {"index": [0, 0], "re": 1e-310},
+            {"index": [0, 1], "re": 1.0},
+            {"index": [1, 0], "re": 1.0},
+            {"index": [1, 1], "re": 1e-310},
+        ]
+        path.write_text(json.dumps({"dims": [2, 2], "amplitudes": amps}))
+        code, out, _ = run(capsys, "majorana", str(path))
+        assert code == 0
+        thetas = sorted(float(line.split(",")[0]) for line in out.splitlines()[1:])
+        assert thetas == [0.0, pytest.approx(math.pi, abs=1e-11)]
+
 
 class TestExitCodes:
     def test_wrong_dims_is_validation(self, tmp_path, capsys):
@@ -326,6 +341,27 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert "underflowed" in err
+
+    def test_invariant_rounding_to_zero_is_numeric(self, tmp_path, capsys):
+        # the product forms I9, Delta and phi's monomials underflow to 0
+        out_file = str(tmp_path / "phi.json")
+        for argv in (
+            ["qutrit-inv", "1", "1e-200", "2e-200"],
+            ["gen", "phi", "--alpha", "1e-200", "--beta", "1", "--out", out_file],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, "")
+            assert "underflowed" in err
+
+    def test_state_size_beyond_int_printing_is_validation(self, tmp_path, capsys):
+        # 2**15000 amplitudes: its decimal form exceeds Python's 4300-digit limit
+        path = tmp_path / "huge_dims.json"
+        amps = [{"index": [0] * 15000, "re": 1.0}]
+        path.write_text(json.dumps({"dims": [2] * 15000, "amplitudes": amps}))
+        for command in ("schmidt", "classify", "majorana"):
+            code, _, err = run(capsys, command, str(path))
+            assert code == 2
+            assert "2**15000" in err
 
     def test_norm_overflow_is_validation(self, tmp_path, capsys):
         path = tmp_path / "huge.json"

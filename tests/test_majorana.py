@@ -222,6 +222,16 @@ class TestFindStars:
         assert con.partition == (n,)
         assert con.stars[0].theta == pytest.approx(theta, abs=1e-150)
 
+    def test_subnormal_end_coefficients_are_pole_stars(self):
+        # |00> and |11> at 1e-310 beside |01> + |10>: both end coefficients stay
+        # subnormal after scaling, and a companion matrix dividing by them overflows
+        e = symmetrize_check(
+            make_state([2, 2], {(0, 0): 1e-310, (0, 1): 1.0, (1, 0): 1.0, (1, 1): 1e-310})
+        )
+        con = find_stars(majorana_polynomial(e), 2)
+        assert con.partition == (1, 1)
+        assert sorted(s.theta for s in con.stars) == [0.0, math.pi]
+
     @pytest.mark.parametrize("theta", [0.001, math.pi - 0.001])
     def test_subnormal_coherent_coefficients(self, theta):
         # from n = 94 on the coefficients far from the star's pole are

@@ -110,8 +110,27 @@ class TestInvariants:
             assert got == want * 2.0 ** (-20 * degree)
 
     def test_exact_zeros_stay_zero(self):
-        r = fundamental_invariants(NormalFormCoefficients(1e-20, 1e-20, 0))
-        assert r.i9 == 0 and r.delta == 0
+        # a zero factor of the product forms (a1 = a2, a3 = 0), and J12's
+        # cancelling difference at (1, 0, 0)
+        for triple in [(1e-20, 1e-20, 0), (1, 1, 0)]:
+            r = fundamental_invariants(NormalFormCoefficients(*triple))
+            assert r.i9 == 0 and r.delta == 0
+        assert fundamental_invariants(NormalFormCoefficients(1, 0, 0)).j12 == 0
+
+    def test_product_form_rounding_to_zero_raises_numeric(self):
+        # a2^3 and a3^3 underflow, so (a2^3 - a3^3) and I9 round to 0;
+        # the true I9 and Delta are nonzero and below the smallest normal float
+        with pytest.raises(NumericError, match="underflowed"):
+            fundamental_invariants(NormalFormCoefficients(1, 1e-200, 2e-200))
+
+    def test_product_form_lost_in_scaling_is_recomputed(self):
+        # scaled by 2**-81, a2^3 and a3^3 underflow and the float I9 and
+        # Delta come out 0; their factors carry the true, normal values
+        a = (Fraction(2) ** 80, Fraction(2) ** -300, Fraction(2) ** -299)
+        r = fundamental_invariants(NormalFormCoefficients(*(float(x) for x in a)))
+        _, i9, _, _, delta = exact_invariants(*a)
+        assert r.i9 == pytest.approx(float(i9), rel=1e-12)
+        assert r.delta == pytest.approx(float(delta), rel=1e-12)
 
     def test_combination_overflow_raises_numeric(self):
         # every invariant is finite, but the rounded Delta combination is not
@@ -200,3 +219,14 @@ class TestPhiFamily:
     def test_overflow_is_numeric(self, alpha, beta):
         with pytest.raises(NumericError, match="overflowed"):
             phi_family(alpha, beta)
+
+    @pytest.mark.parametrize("alpha,beta", [(1e-200, 1), (1, 1e-100), (1e-160, 1)])
+    def test_underflow_is_numeric(self, alpha, beta):
+        # I6 = -8 alpha^2 beta^4 rounds to 0 (or to a subnormal at 1e-160)
+        with pytest.raises(NumericError, match="underflowed"):
+            phi_family(alpha, beta)
+
+    @pytest.mark.parametrize("alpha,beta", [(0, 1), (1, 0)])
+    def test_zero_parameter_gives_zero_invariants(self, alpha, beta):
+        res = phi_family(alpha, beta)
+        assert res.report.i6 == res.report.j12 == res.delta == 0

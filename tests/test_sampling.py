@@ -34,8 +34,6 @@ DIMS_GROUPS = [
     ((3, 3, 3), "su"), ((3, 3, 3), "u"), ((3, 3, 3), "u3"),
 ]
 
-ULP = np.finfo(float).eps
-
 #: the benchmark's five state/invariant/group cases
 REFERENCE_CASES = [
     (ghz_state(3), "hyperdet3q", "su"),
@@ -215,6 +213,10 @@ class TestInvarianceSuite:
         assert label == "schmidt-rank"
         assert fn(bell_state("phi+")) == 2.0
 
+    def test_schmidt_rank_needs_two_parties(self):
+        with pytest.raises(ValidationError, match="at least two parties"):
+            invariance_suite(StateVector((2,), [1.0, 0.0]), "schmidt-rank", trials=3)
+
 
 class TestStackedTrials:
     @settings(max_examples=40, deadline=None)
@@ -241,19 +243,15 @@ class TestStackedTrials:
         rows = [StateVector(dims, t) for t in out]
         for row, r in enumerate(rows):
             lu = LocalUnitary(tuple(f[row] for f in factors))
-            want = apply_local_unitary(state, lu).amplitudes
-            assert np.max(np.abs(r.amplitudes - want)) <= 8 * ULP
+            assert np.array_equal(r.amplitudes, apply_local_unitary(state, lu).amplitudes)
         names = ["norm", "amp00", "schmidt-rank"]
         names += {(2, 2): ["det"], (2, 2, 2): ["hyperdet3q"]}.get(dims, [])
         for name in names:
-            scalar, stacked = sampling._REGISTRY[name]
-            got = stacked(out)
-            for g, r in zip(got, rows):
-                want = scalar(r)
-                if name == "schmidt-rank":
-                    assert g == want == schmidt_decompose(r, (0,)).rank
-                else:
-                    assert abs(g - want) <= 4 * ULP * max(1.0, abs(want))
+            got = sampling._REGISTRY[name](out)
+            _, one = named_invariant(name)
+            assert list(got) == [one(r) for r in rows]
+            if name == "schmidt-rank":
+                assert list(got) == [schmidt_decompose(r, (0,)).rank for r in rows]
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2**64 - 1), st.integers(1, 40), st.sampled_from(["su", "u", "su2"]))
@@ -266,17 +264,19 @@ class TestStackedTrials:
 
     @pytest.mark.parametrize("state,invariant,group", REFERENCE_CASES)
     def test_report_matches_per_trial_loop(self, state, invariant, group):
-        # the per-trial loop the engine replaced, kept here as the reference
+        # the per-trial loop the engine replaced, kept here as the reference:
+        # each trial replayed through the public single-state API
         _, fn = named_invariant(invariant)
         tokens = [group] * state.n_parties
-        drifts = []
+        values = []
         for t in range(60):
             rng = trial_rng(5, t)
             lu = LocalUnitary(tuple(single_draw(g, d, rng) for g, d in zip(tokens, state.dims)))
-            drifts.append(abs(fn(apply_local_unitary(state, lu)) - fn(state)))
+            values.append(fn(apply_local_unitary(state, lu)))
+        drifts = np.abs(np.array(values) - fn(state))
         rep = invariance_suite(state, invariant, group, trials=60, seed=5)
-        assert rep.max_abs_drift == pytest.approx(max(drifts), rel=1e-12, abs=8 * ULP)
-        assert rep.mean_abs_drift == pytest.approx(np.mean(drifts), rel=1e-12, abs=8 * ULP)
+        assert rep.max_abs_drift == np.max(drifts)
+        assert rep.mean_abs_drift == np.mean(drifts)
 
     @pytest.mark.parametrize("state,invariant,group", REFERENCE_CASES)
     def test_report_independent_of_block_size(self, monkeypatch, state, invariant, group):

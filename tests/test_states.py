@@ -122,6 +122,12 @@ class TestConstructors:
         assert make_state_raw((2,) * 10, {(0,) * 10: 1.0})[1] == 1.0
         assert dicke_state(coherent_state((0.4, 1.0), 10)).dims == (2,) * 10
 
+    @pytest.mark.parametrize("build", [make_state, make_state_raw])
+    def test_size_cap_message_for_a_huge_size(self, build):
+        # the decimal form of 2**15000 is longer than int-to-str allows
+        with pytest.raises(ValidationError, match=r"at least 2\*\*15000 amplitudes"):
+            build((2,) * 15000, {(0,) * 15000: 1.0})
+
     @pytest.mark.parametrize("n", [25, 100000, 10**20])
     def test_qubit_count_checked_before_building(self, n):
         # 2**n is never formed: at n = 100000 its decimal form is too long to print
