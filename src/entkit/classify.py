@@ -176,12 +176,15 @@ def classify_state(
         schmidt_decompose(state, (k,), tolerance).lambdas for k in range(state.n_parties)
     ]
     d3, warnings = _definition_3(state, lambdas, tolerance)
-    checks = (
-        _definition_1(lambdas),
-        _definition_2(lambdas),
-        d3,
-        _definition_4(state, tolerance),
-    )
+    d1, d4 = _definition_1(lambdas), _definition_4(state, tolerance)
+    # for a symmetric state, level-1 (one distinct star) means product
+    if d4.verdict.startswith("level-") and (d4.verdict == "level-1") != (d1.verdict == "product"):
+        warnings.append(
+            f"definitions disagree: Definition 1 finds the state {d1.verdict} but "
+            f"Definition 4 gives {d4.verdict}; the stellar decomposition may have "
+            "merged or split stars"
+        )
+    checks = (d1, _definition_2(lambdas), d3, d4)
     return ClassificationReport(
         state_id=state_id, checks=checks, warnings=tuple(warnings)
     )

@@ -30,10 +30,10 @@ from .majorana import (
 )
 from .qutrit import (
     NormalFormCoefficients,
+    _phi_state,
     build_normal_form_state,
     fundamental_invariants,
     hyperdeterminant_333,
-    phi_family,
 )
 from .sampling import invariance_suite
 from .schmidt import bipartite_determinant, schmidt_decompose
@@ -317,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g = generator("qutrit-nf", lambda a: build_normal_form_state(_coefficients(a)))
     for a in ("a1", "a2", "a3"):
         g.add_argument(a, type=complex)
-    g = generator("phi", lambda a: phi_family(a.alpha, a.beta).state)
+    g = generator("phi", lambda a: _phi_state(a.alpha, a.beta))
     g.add_argument("--alpha", type=complex, required=True)
     g.add_argument("--beta", type=complex, required=True)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -82,7 +82,7 @@ class QutritInvariantReport:
     form that is numerically stable; the expanded combination of the
     other fields loses up to twelve digits to cancellation in double
     precision.  The J12 relation -I12 - I6^2 = 24 J12 holds by
-    construction.
+    construction.  Every field must be finite.
     """
 
     i6: complex
@@ -91,11 +91,21 @@ class QutritInvariantReport:
     j12: complex
     delta: complex
 
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if not cmath.isfinite(getattr(self, f.name)):
+                raise ValidationError(f"{f.name} is not finite")
+
 
 class PhiFamilyResult(NamedTuple):
     state: StateVector
     report: QutritInvariantReport
     delta: complex
+
+
+def _slot_state(groups) -> StateVector:
+    """Normalized 3 x 3 x 3 state with each value on its triples; zero values are dropped."""
+    return make_state((3, 3, 3), {idx: v for slots, v in groups for idx in slots if v != 0})
 
 
 def build_normal_form_state(coeffs: NormalFormCoefficients) -> StateVector:
@@ -105,29 +115,18 @@ def build_normal_form_state(coeffs: NormalFormCoefficients) -> StateVector:
     (1,2,3), (2,3,1), (3,1,2) and a3 the anti-cyclic triples
     (1,3,2), (2,1,3), (3,2,1), in 1-based labels.
     """
-    entries = {}
-    for idx in _DIAGONAL:
-        entries[idx] = coeffs.a1
-    for idx in _CYCLIC:
-        entries[idx] = coeffs.a2
-    for idx in _ANTI_CYCLIC:
-        entries[idx] = coeffs.a3
-    entries = {k: v for k, v in entries.items() if v != 0}
-    return make_state((3, 3, 3), entries)
+    return _slot_state(zip((_DIAGONAL, _CYCLIC, _ANTI_CYCLIC), coeffs.as_tuple()))
 
 
-def _delta_factored(a1: complex, a2: complex, a3: complex) -> tuple[complex, list[complex]]:
-    """Delta on this family and the twelve linear forms whose cubes it multiplies."""
-    # Delta restricted to this family factors into the twelve linear
-    # forms a1, a2, a3 and a1 + w^j a2 + w^k a3 (w a primitive cube
-    # root of unity), each cubed, with overall constant -4.  The
-    # product form is exact algebra and avoids the catastrophic
-    # cancellation of the expanded combination.
-    forms = [a1 + _OMEGA**j * a2 + _OMEGA**k * a3 for j in range(3) for k in range(3)]
-    prod = (a1 * a2 * a3) ** 3
-    for f in forms:
-        prod *= f**3
-    return -4.0 * prod, [a1, a2, a3] + forms
+# -- scaled pairs -----------------------------------------------------------
+# A product form is carried as a pair (m, e) meaning m * 2**e, with the
+# larger part of m in [0.5, 1) (or m = 0), renormalized after every
+# operation.  No partial product can then overflow, nor its larger part
+# go subnormal, and since a power-of-two scale commutes with rounding, each
+# operation on the mantissas rounds exactly as the same operation on the
+# unscaled floats does wherever those stay in the normal range.
+
+_Pair = tuple[complex, int]
 
 
 def _ldexp(z: complex, e: int) -> complex:
@@ -135,20 +134,34 @@ def _ldexp(z: complex, e: int) -> complex:
     return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
 
 
-def _exponent(z: complex) -> int:
-    """The e with 2**(e-1) <= max(|Re z|, |Im z|) < 2**e; 0 for z = 0."""
-    return math.frexp(max(abs(z.real), abs(z.imag)))[1]
+def _scaled(z: complex, e: int = 0) -> _Pair:
+    """``z * 2**e`` as a scaled pair; a zero keeps its sign and the exponent ``e``."""
+    k = math.frexp(max(abs(z.real), abs(z.imag)))[1]
+    return _ldexp(z, -k), e + k
 
 
-def _in_range(value: complex, shift: int = 0, factors=None) -> complex:
+def _mul(*pairs: _Pair) -> _Pair:
+    """Product of scaled pairs, left to right; the first mantissa may be a float constant."""
+    (m, e), *rest = pairs
+    for fm, fe in rest:
+        m, e = _scaled(m * fm, e + fe)
+    return m, e
+
+
+def _pow(x: _Pair, n: int) -> _Pair:
+    """``x ** n`` for a scaled pair and a small positive integer ``n``."""
+    return _scaled(x[0] ** n, n * x[1])
+
+
+def _sub(x: _Pair, y: _Pair) -> _Pair:
+    """``x - y``, aligned at the larger exponent of the nonzero operands."""
+    (xm, xe), (ym, ye) = x, y
+    e = max(xe if xm else ye, ye if ym else xe)
+    return _scaled(_ldexp(xm, xe - e) - _ldexp(ym, ye - e), e)
+
+
+def _in_range(value: complex, shift: int) -> complex:
     """``value * 2**shift``, checked against the float range.
-
-    ``factors``, when given, are numbers whose product times ``2**shift``
-    is ``value`` in exact algebra.  A product of nonzero factors is not
-    0, so when ``value`` rounded to 0 (a partial product underflowed)
-    it is recomputed as that product with the power of two carried
-    apart.  Other zeros are kept: an exact zero factor, or a difference
-    that cancels.
 
     Raises
     ------
@@ -156,22 +169,31 @@ def _in_range(value: complex, shift: int = 0, factors=None) -> complex:
         If the value overflows, or a nonzero one lands below the
         smallest normal float.
     """
-    if value == 0 and factors is not None and all(factors):
-        value = 1 + 0j
-        for f in factors:
-            k = _exponent(f)
-            value *= _ldexp(f, -k)
-            j = _exponent(value)
-            value, shift = _ldexp(value, -j), shift + k + j
     try:
         out = _ldexp(value, shift)
     except OverflowError as exc:
         raise NumericError(f"invariants overflowed; rescale the coefficients ({exc})") from None
-    if not cmath.isfinite(out):
-        raise NumericError("invariants overflowed; rescale the coefficients")
     if value != 0 and max(abs(out.real), abs(out.imag)) < sys.float_info.min:
         raise NumericError("invariants underflowed; rescale the coefficients")
     return out
+
+
+def _delta_factored(pairs: list[_Pair], a: tuple[complex, ...], e: int) -> _Pair:
+    """Delta on this family as a scaled pair.
+
+    ``pairs`` holds the coefficient triple as scaled pairs, ``a`` the
+    triple times 2**-e.
+    """
+    # Delta restricted to this family factors into the twelve linear
+    # forms a1, a2, a3 and a1 + w^j a2 + w^k a3 (w a primitive cube
+    # root of unity), each cubed, with overall constant -4.  The
+    # product form is exact algebra and avoids the catastrophic
+    # cancellation of the expanded combination.  The sums are taken on
+    # the scaled triple, the single factors on the unscaled one.
+    a1, a2, a3 = a
+    forms = (_scaled(a1 + _OMEGA**j * a2 + _OMEGA**k * a3, e) for j in range(3) for k in range(3))
+    prod = _pow(_mul(*pairs), 3)
+    return _mul(prod, *(_pow(f, 3) for f in forms), (-4.0, 0))
 
 
 def fundamental_invariants(coeffs: NormalFormCoefficients) -> QutritInvariantReport:
@@ -197,28 +219,29 @@ def fundamental_invariants(coeffs: NormalFormCoefficients) -> QutritInvariantRep
     >>> (r.i6, r.i9, r.i12, r.j12)
     ((1+0j), -0j, (-1-0j), 0j)
     """
-    # each invariant is homogeneous (degrees 6, 9, 12, 12, 36): evaluate it
-    # on the triple divided by the power of two 2**e just above its largest
-    # part, then multiply by 2**(degree * e).  Both scalings are exact, so
-    # the values are those of the unscaled triple, and an underflow is
-    # caught instead of read as a vanishing invariant.  I9 and Delta are
-    # product forms: I9 = -prod_{i<j} prod_k (a_i - w^k a_j).
-    e = math.frexp(max(max(abs(v.real), abs(v.imag)) for v in coeffs.as_tuple()))[1]
-    a1, a2, a3 = (_ldexp(v, -e) for v in coeffs.as_tuple())
+    # I6, I12 and J12 are sums: each is homogeneous (degree 6, 12, 12), so
+    # evaluate it on the triple divided by the power of two 2**e just above
+    # its largest part, then multiply by 2**(degree * e).  Both scalings are
+    # exact, so the values are those of the unscaled triple, and an
+    # underflow is caught instead of read as a vanishing invariant.  I9 and
+    # Delta are product forms, carried as scaled pairs throughout.
+    pairs = [_scaled(v) for v in coeffs.as_tuple()]
+    e = max(k for m, k in pairs if m)
+    a = a1, a2, a3 = tuple(_ldexp(v, -e) for v in coeffs.as_tuple())
     c1, c2, c3 = a1**3, a2**3, a3**3
     i6 = a1**6 + a2**6 + a3**6 - 10.0 * (c1 * c2 + c1 * c3 + c2 * c3)
-    i9 = -(c1 - c2) * (c1 - c3) * (c2 - c3)
-    i9_forms = [x - _OMEGA**k * y for x, y in ((a1, a2), (a1, a3), (a2, a3)) for k in range(3)]
     s = c1 + c2 + c3
     i12 = -s * (s**3 + (6.0 * a1 * a2 * a3) ** 3)
     j12 = (-i12 - i6**2) / 24.0
-    delta, delta_forms = _delta_factored(a1, a2, a3)
+    p1, p2, p3 = (_pow(p, 3) for p in pairs)
+    d12, d13, d23 = _sub(p1, p2), _sub(p1, p3), _sub(p2, p3)
+    i9 = _mul((-d12[0], d12[1]), d13, d23)
     return QutritInvariantReport(
         i6=_in_range(i6, 6 * e),
-        i9=_in_range(i9, 9 * e, [-1.0] + i9_forms),
+        i9=_in_range(*i9),
         i12=_in_range(i12, 12 * e),
         j12=_in_range(j12, 12 * e),
-        delta=_in_range(delta, 36 * e, [-4.0] + 3 * delta_forms),
+        delta=_in_range(*_delta_factored(pairs, a, e)),
     )
 
 
@@ -255,10 +278,16 @@ def hyperdeterminant_333(report: QutritInvariantReport) -> complex:
         If the report violates -I12 - I6^2 = 24 J12 beyond relative
         1e-9.
     NumericError
-        If the rounded combination lies beyond the float range.
+        If that check or the rounded combination lies beyond the float
+        range.
     """
-    resid = abs(-report.i12 - report.i6**2 - 24.0 * report.j12)
-    scale = max(abs(report.i12), abs(report.i6) ** 2, 24.0 * abs(report.j12))
+    try:
+        resid = abs(-report.i12 - report.i6**2 - 24.0 * report.j12)
+        scale = max(abs(report.i12), abs(report.i6) ** 2, 24.0 * abs(report.j12))
+    except OverflowError:
+        resid = math.inf
+    if not math.isfinite(resid):
+        raise NumericError("the J12 relation check overflowed; rescale the coefficients")
     if resid > 1e-9 * max(scale, 1.0e-300):
         raise ValidationError(
             f"inconsistent report: J12 relation residual {resid:.3e} "
@@ -277,6 +306,13 @@ def hyperdeterminant_333(report: QutritInvariantReport) -> complex:
         return complex(float(total[0]), float(total[1]))
     except OverflowError as exc:
         raise NumericError(f"the Delta combination overflowed; rescale the coefficients ({exc})")
+
+
+def _phi_state(alpha: complex, beta: complex) -> StateVector:
+    """The normalized six-term state of :func:`phi_family`."""
+    if alpha == 0 and beta == 0:
+        raise ValidationError("alpha and beta cannot both be zero")
+    return _slot_state(((_PHI_ALPHA, alpha), (_PHI_BETA, beta)))
 
 
 def phi_family(alpha: complex, beta: complex) -> PhiFamilyResult:
@@ -301,29 +337,25 @@ def phi_family(alpha: complex, beta: complex) -> PhiFamilyResult:
     NumericError
         If an invariant or the closed form overflows, or a nonzero one
         underflows below the smallest normal float.
+
+    Examples
+    --------
+    Only the monomials have to lie in the float range, not the powers
+    of alpha and beta:
+
+    >>> res = phi_family(1e-200, 1e100)
+    >>> [round(v.real, 12) for v in (res.report.i6, res.report.j12, res.delta)]
+    [-8.0, -2.666666666667, 151.703703703704]
     """
-    alpha = complex(alpha)
-    beta = complex(beta)
-    if alpha == 0 and beta == 0:
-        raise ValidationError("alpha and beta cannot both be zero")
-    entries = {}
-    for idx in _PHI_ALPHA:
-        entries[idx] = alpha
-    for idx in _PHI_BETA:
-        entries[idx] = beta
-    entries = {k: v for k, v in entries.items() if v != 0}
-    state = make_state((3, 3, 3), entries)
-    try:
-        i6 = -8.0 * alpha**2 * beta**4
-        j12 = -(i6**2) / 24.0
-        closed = complex((4096.0 / 27.0) * (alpha * beta**2) ** 12)
-    except OverflowError:
-        raise NumericError("invariants overflowed; rescale the coefficients") from None
-    # I6, J12 = -(8/3) alpha^4 beta^8 and the closed form: monomials c alpha^p beta^q
-    i6, j12, closed = (
-        _in_range(v, factors=[c] + p * [alpha] + q * [beta])
-        for v, c, p, q in ((i6, -8.0, 2, 4), (j12, -8.0 / 3.0, 4, 8), (closed, 4096.0 / 27.0, 12, 24))
-    )
+    alpha, beta = complex(alpha), complex(beta)
+    state = _phi_state(alpha, beta)
+    # I6 = -8 alpha^2 beta^4, J12 = -I6^2 / 24 and the closed form
+    a, b = _scaled(alpha), _scaled(beta)
+    i6 = _mul((-8.0, 0), _pow(a, 2), _pow(b, 4))
+    m, e = _pow(i6, 2)
+    j12 = _scaled(-m / 24.0, e)
+    closed = _mul((4096.0 / 27.0, 0), _pow(_mul(a, _pow(b, 2)), 12))
+    i6, j12, closed = (_in_range(*v) for v in (i6, j12, closed))
     report = QutritInvariantReport(i6=i6, i9=0j, i12=0j, j12=j12, delta=0j)
     report = replace(report, delta=hyperdeterminant_333(report))
     return PhiFamilyResult(state=state, report=report, delta=closed)

@@ -342,16 +342,27 @@ class TestExitCodes:
         assert out == ""
         assert "underflowed" in err
 
-    def test_invariant_rounding_to_zero_is_numeric(self, tmp_path, capsys):
-        # the product forms I9, Delta and phi's monomials underflow to 0
-        out_file = str(tmp_path / "phi.json")
-        for argv in (
-            ["qutrit-inv", "1", "1e-200", "2e-200"],
-            ["gen", "phi", "--alpha", "1e-200", "--beta", "1", "--out", out_file],
-        ):
-            code, out, err = run(capsys, *argv)
-            assert (code, out) == (3, "")
-            assert "underflowed" in err
+    def test_invariant_rounding_to_zero_is_numeric(self, capsys):
+        # the product forms I9 and Delta lie below the smallest normal float
+        code, out, err = run(capsys, "qutrit-inv", "1", "1e-200", "2e-200")
+        assert (code, out) == (3, "")
+        assert "underflowed" in err
+
+    @pytest.mark.parametrize("alpha", ["1e-200", "1e-30", "1e30"])
+    def test_gen_phi_evaluates_no_invariants(self, tmp_path, capsys, alpha):
+        # phi's invariants leave the float range here, but its state is fine
+        out_file = tmp_path / "phi.json"
+        code, _, err = run(capsys, "gen", "phi", "--alpha", alpha, "--beta", "1",
+                           "--out", str(out_file))
+        assert (code, err) == (0, "")
+        a = float(alpha)
+        norm = math.sqrt(2 * a * a + 4)
+        want = {(2, 1, 0): a, (0, 1, 2): a, (2, 0, 1): 1, (0, 2, 1): 1, (1, 2, 0): 1, (1, 0, 2): 1}
+        loaded = read_state(out_file)
+        assert loaded.state.dims == (3, 3, 3)
+        tensor = loaded.state.tensor()
+        for idx in np.ndindex(3, 3, 3):
+            assert tensor[idx] == pytest.approx(want.get(idx, 0) / norm, rel=1e-15, abs=0)
 
     def test_state_size_beyond_int_printing_is_validation(self, tmp_path, capsys):
         # 2**15000 amplitudes: its decimal form exceeds Python's 4300-digit limit

@@ -124,8 +124,9 @@ class TestInvariants:
             fundamental_invariants(NormalFormCoefficients(1, 1e-200, 2e-200))
 
     def test_product_form_lost_in_scaling_is_recomputed(self):
-        # scaled by 2**-81, a2^3 and a3^3 underflow and the float I9 and
-        # Delta come out 0; their factors carry the true, normal values
+        # scaled by 2**-81, a2^3 and a3^3 would underflow, and a float I9
+        # and Delta would come out 0; the scaled pairs carry the true,
+        # normal values
         a = (Fraction(2) ** 80, Fraction(2) ** -300, Fraction(2) ** -299)
         r = fundamental_invariants(NormalFormCoefficients(*(float(x) for x in a)))
         _, i9, _, _, delta = exact_invariants(*a)
@@ -149,6 +150,18 @@ class TestCombination:
     def test_combination_on_exact_integer_report(self):
         r = fundamental_invariants(NormalFormCoefficients(2, 1, 1))
         assert hyperdeterminant_333(r) == pytest.approx(-15420489728.0, rel=1e-12)
+
+    def test_residual_overflow_is_numeric(self):
+        # I6^2 = 1e400 overflows while the J12 relation is checked
+        with pytest.raises(NumericError, match="J12 relation"):
+            hyperdeterminant_333(QutritInvariantReport(1e200, 0, -1e300, 0, 0))
+
+    @pytest.mark.parametrize("field", ["i6", "i9", "i12", "j12", "delta"])
+    @pytest.mark.parametrize("bad", [math.nan, complex(1, math.inf)])
+    def test_non_finite_report_rejected(self, field, bad):
+        values = {"i6": 1.0, "i9": 0.0, "i12": -1.0, "j12": 0.0, "delta": 0.0, field: bad}
+        with pytest.raises(ValidationError, match=f"{field} is not finite"):
+            hyperdeterminant_333(QutritInvariantReport(**values))
 
     def test_inconsistent_report_rejected(self):
         with pytest.raises(ValidationError):
@@ -215,18 +228,130 @@ class TestPhiFamily:
         with pytest.raises(ValidationError):
             phi_family(0, 0)
 
-    @pytest.mark.parametrize("alpha,beta", [(1e100, 1), (1e154, 1), (1, 1e100), (1e300, 1e-300)])
+    @pytest.mark.parametrize("alpha,beta", [(1e100, 1), (1e154, 1), (1, 1e100)])
     def test_overflow_is_numeric(self, alpha, beta):
         with pytest.raises(NumericError, match="overflowed"):
             phi_family(alpha, beta)
 
-    @pytest.mark.parametrize("alpha,beta", [(1e-200, 1), (1, 1e-100), (1e-160, 1)])
+    @pytest.mark.parametrize("alpha,beta", [(1e-200, 1), (1, 1e-100), (1e-160, 1), (1e300, 1e-300)])
     def test_underflow_is_numeric(self, alpha, beta):
-        # I6 = -8 alpha^2 beta^4 rounds to 0 (or to a subnormal at 1e-160)
+        # I6 = -8 alpha^2 beta^4 lies below the smallest normal float (at
+        # (1e300, 1e-300) it is 8e-600, although alpha^2 alone overflows)
         with pytest.raises(NumericError, match="underflowed"):
             phi_family(alpha, beta)
+
+    @pytest.mark.parametrize("alpha,beta", [(1e-200, 1e100), (2.0**-600, 2.0**300), (1e250, 1e-125)])
+    def test_invariants_in_range_despite_extreme_parameters(self, alpha, beta):
+        # alpha^2 underflows or beta^4 overflows, but I6 = -8, J12 = -8/3 and
+        # Delta = 4096/27 (alpha beta^2)^12 are ordinary floats
+        res = phi_family(alpha, beta)
+        scale = alpha * beta**2
+        assert res.report.i6 == pytest.approx(-8.0 * scale, rel=1e-12)
+        assert res.report.j12 == pytest.approx(-8.0 / 3.0 * scale**2, rel=1e-12)
+        want = 4096.0 / 27.0 * scale**12
+        assert res.delta == pytest.approx(want, rel=1e-12)
+        assert res.report.delta == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("alpha,beta", [(0, 1), (1, 0)])
     def test_zero_parameter_gives_zero_invariants(self, alpha, beta):
         res = phi_family(alpha, beta)
         assert res.report.i6 == res.report.j12 == res.delta == 0
+
+
+def _part(rng, span):
+    """0 with probability 0.15, else a signed float of magnitude 10**u, |u| <= span."""
+    if rng.random() < 0.15:
+        return 0.0
+    return float(rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 10.0) * 10.0 ** rng.uniform(-span, span))
+
+
+def _sweep_numbers(rng, count, size):
+    """``count`` lists of ``size`` numbers, real or complex, spanning 10**-300 to 10**300."""
+    out = []
+    while len(out) < count:
+        span = rng.choice((3, 10, 30, 100, 300))
+        cplx = rng.random() < 0.5
+        t = [complex(_part(rng, span), _part(rng, span) if cplx else 0.0) for _ in range(size)]
+        if rng.random() < 0.1:  # a repeated entry
+            i, j = rng.choice(size, 2, replace=False)
+            t[i] = t[j]
+        if any(t):
+            out.append(t)
+    return out
+
+
+class TestProductFormSweep:
+    """I9, Delta and phi's monomials against exact and 400-bit references.
+
+    Coefficient parts span 10**-300 to 10**300, with zeros and repeated
+    entries.  Each value must be within 1e-12 of the reference, and a
+    NumericError is allowed only where some invariant's reference lies
+    outside the normal float range, with a factor-2 band at each edge.
+    J12's value is not checked: its difference form cancels by design.
+    """
+
+    @pytest.fixture
+    def mp(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workprec(400):
+            yield mp
+
+    @staticmethod
+    def _check(mp, values, want, context):
+        for got, w in zip(values, want):
+            if w == 0:
+                assert got == 0, context
+            else:
+                assert abs(mp.mpc(got) - w) <= 1e-12 * abs(w), context
+
+    @staticmethod
+    def _outside(mp, z):
+        """Nonzero and outside the normal float range narrowed by 2 at each end."""
+        m = max(abs(mp.re(z)), abs(mp.im(z)))
+        return m != 0 and not mp.mpf(2) ** -1021 <= m <= mp.mpf(2) ** 1023
+
+    def test_triples(self, mp):
+        w = mp.exp(2j * mp.pi / 3)
+        rng = np.random.default_rng(36)
+        returned = 0
+        for t in [[2.0**40, 1e-40, 3e-40]] + _sweep_numbers(rng, 400, 3):
+            if not any(complex(v).imag for v in t):
+                exact = exact_invariants(*(Fraction(complex(v).real) for v in t))
+                i6, i9, i12, j12, delta = (mp.mpf(v.numerator) / v.denominator for v in exact)
+            else:
+                a1, a2, a3 = map(mp.mpc, t)
+                c1, c2, c3 = a1**3, a2**3, a3**3
+                i6 = a1**6 + a2**6 + a3**6 - 10 * (c1 * c2 + c1 * c3 + c2 * c3)
+                i9 = -(c1 - c2) * (c1 - c3) * (c2 - c3)
+                s = c1 + c2 + c3
+                i12 = -s * (s**3 + 216 * (a1 * a2 * a3) ** 3)
+                j12 = (-i12 - i6**2) / 24
+                delta = -4 * (a1 * a2 * a3) ** 3
+                for j in range(3):
+                    for k in range(3):
+                        delta *= (a1 + w**j * a2 + w**k * a3) ** 3
+            try:
+                r = fundamental_invariants(NormalFormCoefficients(*t))
+            except NumericError:
+                exact = (i6, i9, i12, j12, delta)
+                assert any(self._outside(mp, v) for v in exact), t
+                continue
+            returned += 1
+            self._check(mp, (r.i9, r.delta), (i9, delta), t)
+        assert returned > 150
+
+    def test_phi_pairs(self, mp):
+        rng = np.random.default_rng(37)
+        returned = 0
+        for alpha, beta in [(1e-200, 1e100)] + _sweep_numbers(rng, 300, 2):
+            al, be = mp.mpc(alpha), mp.mpc(beta)
+            i6 = -8 * al**2 * be**4
+            want = (i6, -(i6**2) / 24, mp.mpf(4096) / 27 * (al * be**2) ** 12)
+            try:
+                res = phi_family(alpha, beta)
+            except NumericError:
+                assert any(self._outside(mp, v) for v in want), (alpha, beta)
+                continue
+            returned += 1
+            self._check(mp, (res.report.i6, res.report.j12, res.delta), want, (alpha, beta))
+        assert returned > 100
