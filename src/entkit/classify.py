@@ -170,8 +170,9 @@ def classify_state(
     """
     if state.n_parties < 2:
         raise ValidationError("classification needs at least two parties")
-    # one decomposition per single-party cut; keep only its coefficients,
-    # since holding every cut's Schmidt bases at once would multiply peak memory
+    # one decomposition per single-party cut; keep only its coefficients.
+    # The bases are never read, so the long singular vectors are never
+    # formed, and no cut matrix outlives its decomposition
     lambdas = [
         schmidt_decompose(state, (k,), tolerance).lambdas for k in range(state.n_parties)
     ]

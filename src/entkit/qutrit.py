@@ -47,8 +47,11 @@ _ANTI_CYCLIC = ((0, 2, 1), (1, 0, 2), (2, 1, 0))
 _PHI_ALPHA = ((2, 1, 0), (0, 1, 2))
 _PHI_BETA = ((2, 0, 1), (0, 2, 1), (1, 2, 0), (1, 0, 2))
 
-#: a primitive cube root of unity
-_OMEGA = cmath.exp(2j * cmath.pi / 3)
+#: real and imaginary parts of w**j, w = exp(2 pi i / 3), for j = 0, 1, 2;
+#: the real parts are exact, so forms that vanish at equal coefficients
+#: come out as exact zeros
+_OMEGA_RE = (1.0, -0.5, -0.5)
+_OMEGA_IM = (0.0, math.sqrt(3.0) / 2, -math.sqrt(3.0) / 2)
 
 
 @dataclass(frozen=True)
@@ -191,7 +194,16 @@ def _delta_factored(pairs: list[_Pair], a: tuple[complex, ...], e: int) -> _Pair
     # cancellation of the expanded combination.  The sums are taken on
     # the scaled triple, the single factors on the unscaled one.
     a1, a2, a3 = a
-    forms = (_scaled(a1 + _OMEGA**j * a2 + _OMEGA**k * a3, e) for j in range(3) for k in range(3))
+    forms = (
+        _scaled(
+            a1
+            + (_OMEGA_RE[j] * a2 + _OMEGA_RE[k] * a3)
+            + 1j * (_OMEGA_IM[j] * a2 + _OMEGA_IM[k] * a3),
+            e,
+        )
+        for j in range(3)
+        for k in range(3)
+    )
     prod = _pow(_mul(*pairs), 3)
     return _mul(prod, *(_pow(f, 3) for f in forms), (-4.0, 0))
 

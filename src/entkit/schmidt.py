@@ -1,15 +1,20 @@
 """Schmidt decomposition, Schmidt rank and the bipartite determinant.
 
 Any bipartition of the parties is supported: the amplitude tensor is
-permuted so the chosen parties come first, reshaped to a matrix and run
-through the SVD.  The Schmidt rank uses a relative singular value cutoff
-``sigma > tolerance * sigma_max``.
+permuted so the chosen parties come first and reshaped to a matrix.
+The Schmidt coefficients are the singular values of the triangular
+factor of an R-only QR of that matrix's tall orientation (Chan's
+R-SVD), so the long singular vectors are never formed unless the
+Schmidt bases are read.  The Schmidt rank uses a relative singular
+value cutoff ``sigma > tolerance * sigma_max``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +34,13 @@ __all__ = [
 class SchmidtDecomposition:
     """Result of a Schmidt decomposition across one bipartition.
 
+    The result holds the read-only cut matrix it was computed from (the
+    amplitudes with the cut parties flattened on the left).  The
+    coefficients are computed up front; the Schmidt bases are computed
+    from that matrix on first read, by a thin SVD, and cached.  Reading
+    them costs a second factorization, which callers that need only the
+    coefficients never pay.
+
     Attributes
     ----------
     lambdas : numpy.ndarray
@@ -36,23 +48,40 @@ class SchmidtDecomposition:
         ``tolerance_used * lambdas[0]``; their squares sum to 1.
     rank : int
         Number of retained coefficients.
-    left_basis : numpy.ndarray
-        Shape ``(rank, dim_A)``; row k is the left Schmidt vector u_k.
-    right_basis : numpy.ndarray
-        Shape ``(rank, dim_B)``; row k is the right Schmidt vector v_k.
-        The state reconstructs as ``sum_k lambdas[k] u_k (x) v_k``.
     cut : tuple of int
         Party indices on the left side, sorted.
     tolerance_used : float
         The relative rank cutoff that was applied.
+    left_basis : numpy.ndarray
+        Read-only, shape ``(rank, dim_A)``; row k is the left Schmidt
+        vector u_k.
+    right_basis : numpy.ndarray
+        Read-only, shape ``(rank, dim_B)``; row k is the right Schmidt
+        vector v_k.  The state reconstructs as
+        ``sum_k lambdas[k] u_k (x) v_k``.
     """
 
     lambdas: np.ndarray
     rank: int
-    left_basis: np.ndarray
-    right_basis: np.ndarray
     cut: tuple[int, ...]
     tolerance_used: float
+    _matrix: np.ndarray = field(repr=False)
+
+    @cached_property
+    def _bases(self) -> tuple[np.ndarray, np.ndarray]:
+        u, _, vh = np.linalg.svd(self._matrix, full_matrices=False)
+        left, right = u[:, : self.rank].T.copy(), vh[: self.rank].copy()
+        left.setflags(write=False)
+        right.setflags(write=False)
+        return left, right
+
+    @property
+    def left_basis(self) -> np.ndarray:
+        return self._bases[0]
+
+    @property
+    def right_basis(self) -> np.ndarray:
+        return self._bases[1]
 
     def reconstruct(self) -> np.ndarray:
         """The ``dim_A x dim_B`` matrix ``sum_k lambda_k u_k v_k^T``."""
@@ -61,7 +90,15 @@ class SchmidtDecomposition:
 
 def _normalize_cut(state: StateVector, cut) -> tuple[int, ...]:
     parties = set(range(state.n_parties))
-    cut = tuple(sorted(int(p) for p in cut))
+    try:
+        entries = tuple(cut)
+        if any(isinstance(p, bool) for p in entries):
+            raise TypeError
+        cut = tuple(sorted(operator.index(p) for p in entries))
+    except TypeError:
+        raise ValidationError(
+            f"cut must be a collection of integer party indices, got {cut!r}"
+        ) from None
     if len(set(cut)) != len(cut) or not set(cut) <= parties:
         raise ValidationError(f"cut {cut} is not a subset of parties {sorted(parties)}")
     if len(cut) == 0 or len(cut) == state.n_parties:
@@ -70,12 +107,14 @@ def _normalize_cut(state: StateVector, cut) -> tuple[int, ...]:
 
 
 def bipartition_matrix(state: StateVector, cut) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Amplitudes as a matrix with the cut parties flattened on the left."""
+    """Amplitudes as a read-only matrix with the cut parties flattened on the left."""
     cut = _normalize_cut(state, cut)
     rest = tuple(p for p in range(state.n_parties) if p not in cut)
     t = np.transpose(state.tensor(), cut + rest)
     d_left = math.prod(state.dims[p] for p in cut)
-    return t.reshape(d_left, -1), cut
+    m = t.reshape(d_left, -1)
+    m.setflags(write=False)
+    return m, cut
 
 
 def schmidt_decompose(
@@ -89,6 +128,8 @@ def schmidt_decompose(
         At least two parties.
     cut : iterable of int
         Party indices forming the left side; nonempty proper subset.
+        Entries must be integers (``operator.index``); bools, floats
+        and strings raise ``ValidationError``.
     tolerance : float, optional
         Relative cutoff for the rank: singular values at or below
         ``tolerance * sigma_max`` are discarded.
@@ -109,15 +150,17 @@ def schmidt_decompose(
     if not 0 < tolerance < 1:
         raise ValidationError(f"tolerance must lie in (0, 1), got {tolerance}")
     m, cut = bipartition_matrix(state, cut)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    # the singular values of R are those of m; the QR touches the long
+    # side once and leaves a short-side square for the SVD
+    tall = m.T if m.shape[0] < m.shape[1] else m
+    s = np.linalg.svd(np.linalg.qr(tall, mode="r"), compute_uv=False)
     rank = int(_ranks(s, tolerance))
     return SchmidtDecomposition(
         lambdas=s[:rank].copy(),
         rank=rank,
-        left_basis=u[:, :rank].T.copy(),
-        right_basis=vh[:rank].copy(),
         cut=cut,
         tolerance_used=float(tolerance),
+        _matrix=m,
     )
 
 

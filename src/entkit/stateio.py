@@ -103,7 +103,9 @@ def read_state(path) -> LoadedState:
 
 
 def write_state(state: StateVector, path) -> None:
-    """Write a state file to ``path``."""
+    """Write a state file to ``path`` as one line of compact JSON."""
+    # json.dumps without indent runs the C encoder; json.dump to a file
+    # and any indent fall back to the pure-Python one
+    text = json.dumps(state_to_json(state))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state_to_json(state), fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")

@@ -222,6 +222,13 @@ class TestOutputs:
         assert doc["J12"]["re"] == pytest.approx(-2.0, abs=1e-12)
         assert doc["Delta"]["re"] == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("a", ["1", "1e-9"])
+    def test_qutrit_inv_equal_coefficients_give_zero_delta(self, capsys, a):
+        # two of the linear forms of Delta vanish exactly at a1 = a2 = a3
+        code, out, _ = run(capsys, "qutrit-inv", a, a, a, "--json")
+        assert code == 0
+        assert json.loads(out)["Delta"] == {"re": 0.0, "im": 0.0}
+
     def test_classify_warning_printed(self, tmp_path, capsys):
         path = tmp_path / "bell.json"
         run(capsys, "gen", "bell", "--out", str(path))

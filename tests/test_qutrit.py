@@ -110,9 +110,11 @@ class TestInvariants:
             assert got == want * 2.0 ** (-20 * degree)
 
     def test_exact_zeros_stay_zero(self):
-        # a zero factor of the product forms (a1 = a2, a3 = 0), and J12's
-        # cancelling difference at (1, 0, 0)
-        for triple in [(1e-20, 1e-20, 0), (1, 1, 0)]:
+        # a zero factor of the product forms (a1 = a2, a3 = 0, or two
+        # linear forms at a1 = a2 = a3), and J12's cancelling difference
+        # at (1, 0, 0)
+        equal = [(1, 1, 1), (1e-9, 1e-9, 1e-9), (3 - 2j, 3 - 2j, 3 - 2j)]
+        for triple in [(1e-20, 1e-20, 0), (1, 1, 0), *equal]:
             r = fundamental_invariants(NormalFormCoefficients(*triple))
             assert r.i9 == 0 and r.delta == 0
         assert fundamental_invariants(NormalFormCoefficients(1, 0, 0)).j12 == 0

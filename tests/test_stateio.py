@@ -172,8 +172,10 @@ class TestReader:
         with pytest.raises(ValidationError, match="not valid JSON"):
             read_state(path)
 
-    def test_written_file_is_plain_json(self, tmp_path):
-        path = tmp_path / "w.json"
-        write_state(ghz_state(3), path)
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        assert doc["dims"] == [2, 2, 2]
+    def test_written_file_is_plain_json(self, tmp_path, rng):
+        for k, s in enumerate([ghz_state(3), rand_state(rng, (2, 3, 4))]):
+            path = tmp_path / f"w{k}.json"
+            write_state(s, path)
+            text = path.read_text(encoding="utf-8")
+            assert text.count("\n") == 1 and text.endswith("\n")  # compact
+            assert json.loads(text) == state_to_json(s)
