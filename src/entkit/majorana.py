@@ -13,7 +13,8 @@ stars grades symmetric states from coherent (one star) to fully
 non-degenerate (n stars).
 
 Root finding uses companion-matrix eigenvalues on a geometrically
-scaled copy of the polynomial and a residual-guarded Newton polish.
+scaled copy of the polynomial and a residual-guarded Newton polish of
+the roots whose residual stands above rounding noise.
 Every star is then one member of a single array of chart values
 u = z / s: a polished root, ``inf`` for a star at the south pole (a
 degree deficit, a coefficient that underflows in the rescale, or a
@@ -136,8 +137,10 @@ class MajoranaConstellation:
 
     ``partition`` lists the multiplicities in descending order; it sums
     to ``n`` and has one entry per distinct star.  ``discriminant`` is
-    the normalized binary-form discriminant of the defining polynomial;
-    it vanishes exactly when some star is repeated.
+    the normalized binary-form discriminant of the defining polynomial
+    (see :func:`binary_discriminant`); it vanishes when some star is
+    repeated, and it underflows to 0 for large n, so there 0 does not
+    mean a repeated star.
     """
 
     n: int
@@ -322,34 +325,35 @@ def _scaled_core(a: np.ndarray) -> tuple[np.ndarray, float, int, int]:
     return b[kept[0] : kept[-1] + 1], math.exp(logs), len(a) - 1 - kept[-1], kept[0]
 
 
-def _polish(u_roots, geom: _ClusterGeometry) -> np.ndarray:
+def _polish(u_roots: np.ndarray, geom: _ClusterGeometry) -> np.ndarray:
     """Newton-correct roots whose residual clearly exceeds rounding noise.
 
-    Works in the geometry's u chart.  A non-finite root is a star at
-    infinity and comes back as ``inf``.
+    Works in the geometry's u chart.  The residual check runs on all
+    roots at once, and only the roots that fail it take Newton steps.
+    A non-finite root is a star at infinity and comes back as ``inf``.
     """
     bb, _ = geom.u
     d = len(bb) - 1
-    out = []
     # a far root overflows p(z); the finiteness checks stop its step
     with np.errstate(over="ignore", invalid="ignore"):
-        for z in u_roots:
-            if not np.isfinite(abs(z)):
-                out.append(math.inf)
-                continue
+        out = np.where(np.isfinite(np.abs(u_roots)), u_roots, np.inf)
+        residual = np.abs(geom.taylor(bb, out, 0))
+        noisy = np.isfinite(residual) & (residual > 8.0 * geom.floor(bb, out))
+        for i in np.flatnonzero(noisy):
+            z = complex(out[i])
             for _ in range(3):
-                pz = geom.taylor(bb, z, 0)
+                pz = complex(geom.taylor(bb, z, 0))
                 if not np.isfinite(abs(pz)) or abs(pz) <= 8.0 * geom.floor(bb, z):
                     break
-                dpz = d * geom.taylor(bb, z, 1)
+                dpz = d * complex(geom.taylor(bb, z, 1))
                 if dpz == 0:
                     break
                 znew = z - pz / dpz
                 if not np.isfinite(abs(znew)) or abs(geom.taylor(bb, znew, 0)) >= abs(pz):
                     break
                 z = znew
-            out.append(complex(z))
-    return np.array(out, dtype=np.complex128)
+            out[i] = z
+    return out
 
 
 class _ClusterGeometry:
@@ -369,14 +373,14 @@ class _ClusterGeometry:
         self.u = (bb, s)
         self.v = (bb[::-1], 1.0 / s)
 
-    def floor(self, coeffs: np.ndarray, c: complex) -> float:
-        """Rounding floor of evaluating the chart polynomial at c."""
-        abs_value = np.polynomial.polynomial.polyval(abs(c), np.abs(coeffs))
-        return _FLOOR_C * self.n * _EPS * float(abs_value)
+    def floor(self, coeffs: np.ndarray, c):
+        """Rounding floor of evaluating the chart polynomial at c (elementwise)."""
+        abs_value = np.polynomial.polynomial.polyval(np.abs(c), np.abs(coeffs))
+        return _FLOOR_C * self.n * _EPS * abs_value
 
     @staticmethod
-    def taylor(coeffs: np.ndarray, c: complex, m: int) -> complex:
-        """T_m(c) / C(d, m) for the m-th Taylor coefficient at c.
+    def taylor(coeffs: np.ndarray, c, m: int):
+        """T_m(c) / C(d, m) for the m-th Taylor coefficient at c (elementwise).
 
         T_m(c) = sum_j C(j, m) b_j c^(j - m) = p^(m)(c) / m!.  The weights
         C(j, m) / C(d, m), a descending product of (j - m) / j, lie in
@@ -384,7 +388,7 @@ class _ClusterGeometry:
         """
         j = np.arange(len(coeffs) - 1, m, -1.0)
         w = np.cumprod(np.concatenate(([1.0], (j - m) / j)))[::-1]
-        return complex(np.polynomial.polynomial.polyval(c, w * coeffs[m:]))
+        return np.polynomial.polynomial.polyval(c, w * coeffs[m:])
 
     def _chart(self, u: np.ndarray):
         """(coeffs, scale, mirrored, chart values, root count) of a cluster's chart.
@@ -417,7 +421,7 @@ class _ClusterGeometry:
         if m == 0 or len(values) < len(u):  # fewer values: the far pole was dropped
             return 0.0
         c = complex(np.mean(values))
-        t = self.taylor(coeffs, c, m)
+        t = complex(self.taylor(coeffs, c, m))
         if t == 0:
             return math.inf
         # (floor / |T_m|)^(1/m), with T_m = C(d, m) t taken apart so it cannot overflow
@@ -561,6 +565,11 @@ def binary_discriminant(poly, n: int) -> complex:
     Repeated roots, including repeated roots at infinity, make it
     vanish.  For n = 1 there are no root pairs and the value is 1 by
     convention.
+
+    The normalized value shrinks fast with n and underflows: generic
+    states with distinct stars give about 1e-107 at n = 40 and exactly
+    0 at n = 100.  For large n a value of 0 therefore does not mean a
+    repeated star.
     """
     a = _padded(poly, n)
     if n == 1:

@@ -7,9 +7,12 @@ a2 on the cyclic triples and a3 on the anti-cyclic triples of a
     I6  = a1^6 + a2^6 + a3^6 - 10 (a1^3 a2^3 + a1^3 a3^3 + a2^3 a3^3)
     I9  = -(a1^3 - a2^3)(a1^3 - a3^3)(a2^3 - a3^3)
     I12 = -(a1^3 + a2^3 + a3^3) [ (a1^3 + a2^3 + a3^3)^3 + (6 a1 a2 a3)^3 ]
-    J12 = (-I12 - I6^2) / 24
+    J12 = (-I12 - I6^2) / 24 = e2 p2 - 3 q2
 
-combine into the degree-36 hyperdeterminant
+where, over the cubes x, y, z of a1, a2, a3, e2 = xy + xz + yz,
+p2 = [(x - y)^2 + (y - z)^2 + (z - x)^2] / 2 and
+q2 = [(xy - yz)^2 + (yz - zx)^2 + (zx - xy)^2] / 2.  They combine into
+the degree-36 hyperdeterminant
 
     Delta = I6^3 I9^2 - I6^2 J12^2 + 36 I6 I9^2 J12 + 108 I9^4 - 32 J12^3.
 
@@ -84,8 +87,8 @@ class QutritInvariantReport:
     ``delta`` is evaluated directly from the coefficients in a factored
     form that is numerically stable; the expanded combination of the
     other fields loses up to twelve digits to cancellation in double
-    precision.  The J12 relation -I12 - I6^2 = 24 J12 holds by
-    construction.  Every field must be finite.
+    precision.  The J12 relation -I12 - I6^2 = 24 J12 holds to
+    rounding.  Every field must be finite.
     """
 
     i6: complex
@@ -241,10 +244,17 @@ def fundamental_invariants(coeffs: NormalFormCoefficients) -> QutritInvariantRep
     e = max(k for m, k in pairs if m)
     a = a1, a2, a3 = tuple(_ldexp(v, -e) for v in coeffs.as_tuple())
     c1, c2, c3 = a1**3, a2**3, a3**3
-    i6 = a1**6 + a2**6 + a3**6 - 10.0 * (c1 * c2 + c1 * c3 + c2 * c3)
+    e2 = c1 * c2 + c1 * c3 + c2 * c3
+    i6 = a1**6 + a2**6 + a3**6 - 10.0 * e2
     s = c1 + c2 + c3
     i12 = -s * (s**3 + (6.0 * a1 * a2 * a3) ** 3)
-    j12 = (-i12 - i6**2) / 24.0
+    # J12 = e2 p2 - 3 q2 in the cubes (module docstring), not the
+    # cancelling (-I12 - I6^2) / 24: its differences are exact zeros at
+    # equal cubes and its products exact zeros at two zero cubes, the
+    # triples where J12 vanishes
+    j12 = e2 * ((c1 - c2) ** 2 + (c2 - c3) ** 2 + (c3 - c1) ** 2) / 2.0 - 1.5 * (
+        (c1 * c2 - c2 * c3) ** 2 + (c2 * c3 - c3 * c1) ** 2 + (c3 * c1 - c1 * c2) ** 2
+    )
     p1, p2, p3 = (_pow(p, 3) for p in pairs)
     d12, d13, d23 = _sub(p1, p2), _sub(p1, p3), _sub(p2, p3)
     i9 = _mul((-d12[0], d12[1]), d13, d23)

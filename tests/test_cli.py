@@ -229,6 +229,22 @@ class TestOutputs:
         assert code == 0
         assert json.loads(out)["Delta"] == {"re": 0.0, "im": 0.0}
 
+    @pytest.mark.parametrize("triple", [("1e-25", "0", "0"), ("1e-9", "1e-9", "1e-9")])
+    def test_qutrit_inv_vanishing_j12_is_zero(self, capsys, triple):
+        # J12 is exactly 0 at a single nonzero coefficient and at equal ones
+        code, out, _ = run(capsys, "qutrit-inv", *triple, "--json")
+        assert code == 0
+        assert json.loads(out)["J12"] == {"re": 0.0, "im": 0.0}
+
+    def test_qutrit_inv_j12_without_cancellation(self, capsys):
+        # J12 = 2 (x - 1)^3 with x = 1e30, and the combination stays in range
+        code, out, _ = run(capsys, "qutrit-inv", "1e10", "1", "1", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["J12"]["re"] == pytest.approx(2e90, rel=1e-14)
+        assert doc["Delta_from_invariants"]["re"] == pytest.approx(-4e300, rel=1e-14)
+        assert doc["Delta"]["re"] == pytest.approx(-4e300, rel=1e-14)
+
     def test_classify_warning_printed(self, tmp_path, capsys):
         path = tmp_path / "bell.json"
         run(capsys, "gen", "bell", "--out", str(path))

@@ -1,4 +1,8 @@
-"""Every demo script runs to completion as a separate process."""
+"""Every demo script runs to completion as a separate process.
+
+The child runs under the test suite's warning policy, with RuntimeWarning
+raised as an error, and must leave stderr empty.
+"""
 
 import os
 import subprocess
@@ -15,7 +19,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     proc = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
         cwd=tmp_path,
         env=env,
         capture_output=True,
@@ -23,4 +27,4 @@ def test_demo_runs(demo, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ""

@@ -324,6 +324,48 @@ class TestPoleMembers:
         assert con.stars[1].theta == pytest.approx(math.pi / 2, abs=1e-12)
 
 
+def _gaussian_dicke_polynomial(n, seed):
+    rng = np.random.default_rng([seed, n])
+    c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    return majorana_polynomial(DickeExpansion(n, c / np.linalg.norm(c)))
+
+
+def _wide_range_polynomial(seed):
+    """Roots of random phase with moduli 10**u, u uniform in [-20, 20], n from 4 to 12."""
+    rng = np.random.default_rng([seed, 40])
+    n = int(rng.integers(4, 13))
+    z = 10.0 ** rng.uniform(-20.0, 20.0, n) * np.exp(2j * math.pi * rng.random(n))
+    a = np.poly(z)[::-1]
+    return a / a[np.argmax(np.abs(a))]
+
+
+class TestStarOracle:
+    """Every root of the polynomial, from mpmath at 60 digits, lies within
+    1e-6 chordal of a found star."""
+
+    @staticmethod
+    def check(a):
+        mp = pytest.importorskip("mpmath")
+        n = len(a) - 1
+        with mp.workdps(60):
+            roots = mp.polyroots([mp.mpc(v) for v in a[::-1]], maxsteps=200, extraprec=100)
+            want = [
+                [float(v / (1 + abs(r) ** 2)) for v in (2 * r.real, 2 * r.imag, 1 - abs(r) ** 2)]
+                for r in roots
+            ]
+        found = np.array([s.xyz() for s in find_stars(a, n).stars])
+        for w in want:
+            assert np.min(np.linalg.norm(found - w, axis=1)) <= 1e-6
+
+    @pytest.mark.parametrize("n", [4, 8, 12, 16])
+    def test_gaussian_dicke(self, n):
+        self.check(_gaussian_dicke_polynomial(n, 5))
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_wide_range(self, seed):
+        self.check(_wide_range_polynomial(seed))
+
+
 class TestClusterMachinery:
     @staticmethod
     def agglomerative(dist, accept):
@@ -476,6 +518,15 @@ class TestDiscriminant:
     def test_distinct_roots_do_not_vanish(self):
         a = majorana_polynomial(symmetrize_check(ghz_state(3)))
         assert abs(binary_discriminant(a, 3)) > 1e-3
+
+    def test_underflows_to_zero_at_large_n(self):
+        # a Gaussian Dicke state's 100 roots are distinct (closest pair
+        # 0.04 apart), yet the normalized discriminant is below the float range
+        a = _gaussian_dicke_polynomial(100, 0)
+        roots = np.polynomial.polynomial.polyroots(a)
+        gaps = np.abs(roots[:, None] - roots[None, :]) + np.eye(100)
+        assert gaps.min() > 0.01
+        assert binary_discriminant(a, 100) == 0
 
     def test_scale_invariant(self):
         a = majorana_polynomial(symmetrize_check(ghz_state(3)))

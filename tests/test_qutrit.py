@@ -111,13 +111,15 @@ class TestInvariants:
 
     def test_exact_zeros_stay_zero(self):
         # a zero factor of the product forms (a1 = a2, a3 = 0, or two
-        # linear forms at a1 = a2 = a3), and J12's cancelling difference
-        # at (1, 0, 0)
+        # linear forms at a1 = a2 = a3), and J12 at equal coefficients or a
+        # single nonzero one, where -I12 - I6^2 would leave a residue (one
+        # below the normal range at (1e-25, 0, 0))
         equal = [(1, 1, 1), (1e-9, 1e-9, 1e-9), (3 - 2j, 3 - 2j, 3 - 2j)]
         for triple in [(1e-20, 1e-20, 0), (1, 1, 0), *equal]:
             r = fundamental_invariants(NormalFormCoefficients(*triple))
             assert r.i9 == 0 and r.delta == 0
-        assert fundamental_invariants(NormalFormCoefficients(1, 0, 0)).j12 == 0
+        for triple in [(1, 0, 0), (1e-25, 0, 0), (-2.45e-26, 0, 0), *equal]:
+            assert fundamental_invariants(NormalFormCoefficients(*triple)).j12 == 0
 
     def test_product_form_rounding_to_zero_raises_numeric(self):
         # a2^3 and a3^3 underflow, so (a2^3 - a3^3) and I9 round to 0;
@@ -136,8 +138,9 @@ class TestInvariants:
         assert r.delta == pytest.approx(float(delta), rel=1e-12)
 
     def test_combination_overflow_raises_numeric(self):
-        # every invariant is finite, but the rounded Delta combination is not
-        r = fundamental_invariants(NormalFormCoefficients(1e10, 1.0, 1.0))
+        # every field is finite and -I12 - I6^2 = 24 J12 holds exactly,
+        # but I6^3 I9^2 = 1e500 and the rounded Delta combination are not
+        r = QutritInvariantReport(i6=1e100, i9=1e100, i12=-1e200, j12=0, delta=0)
         with pytest.raises(NumericError, match="combination overflowed"):
             hyperdeterminant_333(r)
 
@@ -283,13 +286,12 @@ def _sweep_numbers(rng, count, size):
 
 
 class TestProductFormSweep:
-    """I9, Delta and phi's monomials against exact and 400-bit references.
+    """I9, J12, Delta and phi's monomials against exact and 400-bit references.
 
     Coefficient parts span 10**-300 to 10**300, with zeros and repeated
     entries.  Each value must be within 1e-12 of the reference, and a
     NumericError is allowed only where some invariant's reference lies
     outside the normal float range, with a factor-2 band at each edge.
-    J12's value is not checked: its difference form cancels by design.
     """
 
     @pytest.fixture
@@ -322,12 +324,19 @@ class TestProductFormSweep:
                 i6, i9, i12, j12, delta = (mp.mpf(v.numerator) / v.denominator for v in exact)
             else:
                 a1, a2, a3 = map(mp.mpc, t)
-                c1, c2, c3 = a1**3, a2**3, a3**3
-                i6 = a1**6 + a2**6 + a3**6 - 10 * (c1 * c2 + c1 * c3 + c2 * c3)
-                i9 = -(c1 - c2) * (c1 - c3) * (c2 - c3)
-                s = c1 + c2 + c3
-                i12 = -s * (s**3 + 216 * (a1 * a2 * a3) ** 3)
-                j12 = (-i12 - i6**2) / 24
+                # exact: a degree-12 term of these binary inputs has a
+                # 636-bit mantissa, and the exponents of all terms lie within
+                # 12 times the exponent span of the parts, so -I12 - I6^2
+                # cancels without loss (products, as mpmath's integer powers
+                # may go through exp and log)
+                exps = [math.frexp(x)[1] for v in t for x in (v.real, v.imag) if x]
+                with mp.workprec(700 + 12 * (max(exps) - min(exps))):
+                    c1, c2, c3 = a1 * a1 * a1, a2 * a2 * a2, a3 * a3 * a3
+                    i6 = c1 * c1 + c2 * c2 + c3 * c3 - 10 * (c1 * c2 + c1 * c3 + c2 * c3)
+                    i9 = -(c1 - c2) * (c1 - c3) * (c2 - c3)
+                    s = c1 + c2 + c3
+                    i12 = -s * (s * s * s + 216 * c1 * c2 * c3)
+                    j12 = (-i12 - i6 * i6) / 24
                 delta = -4 * (a1 * a2 * a3) ** 3
                 for j in range(3):
                     for k in range(3):
@@ -339,7 +348,7 @@ class TestProductFormSweep:
                 assert any(self._outside(mp, v) for v in exact), t
                 continue
             returned += 1
-            self._check(mp, (r.i9, r.delta), (i9, delta), t)
+            self._check(mp, (r.i9, r.j12, r.delta), (i9, j12, delta), t)
         assert returned > 150
 
     def test_phi_pairs(self, mp):
