@@ -25,9 +25,9 @@ for triple in [(1, 0, 0), (1, 1, 1), (1, 1, 0), (2, 1, 1)]:
     print(f"  Delta = {rep.delta.real: .12g}")
 
 # Delta vanishes on all three degenerate triples above; (2,1,1) is the
-# generic case.  The report's delta comes from a factored evaluation,
-# and hyperdeterminant_333 recombines the fundamental invariants as a
-# cross-check of the same quantity.
+# generic case.  The report's delta is the exact value rounded once,
+# and hyperdeterminant_333 recombines the rounded fundamental invariants
+# as a cross-check of the same quantity.
 rep = fundamental_invariants(NormalFormCoefficients(2, 1, 1))
 print("\nrecombined Delta(2,1,1) =", hyperdeterminant_333(rep).real)
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import NumericError, StateVector, ValidationError, _check_qubit_count, _normalized
-from .states import _as_complex_array, _check_unit_norm
+from .states import _as_complex_array, _as_int, _check_unit_norm
 
 __all__ = [
     "NotSymmetricError",
@@ -92,6 +92,7 @@ class DickeExpansion:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _as_int(self.n, "the qubit count n"))
         if self.n < 1:
             raise ValidationError(f"need at least one qubit, got n={self.n}")
         c = _as_complex_array(np.reshape(self.coeffs, -1), "Dicke coefficient vector")
@@ -263,6 +264,7 @@ def coherent_state(direction, n: int) -> DickeExpansion:
     n : int
         Qubit count, at least 1.
     """
+    n = _as_int(n, "the qubit count n")
     if n < 1:
         raise ValidationError(f"coherent_state needs n >= 1, got {n}")
     if isinstance(direction, SpherePoint):
@@ -287,6 +289,7 @@ def coherent_state(direction, n: int) -> DickeExpansion:
 
 def _padded(poly, n: int) -> np.ndarray:
     """Ascending coefficients of degree at most n >= 1, zero-padded to length n + 1."""
+    n = _as_int(n, "the qubit count n")
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
     a = np.asarray(poly, dtype=np.complex128).reshape(-1)

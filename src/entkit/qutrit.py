@@ -10,15 +10,19 @@ a2 on the cyclic triples and a3 on the anti-cyclic triples of a
     J12 = (-I12 - I6^2) / 24 = e2 p2 - 3 q2
 
 where, over the cubes x, y, z of a1, a2, a3, e2 = xy + xz + yz,
-p2 = [(x - y)^2 + (y - z)^2 + (z - x)^2] / 2 and
-q2 = [(xy - yz)^2 + (yz - zx)^2 + (zx - xy)^2] / 2.  They combine into
+p2 = [(x - y)^2 + (y - z)^2 + (z - x)^2] / 2 = x^2 + y^2 + z^2 - e2 and
+q2 = [(xy - yz)^2 + (yz - zx)^2 + (zx - xy)^2] / 2
+   = (xy)^2 + (yz)^2 + (zx)^2 - xyz (x + y + z).  They combine into
 the degree-36 hyperdeterminant
 
     Delta = I6^3 I9^2 - I6^2 J12^2 + 36 I6 I9^2 J12 + 108 I9^4 - 32 J12^3.
 
 All invariants are evaluated on the coefficients exactly as given, not
 on the normalized state; normalizing rescales Delta by the 36th power
-of the normalization factor.
+of the normalization factor.  Every float is a dyadic rational, so the
+polynomials above are evaluated exactly, in integers, and each value is
+rounded once to the nearest float: an invariant that vanishes comes out
+as an exact 0, and no intermediate can overflow or lose bits.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, fields, replace
-from fractions import Fraction
 from typing import NamedTuple
 
 from .states import NumericError, StateVector, ValidationError, make_state
@@ -49,12 +52,6 @@ _ANTI_CYCLIC = ((0, 2, 1), (1, 0, 2), (2, 1, 0))
 
 _PHI_ALPHA = ((2, 1, 0), (0, 1, 2))
 _PHI_BETA = ((2, 0, 1), (0, 2, 1), (1, 2, 0), (1, 0, 2))
-
-#: real and imaginary parts of w**j, w = exp(2 pi i / 3), for j = 0, 1, 2;
-#: the real parts are exact, so forms that vanish at equal coefficients
-#: come out as exact zeros
-_OMEGA_RE = (1.0, -0.5, -0.5)
-_OMEGA_IM = (0.0, math.sqrt(3.0) / 2, -math.sqrt(3.0) / 2)
 
 
 @dataclass(frozen=True)
@@ -84,11 +81,13 @@ class NormalFormCoefficients:
 class QutritInvariantReport:
     """Invariants of one coefficient triple.
 
-    ``delta`` is evaluated directly from the coefficients in a factored
-    form that is numerically stable; the expanded combination of the
-    other fields loses up to twelve digits to cancellation in double
-    precision.  The J12 relation -I12 - I6^2 = 24 J12 holds to
-    rounding.  Every field must be finite.
+    In a report from :func:`fundamental_invariants` every field is the
+    exact value of its polynomial on the given coefficients, rounded
+    once to the nearest float in each of its real and imaginary parts;
+    ``delta`` is therefore the correctly rounded hyperdeterminant, where
+    the combination of the other (rounded) fields can lose up to twelve
+    digits to cancellation.  The J12 relation -I12 - I6^2 = 24 J12 holds
+    to rounding.  Every field must be finite.
     """
 
     i6: complex
@@ -124,95 +123,94 @@ def build_normal_form_state(coeffs: NormalFormCoefficients) -> StateVector:
     return _slot_state(zip((_DIAGONAL, _CYCLIC, _ANTI_CYCLIC), coeffs.as_tuple()))
 
 
-# -- scaled pairs -----------------------------------------------------------
-# A product form is carried as a pair (m, e) meaning m * 2**e, with the
-# larger part of m in [0.5, 1) (or m = 0), renormalized after every
-# operation.  No partial product can then overflow, nor its larger part
-# go subnormal, and since a power-of-two scale commutes with rounding, each
-# operation on the mantissas rounds exactly as the same operation on the
-# unscaled floats does wherever those stay in the normal range.
+class _Exact:
+    """Exact complex dyadic rational ``(re + i im) * 2**exp`` with integer parts.
 
-_Pair = tuple[complex, int]
+    Sums, differences and products are exact integer operations; a sum
+    aligns its operands at the smaller exponent by a shift, so no gcd is
+    ever taken.  An integer may multiply from either side.
+    """
+
+    __slots__ = ("re", "im", "exp")
+
+    def __init__(self, re: int, im: int = 0, exp: int = 0) -> None:
+        self.re, self.im, self.exp = re, im, exp
+
+    @classmethod
+    def of(cls, z: complex) -> _Exact:
+        """The exact value of a complex float."""
+        (a, da), (b, db) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+        d = max(da, db)  # both are powers of two
+        return cls(a * (d // da), b * (d // db), 1 - d.bit_length())
+
+    def __neg__(self) -> _Exact:
+        return _Exact(-self.re, -self.im, self.exp)
+
+    def __add__(self, other: _Exact) -> _Exact:
+        lo, hi = (self, other) if self.exp <= other.exp else (other, self)
+        k = hi.exp - lo.exp
+        return _Exact(lo.re + (hi.re << k), lo.im + (hi.im << k), lo.exp)
+
+    def __sub__(self, other: _Exact) -> _Exact:
+        return self + -other
+
+    def __mul__(self, other: _Exact | int) -> _Exact:
+        if isinstance(other, int):
+            return _Exact(self.re * other, self.im * other, self.exp)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return _Exact(a * c - b * d, a * d + b * c, self.exp + other.exp)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> _Exact:
+        out = self
+        for _ in range(n - 1):
+            out = out * self
+        return out
 
 
-def _ldexp(z: complex, e: int) -> complex:
-    """``z * 2**e``, part by part; raises OverflowError past the float range."""
-    return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
-
-
-def _scaled(z: complex, e: int = 0) -> _Pair:
-    """``z * 2**e`` as a scaled pair; a zero keeps its sign and the exponent ``e``."""
-    k = math.frexp(max(abs(z.real), abs(z.imag)))[1]
-    return _ldexp(z, -k), e + k
-
-
-def _mul(*pairs: _Pair) -> _Pair:
-    """Product of scaled pairs, left to right; the first mantissa may be a float constant."""
-    (m, e), *rest = pairs
-    for fm, fe in rest:
-        m, e = _scaled(m * fm, e + fe)
-    return m, e
-
-
-def _pow(x: _Pair, n: int) -> _Pair:
-    """``x ** n`` for a scaled pair and a small positive integer ``n``."""
-    return _scaled(x[0] ** n, n * x[1])
-
-
-def _sub(x: _Pair, y: _Pair) -> _Pair:
-    """``x - y``, aligned at the larger exponent of the nonzero operands."""
-    (xm, xe), (ym, ye) = x, y
-    e = max(xe if xm else ye, ye if ym else xe)
-    return _scaled(_ldexp(xm, xe - e) - _ldexp(ym, ye - e), e)
-
-
-def _in_range(value: complex, shift: int) -> complex:
-    """``value * 2**shift``, checked against the float range.
+def _rounded(x: _Exact, what: str, den: int = 1) -> complex:
+    """``x / den`` for a positive integer ``den``, each part rounded once to the nearest float.
 
     Raises
     ------
     NumericError
-        If the value overflows, or a nonzero one lands below the
-        smallest normal float.
+        If a part overflows.
     """
+    # Python's int / int true division is correctly rounded
+    up, down = max(x.exp, 0), max(-x.exp, 0)
     try:
-        out = _ldexp(value, shift)
+        return complex(*((n << up) / (den << down) for n in (x.re, x.im)))
     except OverflowError as exc:
-        raise NumericError(f"invariants overflowed; rescale the coefficients ({exc})") from None
-    if value != 0 and max(abs(out.real), abs(out.imag)) < sys.float_info.min:
+        raise NumericError(f"{what} overflowed; rescale the coefficients ({exc})") from None
+
+
+def _invariant(x: _Exact, den: int = 1) -> complex:
+    """An invariant ``x / den``, rounded once.
+
+    Raises
+    ------
+    NumericError
+        If it overflows, or a nonzero one lands below the smallest
+        normal float.
+    """
+    out = _rounded(x, "invariants", den)
+    if (x.re or x.im) and max(abs(out.real), abs(out.imag)) < sys.float_info.min:
         raise NumericError("invariants underflowed; rescale the coefficients")
     return out
 
 
-def _delta_factored(pairs: list[_Pair], a: tuple[complex, ...], e: int) -> _Pair:
-    """Delta on this family as a scaled pair.
-
-    ``pairs`` holds the coefficient triple as scaled pairs, ``a`` the
-    triple times 2**-e.
-    """
-    # Delta restricted to this family factors into the twelve linear
-    # forms a1, a2, a3 and a1 + w^j a2 + w^k a3 (w a primitive cube
-    # root of unity), each cubed, with overall constant -4.  The
-    # product form is exact algebra and avoids the catastrophic
-    # cancellation of the expanded combination.  The sums are taken on
-    # the scaled triple, the single factors on the unscaled one.
-    a1, a2, a3 = a
-    forms = (
-        _scaled(
-            a1
-            + (_OMEGA_RE[j] * a2 + _OMEGA_RE[k] * a3)
-            + 1j * (_OMEGA_IM[j] * a2 + _OMEGA_IM[k] * a3),
-            e,
-        )
-        for j in range(3)
-        for k in range(3)
-    )
-    prod = _pow(_mul(*pairs), 3)
-    return _mul(prod, *(_pow(f, 3) for f in forms), (-4.0, 0))
+def _combination(i6: _Exact, i9: _Exact, j12: _Exact) -> _Exact:
+    """``I6^3 I9^2 - I6^2 J12^2 + 36 I6 I9^2 J12 + 108 I9^4 - 32 J12^3``, exactly."""
+    q = i9 * i9
+    return i6**3 * q - i6**2 * j12**2 + 36 * i6 * q * j12 + 108 * q * q - 32 * j12**3
 
 
 def fundamental_invariants(coeffs: NormalFormCoefficients) -> QutritInvariantReport:
     """Evaluate I6, I9, I12, J12 and Delta for a coefficient triple.
+
+    Each is the exact value of its polynomial (module docstring) on the
+    given coefficients, rounded once.
 
     Parameters
     ----------
@@ -232,58 +230,20 @@ def fundamental_invariants(coeffs: NormalFormCoefficients) -> QutritInvariantRep
     --------
     >>> r = fundamental_invariants(NormalFormCoefficients(1, 0, 0))
     >>> (r.i6, r.i9, r.i12, r.j12)
-    ((1+0j), -0j, (-1-0j), 0j)
+    ((1+0j), 0j, (-1+0j), 0j)
     """
-    # I6, I12 and J12 are sums: each is homogeneous (degree 6, 12, 12), so
-    # evaluate it on the triple divided by the power of two 2**e just above
-    # its largest part, then multiply by 2**(degree * e).  Both scalings are
-    # exact, so the values are those of the unscaled triple, and an
-    # underflow is caught instead of read as a vanishing invariant.  I9 and
-    # Delta are product forms, carried as scaled pairs throughout.
-    pairs = [_scaled(v) for v in coeffs.as_tuple()]
-    e = max(k for m, k in pairs if m)
-    a = a1, a2, a3 = tuple(_ldexp(v, -e) for v in coeffs.as_tuple())
-    c1, c2, c3 = a1**3, a2**3, a3**3
-    e2 = c1 * c2 + c1 * c3 + c2 * c3
-    i6 = a1**6 + a2**6 + a3**6 - 10.0 * e2
-    s = c1 + c2 + c3
-    i12 = -s * (s**3 + (6.0 * a1 * a2 * a3) ** 3)
-    # J12 = e2 p2 - 3 q2 in the cubes (module docstring), not the
-    # cancelling (-I12 - I6^2) / 24: its differences are exact zeros at
-    # equal cubes and its products exact zeros at two zero cubes, the
-    # triples where J12 vanishes
-    j12 = e2 * ((c1 - c2) ** 2 + (c2 - c3) ** 2 + (c3 - c1) ** 2) / 2.0 - 1.5 * (
-        (c1 * c2 - c2 * c3) ** 2 + (c2 * c3 - c3 * c1) ** 2 + (c3 * c1 - c1 * c2) ** 2
-    )
-    p1, p2, p3 = (_pow(p, 3) for p in pairs)
-    d12, d13, d23 = _sub(p1, p2), _sub(p1, p3), _sub(p2, p3)
-    i9 = _mul((-d12[0], d12[1]), d13, d23)
-    return QutritInvariantReport(
-        i6=_in_range(i6, 6 * e),
-        i9=_in_range(*i9),
-        i12=_in_range(i12, 12 * e),
-        j12=_in_range(j12, 12 * e),
-        delta=_in_range(*_delta_factored(pairs, a, e)),
-    )
-
-
-# -- exact-rational helpers for the Delta combination ----------------------
-# Each float is an exact dyadic rational, so evaluating the combination
-# with Fraction arithmetic rounds exactly once, at the end.
-
-_FC = tuple[Fraction, Fraction]
-
-
-def _fc(z: complex) -> _FC:
-    return (Fraction(z.real), Fraction(z.imag))
-
-
-def _fc_mul(*factors: _FC) -> _FC:
-    """Exact product of any number of complex rationals."""
-    re, im = Fraction(1), Fraction(0)
-    for x, y in factors:
-        re, im = re * x - im * y, re * y + im * x
-    return re, im
+    a1, a2, a3 = (_Exact.of(v) for v in coeffs.as_tuple())
+    x, y, z = a1**3, a2**3, a3**3
+    xy, yz, zx = x * y, y * z, z * x
+    e2, p, s = xy + yz + zx, x * x + y * y + z * z, x + y + z
+    i6 = p - 10 * e2
+    i9 = -((x - y) * (x - z) * (y - z))
+    i12 = -(s * (s**3 + 216 * xy * z))
+    j12 = e2 * (p - e2) - 3 * (xy * xy + yz * yz + zx * zx - xy * z * s)
+    # Delta, of degree 36, is formed only after the others pass the range
+    # check, which spares its cost where they already overflow
+    rounded = [_invariant(v) for v in (i6, i9, i12, j12)]
+    return QutritInvariantReport(*rounded, delta=_invariant(_combination(i6, i9, j12)))
 
 
 def hyperdeterminant_333(report: QutritInvariantReport) -> complex:
@@ -291,8 +251,8 @@ def hyperdeterminant_333(report: QutritInvariantReport) -> complex:
 
     The combination
     ``I6^3 I9^2 - I6^2 J12^2 + 36 I6 I9^2 J12 + 108 I9^4 - 32 J12^3``
-    is evaluated in exact rational arithmetic on the stored values and
-    rounded once, so no precision is lost beyond what the inputs carry.
+    is evaluated exactly on the stored values and rounded once, so no
+    precision is lost beyond what the inputs carry.
 
     Raises
     ------
@@ -300,8 +260,7 @@ def hyperdeterminant_333(report: QutritInvariantReport) -> complex:
         If the report violates -I12 - I6^2 = 24 J12 beyond relative
         1e-9.
     NumericError
-        If that check or the rounded combination lies beyond the float
-        range.
+        If that check or the rounded combination overflows.
     """
     try:
         resid = abs(-report.i12 - report.i6**2 - 24.0 * report.j12)
@@ -315,19 +274,8 @@ def hyperdeterminant_333(report: QutritInvariantReport) -> complex:
             f"inconsistent report: J12 relation residual {resid:.3e} "
             f"exceeds relative 1e-9"
         )
-    i6, i9, j12 = _fc(report.i6), _fc(report.i9), _fc(report.j12)
-    terms = (
-        (1, _fc_mul(i6, i6, i6, i9, i9)),
-        (-1, _fc_mul(i6, i6, j12, j12)),
-        (36, _fc_mul(i6, i9, i9, j12)),
-        (108, _fc_mul(i9, i9, i9, i9)),
-        (-32, _fc_mul(j12, j12, j12)),
-    )
-    total = [sum(k * t[part] for k, t in terms) for part in (0, 1)]
-    try:
-        return complex(float(total[0]), float(total[1]))
-    except OverflowError as exc:
-        raise NumericError(f"the Delta combination overflowed; rescale the coefficients ({exc})")
+    values = (_Exact.of(v) for v in (report.i6, report.i9, report.j12))
+    return _rounded(_combination(*values), "the Delta combination")
 
 
 def _phi_state(alpha: complex, beta: complex) -> StateVector:
@@ -351,8 +299,9 @@ def phi_family(alpha: complex, beta: complex) -> PhiFamilyResult:
     PhiFamilyResult
         ``state``, the invariant ``report`` (whose ``delta`` runs
         through the combination of :func:`hyperdeterminant_333`), and
-        the closed-form ``delta``.  The two delta routes agree to
-        rounding.
+        the closed-form ``delta``.  I6, J12 = -I6^2 / 24 and the closed
+        form are exact values rounded once; the two delta routes agree
+        to rounding.
 
     Raises
     ------
@@ -371,13 +320,15 @@ def phi_family(alpha: complex, beta: complex) -> PhiFamilyResult:
     """
     alpha, beta = complex(alpha), complex(beta)
     state = _phi_state(alpha, beta)
-    # I6 = -8 alpha^2 beta^4, J12 = -I6^2 / 24 and the closed form
-    a, b = _scaled(alpha), _scaled(beta)
-    i6 = _mul((-8.0, 0), _pow(a, 2), _pow(b, 4))
-    m, e = _pow(i6, 2)
-    j12 = _scaled(-m / 24.0, e)
-    closed = _mul((4096.0 / 27.0, 0), _pow(_mul(a, _pow(b, 2)), 12))
-    i6, j12, closed = (_in_range(*v) for v in (i6, j12, closed))
-    report = QutritInvariantReport(i6=i6, i9=0j, i12=0j, j12=j12, delta=0j)
+    a, b = _Exact.of(alpha), _Exact.of(beta)
+    i6 = -8 * a * a * b**4
+    report = QutritInvariantReport(
+        i6=_invariant(i6),
+        i9=0j,
+        i12=0j,
+        j12=_invariant(-(i6 * i6), den=24),
+        delta=0j,
+    )
+    closed = _invariant(4096 * (a * b * b) ** 12, den=27)
     report = replace(report, delta=hyperdeterminant_333(report))
     return PhiFamilyResult(state=state, report=report, delta=closed)

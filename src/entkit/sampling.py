@@ -30,7 +30,13 @@ from .hyperdet import _cayley, cayley_hyperdeterminant
 
 # LocalUnitary, apply_local_unitary and schmidt_decompose are unused here,
 # but perfbench/tracing.py patches these names on this module
-from .schmidt import _det2, _ranks, bipartite_determinant, schmidt_decompose  # noqa: F401
+from .schmidt import (  # noqa: F401
+    _det2,
+    _ranks,
+    _singular_values,
+    bipartite_determinant,
+    schmidt_decompose,
+)
 from .states import (  # noqa: F401
     LocalUnitary,
     StateVector,
@@ -209,8 +215,7 @@ def _draw_block(maps, seed: int, start: int, stop: int) -> list:
 def _schmidt_ranks_first(t: np.ndarray) -> np.ndarray:
     if t.ndim < 3:
         raise ValidationError("schmidt-rank needs at least two parties")
-    s = np.linalg.svd(t.reshape(t.shape[0], t.shape[1], -1), compute_uv=False)
-    return _ranks(s).astype(float)
+    return _ranks(_singular_values(t.reshape(t.shape[0], t.shape[1], -1))).astype(float)
 
 
 #: name -> the functional of a stack of amplitude tensors with a leading

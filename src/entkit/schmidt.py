@@ -2,11 +2,12 @@
 
 Any bipartition of the parties is supported: the amplitude tensor is
 permuted so the chosen parties come first and reshaped to a matrix.
-The Schmidt coefficients are the singular values of the triangular
-factor of an R-only QR of that matrix's tall orientation (Chan's
-R-SVD), so the long singular vectors are never formed unless the
-Schmidt bases are read.  The Schmidt rank uses a relative singular
-value cutoff ``sigma > tolerance * sigma_max``.
+The Schmidt coefficients of a non-square matrix are the singular
+values of the triangular factor of an R-only QR of its tall orientation
+(Chan's R-SVD), so the long singular vectors are never formed unless
+the Schmidt bases are read; a square matrix goes to the SVD directly.
+The Schmidt rank uses a relative singular value cutoff
+``sigma > tolerance * sigma_max``.
 """
 
 from __future__ import annotations
@@ -150,10 +151,7 @@ def schmidt_decompose(
     if not 0 < tolerance < 1:
         raise ValidationError(f"tolerance must lie in (0, 1), got {tolerance}")
     m, cut = bipartition_matrix(state, cut)
-    # the singular values of R are those of m; the QR touches the long
-    # side once and leaves a short-side square for the SVD
-    tall = m.T if m.shape[0] < m.shape[1] else m
-    s = np.linalg.svd(np.linalg.qr(tall, mode="r"), compute_uv=False)
+    s = _singular_values(m)
     rank = int(_ranks(s, tolerance))
     return SchmidtDecomposition(
         lambdas=s[:rank].copy(),
@@ -162,6 +160,22 @@ def schmidt_decompose(
         tolerance_used=float(tolerance),
         _matrix=m,
     )
+
+
+def _singular_values(m: np.ndarray) -> np.ndarray:
+    """Descending singular values of each matrix ``m[..., i, j]`` of a stack.
+
+    A matrix that is not square is taken in its tall orientation, and
+    its values are those of the triangular factor of an R-only QR: the
+    QR touches the long side once and leaves a short-side square for
+    the SVD.  A square matrix goes to the SVD as it is, since its R
+    factor would be as large.
+    """
+    if m.shape[-2] < m.shape[-1]:
+        m = np.swapaxes(m, -1, -2)
+    if m.shape[-2] > m.shape[-1]:
+        m = np.linalg.qr(m, mode="r")
+    return np.linalg.svd(m, compute_uv=False)
 
 
 def _ranks(s: np.ndarray, tolerance: float = 1e-9) -> np.ndarray:

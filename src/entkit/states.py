@@ -72,6 +72,16 @@ def _check_qubit_count(n: int) -> None:
         )
 
 
+def _as_int(value, what: str) -> int:
+    """``value`` through ``operator.index``: numpy integers pass, bools, floats and strings raise."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _as_complex_array(values, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.complex128)
     if not np.all(np.isfinite(arr)):
@@ -118,7 +128,7 @@ class StateVector:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(_as_int(d, "a local dimension") for d in self.dims)
         if len(dims) < 1 or any(d < 2 for d in dims):
             raise ValidationError(f"every local dimension must be >= 2, got {dims}")
         size = math.prod(dims)
@@ -185,7 +195,7 @@ def _dense(dims, entries) -> np.ndarray:
     Rejects a local dimension below 2, a wrong arity, an out-of-range or
     repeated index, a non-finite value and an empty entry list.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(_as_int(d, "a local dimension") for d in dims)
     if any(d < 2 for d in dims):
         raise ValidationError(f"every local dimension must be >= 2, got {dims}")
     _check_size(math.prod(dims))
@@ -263,7 +273,7 @@ def make_state(dims, entries) -> StateVector:
     >>> make_state([2, 2], {(0, 0): 1, (1, 1): 1}).amplitude((0, 0))
     (0.7071067811865475+0j)
     """
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(dims)
     return StateVector(dims, _normalized(_dense(dims, entries))[0])
 
 
@@ -291,7 +301,7 @@ def bell_state(which: str) -> StateVector:
 
 def ghz_state(n_parties: int) -> StateVector:
     """(|0...0> + |1...1>)/sqrt(2) on ``n_parties`` qubits (n >= 2)."""
-    n = int(n_parties)
+    n = _as_int(n_parties, "the party count")
     if n < 2:
         raise ValidationError(f"ghz_state needs at least 2 parties, got {n}")
     _check_qubit_count(n)

@@ -129,13 +129,37 @@ class TestInvariants:
 
     def test_product_form_lost_in_scaling_is_recomputed(self):
         # scaled by 2**-81, a2^3 and a3^3 would underflow, and a float I9
-        # and Delta would come out 0; the scaled pairs carry the true,
-        # normal values
+        # and Delta would come out 0; the true values are normal floats
         a = (Fraction(2) ** 80, Fraction(2) ** -300, Fraction(2) ** -299)
         r = fundamental_invariants(NormalFormCoefficients(*(float(x) for x in a)))
         _, i9, _, _, delta = exact_invariants(*a)
         assert r.i9 == pytest.approx(float(i9), rel=1e-12)
         assert r.delta == pytest.approx(float(delta), rel=1e-12)
+
+    def test_real_triples_are_correctly_rounded(self):
+        # every field is the exact value rounded once (float() of a
+        # Fraction rounds correctly), on triples spanning 10**-300 to
+        # 10**300 and the one where J12 of the scaled triple lost bits
+        rng = np.random.default_rng(38)
+        triples = [[2.0, 1.0, 1.0], [7.368867096304708e-94, 4.150060491358418e-95, 562137878751.676]]
+        triples += [[v.real for v in t] for t in _sweep_numbers(rng, 300, 3) if not any(v.imag for v in t)]
+        returned = 0
+        for t in triples:
+            try:
+                r = fundamental_invariants(NormalFormCoefficients(*t))
+            except NumericError:
+                continue
+            returned += 1
+            exact = exact_invariants(*(Fraction(v) for v in t))
+            got = (r.i6, r.i9, r.i12, r.j12, r.delta)
+            assert got == tuple(complex(float(v)) for v in exact), t
+        assert returned > 50
+
+    @pytest.mark.parametrize("triple", [(1, 0, 0), (1, 1, 0), (2, 1, 1), (-3.5, 0.25, 1e-3)])
+    def test_real_triples_give_zero_imaginary_parts(self, triple):
+        r = fundamental_invariants(NormalFormCoefficients(*triple))
+        for v in (r.i6, r.i9, r.i12, r.j12, r.delta):
+            assert math.copysign(1.0, v.imag) == 1.0 and v.imag == 0, (triple, v)
 
     def test_combination_overflow_raises_numeric(self):
         # every field is finite and -I12 - I6^2 = 24 J12 holds exactly,
@@ -286,7 +310,7 @@ def _sweep_numbers(rng, count, size):
 
 
 class TestProductFormSweep:
-    """I9, J12, Delta and phi's monomials against exact and 400-bit references.
+    """All five invariants and phi's monomials against exact and 400-bit references.
 
     Coefficient parts span 10**-300 to 10**300, with zeros and repeated
     entries.  Each value must be within 1e-12 of the reference, and a
@@ -318,7 +342,8 @@ class TestProductFormSweep:
         w = mp.exp(2j * mp.pi / 3)
         rng = np.random.default_rng(36)
         returned = 0
-        for t in [[2.0**40, 1e-40, 3e-40]] + _sweep_numbers(rng, 400, 3):
+        found = [7.368867096304708e-94, 4.150060491358418e-95, 562137878751.676]
+        for t in [[2.0**40, 1e-40, 3e-40], found] + _sweep_numbers(rng, 400, 3):
             if not any(complex(v).imag for v in t):
                 exact = exact_invariants(*(Fraction(complex(v).real) for v in t))
                 i6, i9, i12, j12, delta = (mp.mpf(v.numerator) / v.denominator for v in exact)
@@ -348,7 +373,8 @@ class TestProductFormSweep:
                 assert any(self._outside(mp, v) for v in exact), t
                 continue
             returned += 1
-            self._check(mp, (r.i9, r.j12, r.delta), (i9, j12, delta), t)
+            got = (r.i6, r.i9, r.i12, r.j12, r.delta)
+            self._check(mp, got, (i6, i9, i12, j12, delta), t)
         assert returned > 150
 
     def test_phi_pairs(self, mp):

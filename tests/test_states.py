@@ -21,7 +21,7 @@ from entkit import (
 from conftest import rand_state
 
 import entkit.states
-from entkit.majorana import DickeExpansion, coherent_state, dicke_state
+from entkit.majorana import DickeExpansion, coherent_state, dicke_state, find_stars
 from entkit.states import make_state_raw
 
 R2 = 1.0 / math.sqrt(2.0)
@@ -168,6 +168,29 @@ class TestStateVector:
     def test_non_unit_norm_rejected(self, amps):
         with pytest.raises(ValidationError, match="norm"):
             StateVector((2, 2), np.array(amps, dtype=complex))
+
+
+# each call takes one integer parameter v = 2; floats used to be truncated
+# (dims (2, 2) from 2.7, three qubits from ghz_state(3.9)) or to fail with a
+# bare TypeError further in (coherent_state, find_stars after DickeExpansion)
+INTEGER_PARAMETERS = {
+    "make_state dims": lambda v: make_state([v, 2], {(0, 0): 1.0}),
+    "StateVector dims": lambda v: StateVector((v, 2), np.array([1, 0, 0, 0], dtype=complex)),
+    "make_state_raw dims": lambda v: make_state_raw((2, v), {(1, 1): 1.0}),
+    "ghz_state n": lambda v: ghz_state(v),
+    "DickeExpansion n": lambda v: DickeExpansion(v, np.array([1, 0, 0], dtype=complex)),
+    "coherent_state n": lambda v: coherent_state((0.3, 0.2), v),
+    "find_stars n": lambda v: find_stars([1.0, 0.0, 1.0], v),
+}
+
+
+@pytest.mark.parametrize("bad", [2.0, 2.7, 3.9, "2", True, None])
+@pytest.mark.parametrize("call", INTEGER_PARAMETERS.values(), ids=INTEGER_PARAMETERS.keys())
+def test_integer_parameters_reject_non_integers(call, bad):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        call(bad)
+    for v in (2, np.int64(2), np.uint8(2)):
+        call(v)
 
 
 class TestLocalUnitary:
