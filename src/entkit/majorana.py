@@ -34,6 +34,7 @@ separations near the ``cluster_tol`` floor.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,27 +196,43 @@ def symmetrize_check(state: StateVector, tolerance: float = 1e-9) -> DickeExpans
     """Verify permutation symmetry and project onto the Dicke basis.
 
     Invariance is checked on the adjacent transpositions, which
-    generate the full symmetric group.  The coefficient c_k is read
-    from the representative index (0, ..., 0, 1, ..., 1) with k trailing
-    ones, scaled by sqrt(C(n, k)), then the vector is renormalized.
+    generate the full symmetric group.  Swapping qubits k and k + 1
+    exchanges only the 2^(n-2) amplitude pairs whose bits k, k + 1 read
+    (0, 1) and (1, 0) and fixes every other amplitude, so each
+    transposition is checked on those pairs alone.  The other entries
+    of swap(t) - t are exact zeros and the two entries of a pair are
+    exact negatives, so the reported drift equals max |swap(t) - t|
+    exactly.  The
+    coefficient c_k is read from the representative index
+    (0, ..., 0, 1, ..., 1) with k trailing ones, scaled by
+    sqrt(C(n, k)), then the vector is renormalized.
 
     Raises
     ------
+    ValidationError
+        If ``tolerance`` is not a real, finite number >= 0, or the
+        state is not made of qubits.
     NotSymmetricError
         If some transposition moves the amplitudes by more than
         ``tolerance``.
     """
+    if (
+        isinstance(tolerance, bool)
+        or not isinstance(tolerance, numbers.Real)
+        or not 0 <= tolerance < math.inf
+    ):
+        raise ValidationError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
     if any(d != 2 for d in state.dims):
         raise ValidationError(f"symmetrize_check needs qubits, got dims {state.dims}")
     n = state.n_parties
-    t = state.tensor()
+    flat = state.amplitudes
     for k in range(n - 1):
-        drift = float(np.max(np.abs(np.swapaxes(t, k, k + 1) - t)))
+        p = flat.reshape(2**k, 2, 2, -1)
+        drift = float(np.max(np.abs(p[:, 0, 1] - p[:, 1, 0])))
         if drift > tolerance:
             raise NotSymmetricError(
                 f"swap of qubits {k} and {k + 1} moves amplitudes by {drift:.3e}"
             )
-    flat = state.amplitudes
     coeffs = np.array([w * flat[2**k - 1] for k, w in enumerate(_dicke_weights(n))])
     norm = np.linalg.norm(coeffs)
     if norm == 0.0:

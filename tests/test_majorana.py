@@ -12,6 +12,7 @@ from entkit import (
     NotSymmetricError,
     NumericError,
     SpherePoint,
+    StateVector,
     ValidationError,
     apply_local_unitary,
     bell_state,
@@ -95,6 +96,76 @@ class TestSymmetrizeCheck:
     def test_non_qubit_rejected(self):
         with pytest.raises(ValidationError):
             symmetrize_check(make_state([3, 3], {(0, 0): 1.0}))
+
+    @pytest.mark.parametrize(
+        "tolerance",
+        [math.nan, math.inf, -math.inf, -1, -1e-300, np.float64("nan"), "1e-9", None, True,
+         False, np.True_, 1e-9 + 0j],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("check", [symmetrize_check, classify_symmetric])
+    def test_tolerance_must_be_finite_and_nonnegative(self, check, tolerance):
+        # NaN and inf once let the non-symmetric state pass; -1 raised
+        # NotSymmetricError and strings or None a raw TypeError
+        s = make_state((2, 2, 2), {(0, 0, 1): 1, (1, 0, 0): 2})
+        with pytest.raises(ValidationError, match="tolerance") as info:
+            check(s, tolerance=tolerance)
+        assert info.type is ValidationError
+
+    @pytest.mark.parametrize("tolerance", [0, np.int64(0), np.float32(1e-9), 1e-9])
+    def test_tolerance_accepts_real_numbers(self, tolerance):
+        assert symmetrize_check(ghz_state(3), tolerance=tolerance).n == 3
+
+    @staticmethod
+    def full_swap_drifts(state):
+        """Drift of each adjacent transposition over the whole swapped tensor."""
+        t = state.tensor()
+        return [
+            float(np.max(np.abs(np.swapaxes(t, k, k + 1) - t)))
+            for k in range(state.n_parties - 1)
+        ]
+
+    @staticmethod
+    def full_swap_outcome(state, drifts, tolerance):
+        """Message of the first failing transposition, else the Dicke coefficients."""
+        for k, drift in enumerate(drifts):
+            if drift > tolerance:
+                return f"swap of qubits {k} and {k + 1} moves amplitudes by {drift:.3e}"
+        n = state.n_parties
+        flat = state.amplitudes
+        coeffs = np.array([math.sqrt(math.comb(n, k)) * flat[2**k - 1] for k in range(n + 1)])
+        return coeffs / np.linalg.norm(coeffs)
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_pair_drifts_equal_full_swap_bit_for_bit(self, n):
+        rng = np.random.default_rng(1500 + n)
+        c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        dicke = dicke_state(DickeExpansion(n=n, coeffs=c / np.linalg.norm(c))).amplitudes
+        variants = [dicke]
+        for eps in (1e-12, 1e-9, 1e-6):
+            noise = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+            variants.append(dicke + eps * noise)
+            one = dicke.copy()
+            one[rng.integers(2**n)] += eps * (1 + 1j)
+            variants.append(one)
+        for amps in variants:
+            state = StateVector((2,) * n, amps / np.linalg.norm(amps))
+            drifts = self.full_swap_drifts(state)
+            tolerances = [1e-9]
+            # the worst drift and the float below it pin that drift bit for bit
+            worst = max(drifts, default=0.0)
+            if worst > 0.0:
+                tolerances += [worst, np.nextafter(worst, 0.0)]
+            for tol in tolerances:
+                want = self.full_swap_outcome(state, drifts, tol)
+                try:
+                    got = symmetrize_check(state, tol).coeffs
+                except NotSymmetricError as exc:
+                    got = str(exc)
+                if isinstance(want, str):
+                    assert got == want
+                else:
+                    assert isinstance(got, np.ndarray) and np.array_equal(got, want)
 
     @staticmethod
     def dicke_reference(d: DickeExpansion) -> np.ndarray:
