@@ -34,13 +34,12 @@ separations near the ``cluster_tol`` floor.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .states import NumericError, StateVector, ValidationError, _check_qubit_count, _normalized
-from .states import _as_complex_array, _as_int, _check_unit_norm
+from .states import _as_complex_array, _as_int, _as_real, _check_unit_norm
 
 __all__ = [
     "NotSymmetricError",
@@ -216,12 +215,9 @@ def symmetrize_check(state: StateVector, tolerance: float = 1e-9) -> DickeExpans
         If some transposition moves the amplitudes by more than
         ``tolerance``.
     """
-    if (
-        isinstance(tolerance, bool)
-        or not isinstance(tolerance, numbers.Real)
-        or not 0 <= tolerance < math.inf
-    ):
-        raise ValidationError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
+    tolerance = _as_real(tolerance, "tolerance")
+    if tolerance < 0:
+        raise ValidationError(f"tolerance must be >= 0, got {tolerance!r}")
     if any(d != 2 for d in state.dims):
         raise ValidationError(f"symmetrize_check needs qubits, got dims {state.dims}")
     n = state.n_parties
@@ -508,6 +504,13 @@ def _single_linkage_clusters(dist: np.ndarray, accept) -> list[list[int]]:
     return clusters
 
 
+def _check_cluster_tol(cluster_tol) -> float:
+    tol = _as_real(cluster_tol, "cluster_tol")
+    if tol < 0:
+        raise ValidationError(f"cluster_tol must be >= 0, got {cluster_tol!r}")
+    return tol
+
+
 def find_stars(poly, n: int, cluster_tol: float = 1e-6) -> MajoranaConstellation:
     """Locate the Majorana stars of a degree-n polynomial.
 
@@ -522,7 +525,8 @@ def find_stars(poly, n: int, cluster_tol: float = 1e-6) -> MajoranaConstellation
         Chordal floor below which roots always merge.  The effective
         merge radius additionally adapts to the local multiplicity, so
         repeated roots whose numerical ring is wider than this floor
-        are still gathered into one star.  Must be finite and >= 0.
+        are still gathered into one star.  Must be a real, finite
+        number >= 0.
 
     Returns
     -------
@@ -530,12 +534,14 @@ def find_stars(poly, n: int, cluster_tol: float = 1e-6) -> MajoranaConstellation
 
     Raises
     ------
+    ValidationError
+        If ``cluster_tol`` is not a real, finite number >= 0 (bools
+        are rejected), before the coefficients are read.
     NumericError
         If every coefficient is below 1e-14 in magnitude.
     """
+    cluster_tol = _check_cluster_tol(cluster_tol)
     a = _padded(poly, n)
-    if not (math.isfinite(cluster_tol) and cluster_tol >= 0.0):
-        raise ValidationError(f"cluster_tol must be finite and >= 0, got {cluster_tol}")
     if not np.all(np.isfinite(a.view(np.float64))):
         raise NumericError("polynomial coefficients are not finite")
     if float(np.max(np.abs(a))) < 1e-14:
@@ -623,8 +629,10 @@ def classify_symmetric(
     The onion level equals the number of distinct stars: level 1 is the
     coherent (product) extreme, level n the fully non-degenerate top.
     Use :meth:`SymmetricClassification.precedes` to compare two states
-    of the same qubit count.
+    of the same qubit count.  ``cluster_tol`` is checked as in
+    :func:`find_stars` before the state is read.
     """
+    _check_cluster_tol(cluster_tol)
     expansion = symmetrize_check(state, tolerance)
     constellation = find_stars(
         majorana_polynomial(expansion), expansion.n, cluster_tol

@@ -3,9 +3,18 @@
 Any bipartition of the parties is supported: the amplitude tensor is
 permuted so the chosen parties come first and reshaped to a matrix.
 The Schmidt coefficients of a non-square matrix are the singular
-values of the triangular factor of an R-only QR of its tall orientation
-(Chan's R-SVD), so the long singular vectors are never formed unless
-the Schmidt bases are read; a square matrix goes to the SVD directly.
+values of a small triangular factor of it (Chan's R-SVD), so the long
+singular vectors are never formed unless the Schmidt bases are read.
+Which factor depends on the short side:
+
+- two rows (every single-qubit cut): one modified Gram-Schmidt step on
+  the two rows, a few passes over them with no copy beyond one row,
+  where LAPACK's QR spends most of its time copying the long side;
+- a short side above 2: the R factor of an R-only QR of the tall
+  orientation;
+- a square matrix: the SVD directly, since its R factor would be as
+  large.
+
 The Schmidt rank uses a relative singular value cutoff
 ``sigma > tolerance * sigma_max``.
 """
@@ -19,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .states import StateVector, ValidationError
+from .states import StateVector, ValidationError, _as_real
 
 __all__ = [
     "SchmidtDecomposition",
@@ -133,7 +142,8 @@ def schmidt_decompose(
         and strings raise ``ValidationError``.
     tolerance : float, optional
         Relative cutoff for the rank: singular values at or below
-        ``tolerance * sigma_max`` are discarded.
+        ``tolerance * sigma_max`` are discarded.  A real number in
+        (0, 1); bools, strings and None raise ``ValidationError``.
 
     Returns
     -------
@@ -148,8 +158,9 @@ def schmidt_decompose(
     """
     if state.n_parties < 2:
         raise ValidationError("schmidt_decompose needs at least two parties")
+    tolerance = _as_real(tolerance, "tolerance")
     if not 0 < tolerance < 1:
-        raise ValidationError(f"tolerance must lie in (0, 1), got {tolerance}")
+        raise ValidationError(f"tolerance must lie in (0, 1), got {tolerance!r}")
     m, cut = bipartition_matrix(state, cut)
     s = _singular_values(m)
     rank = int(_ranks(s, tolerance))
@@ -157,7 +168,7 @@ def schmidt_decompose(
         lambdas=s[:rank].copy(),
         rank=rank,
         cut=cut,
-        tolerance_used=float(tolerance),
+        tolerance_used=tolerance,
         _matrix=m,
     )
 
@@ -165,17 +176,74 @@ def schmidt_decompose(
 def _singular_values(m: np.ndarray) -> np.ndarray:
     """Descending singular values of each matrix ``m[..., i, j]`` of a stack.
 
-    A matrix that is not square is taken in its tall orientation, and
-    its values are those of the triangular factor of an R-only QR: the
-    QR touches the long side once and leaves a short-side square for
-    the SVD.  A square matrix goes to the SVD as it is, since its R
-    factor would be as large.
+    A matrix whose short side is 2 and whose long side is longer gets
+    its 2 x 2 triangular factor from :func:`_two_row_factor`, a few
+    passes over the two rows.  One whose short side is above 2 is taken
+    in its tall orientation, and its values are those of the triangular
+    factor of an R-only QR, which touches the long side once.  Either
+    way the SVD runs on a short-side square only.  A square matrix goes
+    to the SVD as it is, since its R factor would be as large.
     """
-    if m.shape[-2] < m.shape[-1]:
-        m = np.swapaxes(m, -1, -2)
     if m.shape[-2] > m.shape[-1]:
-        m = np.linalg.qr(m, mode="r")
+        m = np.swapaxes(m, -1, -2)
+    if m.shape[-2] == 2 < m.shape[-1]:
+        m = _two_row_factor(m)
+    elif m.shape[-2] < m.shape[-1]:
+        m = np.linalg.qr(np.swapaxes(m, -1, -2), mode="r")
     return np.linalg.svd(m, compute_uv=False)
+
+
+#: a squared row norm below this may have lost digits to underflow
+_TINY = 2.0**-600
+
+
+def _two_row_factor(m: np.ndarray) -> np.ndarray:
+    """Upper triangular 2 x 2 factor R of each two-row matrix ``m[..., 2, L]``.
+
+    One modified Gram-Schmidt step on the rows x and y:
+    ``R = [[|x|, |c|], [0, |r|]]`` with ``c = q^H y``, ``r = y - c q``
+    and ``q = x / |x|`` (``q = 0`` for ``x = 0``), so that ``m`` is
+    ``R`` times two orthonormal rows up to phases and has its singular
+    values.  The residual is formed as ``y - (c / |x|) x``, which is
+    ``y - c q`` without a pass to form q.  The R factor of
+    modified Gram-Schmidt is backward stable, as Householder's is
+    (Bjorck and Paige 1992).
+    """
+    lead = m.shape[:-2]
+    m = m.reshape(-1, 2, m.shape[-1])
+    x, nx, ex = _scaled_norms(m[:, 0])
+    y = m[:, 1]
+    nz = np.where(nx > 0, nx, 1.0)
+    c = np.vecdot(x, y) / nz
+    r = x * (-c / nz)[:, None]
+    r += y
+    _, nr, er = _scaled_norms(r)
+    factor = np.zeros((len(m), 2, 2))
+    factor[:, 0, 0] = np.ldexp(nx, ex)
+    factor[:, 0, 1] = np.abs(c)
+    factor[:, 1, 1] = np.ldexp(nr, er)
+    return factor.reshape(lead + (2, 2))
+
+
+def _scaled_norms(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows ``w``, norms ``|w|`` and exponents ``e`` with ``v = 2**e w`` row by row.
+
+    A row of ``v[S, L]`` whose squared norm is below ``_TINY`` (squares
+    of entries below about 1e-154 vanish) is multiplied by the power of
+    two that brings its largest component into [0.5, 1), which is exact,
+    and its norm is taken from the scaled copy.  Every other row is
+    returned as it is, with ``e = 0``.
+    """
+    n2 = np.vecdot(v, v).real
+    e = np.zeros(n2.shape, dtype=np.intc)
+    low = n2 < _TINY
+    if low.any():
+        f = v[low].view(np.float64)
+        _, e[low] = np.frexp(np.max(np.abs(f), axis=-1))
+        v = v.copy()
+        v[low] = np.ldexp(f, -e[low][:, None]).view(np.complex128)
+        n2[low] = np.vecdot(v[low], v[low]).real
+    return v, np.sqrt(n2), e
 
 
 def _ranks(s: np.ndarray, tolerance: float = 1e-9) -> np.ndarray:

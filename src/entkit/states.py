@@ -11,6 +11,7 @@ threads.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -80,6 +81,22 @@ def _as_int(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _as_real(value, what: str) -> float:
+    """``value`` as a finite float.
+
+    Numpy reals pass; bools, complex numbers, strings, None, NaN, inf and
+    ints beyond the float range raise ``ValidationError``.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            real = float(value)
+        except OverflowError:
+            real = math.inf
+        if math.isfinite(real):
+            return real
+    raise ValidationError(f"{what} must be a finite real number, got {value!r}")
 
 
 def _as_complex_array(values, what: str) -> np.ndarray:

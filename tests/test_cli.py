@@ -304,6 +304,19 @@ class TestOutputs:
         assert (code, err) == (0, "")
         assert "Def 4: level-1  [partition 2]" in out
 
+    def test_subnormal_amplitude_on_a_two_row_cut(self, tmp_path, capsys):
+        # dims [2, 4]: cut 0 is 2 x 4, not square, so the two-row factor
+        # meets the subnormal amplitude, whose square underflows
+        path = tmp_path / "tiny24.json"
+        amps = [{"index": [0, 0], "re": 1.0}, {"index": [1, 3], "re": 1e-320}]
+        path.write_text(json.dumps({"dims": [2, 4], "amplitudes": amps}))
+        code, out, err = run(capsys, "classify", str(path))
+        assert (code, err) == (0, "")
+        assert "Def 1: product" in out
+        code, out, err = run(capsys, "schmidt", str(path), "--cut", "0")
+        assert (code, err) == (0, "")
+        assert "rank: 1" in out
+
     def test_subnormal_end_amplitudes_read(self, tmp_path, capsys):
         # subnormal |00> and |11>: one star at each pole, not a LinAlgError
         path = tmp_path / "ends.json"

@@ -1,4 +1,6 @@
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,11 +20,14 @@ from entkit import (
     is_entangled_bipartite,
     is_product_multipartite,
     make_state,
+    read_state,
     schmidt_decompose,
     w_state,
+    write_state,
 )
-from entkit.sampling import haar_unitary, random_su2, trial_rng
-from entkit.schmidt import bipartition_matrix
+from entkit.cli import main
+from entkit.sampling import haar_unitary, named_invariant, random_su2, trial_rng
+from entkit.schmidt import _singular_values, bipartition_matrix
 
 R2 = 1.0 / math.sqrt(2.0)
 
@@ -88,15 +93,21 @@ class TestDecomposition:
         np.testing.assert_allclose(a.lambdas, b.lambdas, atol=1e-12)
 
 
+def _isometry(rng, d, r):
+    """``d x r`` matrix with orthonormal columns, from the QR of a Gaussian draw."""
+    g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+    return np.linalg.qr(g)[0]
+
+
+def _matrix_with_spectrum(rng, d_left, d_right, lambdas):
+    """``d_left x d_right`` matrix whose singular values are ``lambdas``."""
+    r = len(lambdas)
+    return (_isometry(rng, d_left, r) * lambdas) @ _isometry(rng, d_right, r).T
+
+
 def _state_with_spectrum(rng, n_left, n_right, lambdas):
     """Qubit state whose cut (0, ..., n_left - 1) has Schmidt coefficients ``lambdas``."""
-    d_left, d_right, r = 2**n_left, 2**n_right, len(lambdas)
-
-    def isometry(d):
-        g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
-        return np.linalg.qr(g)[0]
-
-    m = (isometry(d_left) * lambdas) @ isometry(d_right).T
+    m = _matrix_with_spectrum(rng, 2**n_left, 2**n_right, lambdas)
     return StateVector((2,) * (n_left + n_right), m.reshape(-1))
 
 
@@ -157,6 +168,95 @@ class TestSpectrumRoute:
         with pytest.raises(AssertionError):
             schmidt_decompose(s, (0,)).left_basis
         assert classify_state(s).checks[1].verdict == "entangled"
+
+
+def _blocked_svd(m):
+    """Singular values of a two-row matrix ``m[2, L]``, ``L`` eight times a power of 4.
+
+    The tall orientation is cut into blocks of eight rows, each block is
+    replaced by the R factor of its QR until eight rows are left, and
+    those go to ``np.linalg.svd``.  Every sum then runs over a few terms:
+    ``np.linalg.svd`` of a whole 2 x 32768 matrix is itself off by up to
+    about 1.1e-14 sigma_1 against a long-double Gram-Schmidt, as much as
+    the bound the two-row factor is held to.
+    """
+    t = m.T
+    while len(t) > 8:
+        t = np.linalg.qr(t.reshape(-1, 8, 2), mode="r").reshape(-1, 2)
+    return np.linalg.svd(t, compute_uv=False)
+
+
+class TestTwoRowFactor:
+    """Cuts with a short side of 2 take R from one Gram-Schmidt step on the two rows."""
+
+    @pytest.mark.parametrize("length", [8, 512, 32768])
+    @pytest.mark.parametrize("ratio", [1.0, 0.5, 1e-4, 1e-8, 1e-12, 1e-15, 0.0])
+    def test_matches_svd_oracle(self, rng, length, ratio):
+        lam = np.array([1.0, ratio]) / math.hypot(1.0, ratio)
+        for scale in (1.0, 1e-12, 1e-300):
+            m = _matrix_with_spectrum(rng, 2, length, lam)
+            m[0] *= scale
+            want = _blocked_svd(m)
+            for got in (_singular_values(m), _singular_values(m.T)):
+                assert np.max(np.abs(got - want)) <= 1e-14 * want[0], (scale, got, want)
+
+    def test_stack_equals_its_members_bit_for_bit(self, rng):
+        length = 64
+        members = [_matrix_with_spectrum(rng, 2, length, [0.8, 0.6]) for _ in range(3)]
+        members[1][0] *= 1e-300  # a first row whose squared norm underflows
+        members[2][1] = 0.0
+        members.append(np.zeros((2, length), complex))
+        members.append(np.outer([1.0, 1e-320], np.ones(length, complex)) / math.sqrt(length))
+        rank_one_plus_tiny = np.zeros((2, length), complex)
+        rank_one_plus_tiny[0, 0], rank_one_plus_tiny[1, 1] = 1.0, 1e-200
+        members.append(rank_one_plus_tiny)
+        stack = np.stack(members)
+        got = _singular_values(stack)
+        assert got.shape == (len(members), 2)
+        for k, m in enumerate(members):
+            assert np.array_equal(got[k], _singular_values(m)), k
+        assert np.array_equal(got[3], [0.0, 0.0])
+        assert np.array_equal(got[5], [1.0, 1e-200])
+
+    def test_check_invariance_trials_replay(self, rng, tmp_path, capsys):
+        # cut (0,) of this three-qubit state has sigma_2 / sigma_1 = 1e-9, on
+        # the rank cutoff, so rounding decides each trial's rank and the
+        # engine's (trials, 2, 4) stack must round as one state does
+        lam = np.array([1.0, 1e-9]) / math.hypot(1.0, 1e-9)
+        path = tmp_path / "edge.json"
+        write_state(_state_with_spectrum(rng, 1, 2, lam), path)
+        argv = ["check-invariance", str(path), "--invariant", "schmidt-rank",
+                "--trials", "40", "--seed", "3", "--json"]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        state = read_state(path).state
+        _, rank = named_invariant("schmidt-rank")
+        drifts = []
+        for t in range(40):
+            draw = trial_rng(3, t)
+            lu = LocalUnitary(tuple(random_su2(draw) for _ in range(3)))
+            drifts.append(abs(rank(apply_local_unitary(state, lu)) - rank(state)))
+        assert 0 < np.mean(drifts) < 1  # some trials flip, some do not
+        assert doc["max_abs_drift"] == max(drifts)
+        assert doc["mean_abs_drift"] == np.mean(drifts)
+
+    @pytest.mark.parametrize(
+        "coefficient, rank", [(1e-170, 2), (1e-200, 2), (1e-310, 1), (1e-320, 1)]
+    )
+    @pytest.mark.parametrize("tiny_row", [0, 1])
+    def test_tiny_coefficient(self, coefficient, rank, tiny_row):
+        # squares of these coefficients underflow; dims (2, 4) keeps both
+        # cuts off the square SVD
+        entries = {(tiny_row, 1): coefficient, (1 - tiny_row, 0): 1.0}
+        s = make_state((2, 4), entries)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            decs = [schmidt_decompose(s, cut, tolerance=1e-300) for cut in ((0,), (1,))]
+        for dec in decs:
+            assert dec.rank == rank
+            assert dec.lambdas[0] == 1.0
+            if rank == 2:
+                assert dec.lambdas[1] == coefficient
 
 
 class TestPredicates:

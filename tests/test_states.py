@@ -11,11 +11,16 @@ from entkit import (
     ValidationError,
     apply_local_unitary,
     bell_state,
+    classify_state,
+    classify_symmetric,
     fidelity,
     ghz_state,
     inner_product,
+    is_product_multipartite,
     make_state,
     pauli,
+    schmidt_decompose,
+    symmetrize_check,
     w_state,
 )
 from conftest import rand_state
@@ -254,3 +259,40 @@ def test_random_states_are_normalized(seed):
     s = rand_state(np.random.default_rng(seed), (2, 3))
     assert s.norm() == pytest.approx(1.0, abs=1e-12)
     assert fidelity(s, s) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestRealParameters:
+    """Tolerances and ``cluster_tol`` are finite real numbers, checked before any array work."""
+
+    ASYMMETRIC = make_state((2, 2, 2), {(0, 0, 1): 1, (1, 0, 0): 2})
+    # (parameter named in the error, call with the value)
+    ENTRY_POINTS = {
+        "schmidt_decompose": ("tolerance", lambda v: schmidt_decompose(ghz_state(3), (0,), v)),
+        "classify_state": ("tolerance", lambda v: classify_state(ghz_state(3), tolerance=v)),
+        "is_product_multipartite": (
+            "tolerance", lambda v: is_product_multipartite(ghz_state(3), tolerance=v)
+        ),
+        "symmetrize_check": ("tolerance", lambda v: symmetrize_check(ghz_state(3), v)),
+        # the non-finite coefficient would raise NumericError if read first
+        "find_stars": ("cluster_tol", lambda v: find_stars([1.0, math.nan], 1, cluster_tol=v)),
+        "classify_symmetric": (
+            "cluster_tol", lambda v: classify_symmetric(ghz_state(3), cluster_tol=v)
+        ),
+        # a NotSymmetricError here would mean the state was read first
+        "classify_symmetric_asymmetric": (
+            "cluster_tol",
+            lambda v: classify_symmetric(TestRealParameters.ASYMMETRIC, cluster_tol=v),
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "value",
+        [None, "1e-6", True, math.nan, -1, pytest.param(10**400, id="10**400")],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_rejected_as_validation_error(self, entry, value):
+        name, call = self.ENTRY_POINTS[entry]
+        with pytest.raises(ValidationError, match=name) as info:
+            call(value)
+        assert info.type is ValidationError
