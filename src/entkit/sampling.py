@@ -81,8 +81,10 @@ class InvarianceReport:
 
 
 def _philox_key(seed: int, counter: int) -> tuple[int, int]:
-    """``(seed, counter)`` as ints; floats and values outside [0, 2**64) raise."""
+    """``(seed, counter)`` as ints; bools, floats and values outside [0, 2**64) raise."""
     try:
+        if isinstance(seed, bool) or isinstance(counter, bool):
+            raise TypeError
         seed, counter = operator.index(seed), operator.index(counter)
     except TypeError:
         raise ValidationError(
@@ -101,7 +103,7 @@ def trial_rng(seed: int, counter: int = 0) -> np.random.Generator:
     The 128-bit Philox key holds the seed in the high word and the
     counter in the low word, so trials drawn from distinct counters are
     independent and any single trial can be replayed alone.  Both must
-    be integers in [0, 2**64).
+    be integers in [0, 2**64); bools are rejected.
     """
     seed, counter = _philox_key(seed, counter)
     return np.random.Generator(np.random.Philox(key=(seed << 64) | counter))
@@ -167,7 +169,12 @@ def _group_maps(state: StateVector, group):
     if isinstance(group, str):
         tokens = [group] * len(dims)
     else:
-        tokens = [str(t) for t in group]
+        try:
+            tokens = [str(t) for t in group]
+        except TypeError:
+            raise ValidationError(
+                f"group must be a string or a sequence of tokens, got {group!r}"
+            ) from None
     if len(tokens) != len(dims):
         raise ValidationError(
             f"group descriptor has {len(tokens)} factors for {len(dims)} parties"
@@ -199,15 +206,23 @@ def _draw_block(maps, seed: int, start: int, stop: int) -> list:
     from the Philox stream of :func:`trial_rng` ``(seed, t)``; one bit
     generator is rekeyed per trial.  The stream is the one the
     single-draw functions read, so the factors are bit for bit theirs.
+    The rekeying state dict holds plain ints, not numpy's ``uint64``
+    arrays: the ``Philox.state`` setter reads every word by indexing,
+    and indexing an array makes a numpy scalar per word, which cost
+    most of the loop.
     """
     normals = np.empty((stop - start, sum(n for n, _ in maps)))
     bits = np.random.Philox(0)
-    gen = np.random.Generator(bits)
+    draw = np.random.Generator(bits).standard_normal
     fresh = bits.state
+    words = fresh["state"]
+    words["counter"] = words["counter"].tolist()
+    fresh["buffer"] = fresh["buffer"].tolist()
+    key = words["key"] = [0, seed]  # (low, high) words of (seed << 64) | t
     for row, t in enumerate(range(start, stop)):
-        fresh["state"]["key"][:] = (t, seed)  # (low, high) words of (seed << 64) | t
+        key[0] = t
         bits.state = fresh
-        gen.standard_normal(out=normals[row])
+        draw(out=normals[row])
     runs = np.split(normals, np.cumsum([n for n, _ in maps])[:-1], axis=1)
     return [to_unitary(g) for (_, to_unitary), g in zip(maps, runs)]
 
@@ -253,9 +268,15 @@ def named_invariant(invariant):
         return key, _PUBLIC.get(key) or (lambda s: stacked(s.tensor()[None])[0].item())
     if callable(invariant):
         return getattr(invariant, "__name__", "custom"), invariant
-    label, fn = invariant
+    try:
+        label, fn = invariant
+    except (TypeError, ValueError):
+        fn = None
     if not callable(fn):
-        raise ValidationError("invariant descriptor must carry a callable")
+        raise ValidationError(
+            "invariant must be a registry name, a callable or a (label, callable)"
+            f" pair, got {invariant!r}"
+        )
     return str(label), fn
 
 
@@ -307,6 +328,7 @@ def invariance_suite(
     -------
     InvarianceReport
     """
+    trials = states._as_int(trials, "trials")
     if trials < 1:
         raise ValidationError(f"need at least one trial, got {trials}")
     if trials > states.MAX_ENTRIES:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from conftest import rand_product_state, rand_state
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import entkit.sampling as sampling
@@ -87,10 +87,15 @@ class TestTrialRng:
         with pytest.raises(ValidationError, match="must be integers"):
             trial_rng(seed, counter)
 
-    @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(7), np.uint8(7), True])
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(7), np.uint8(7)])
     def test_integer_types_accepted(self, seed):
         a = trial_rng(seed, np.int32(2)).standard_normal(8)
         np.testing.assert_array_equal(a, trial_rng(int(seed), 2).standard_normal(8))
+
+    @pytest.mark.parametrize("seed,counter", [(True, 0), (0, False)])
+    def test_bool_rejected(self, seed, counter):
+        with pytest.raises(ValidationError, match="must be integers"):
+            trial_rng(seed, counter)
 
 
 class TestRandomSu2:
@@ -198,6 +203,29 @@ class TestInvarianceSuite:
         with pytest.raises(ValidationError, match="non-negative"):
             invariance_suite(bell_state("phi+"), ("bad", lambda s: float("nan")), trials=3)
 
+    @pytest.mark.parametrize(
+        "loose,named",
+        [
+            ({"trials": True}, "trials"),
+            ({"trials": 2.0}, "trials"),
+            ({"trials": "10"}, "trials"),
+            ({"trials": None}, "trials"),
+            ({"seed": True}, "seed"),
+            ({"group": None}, "group"),
+            ({"invariant": ("x",)}, "invariant"),
+            ({"invariant": None}, "invariant"),
+            ({"trials": np.int64(5)}, None),
+        ],
+        ids=lambda v: ",".join(f"{k}={x!r}" for k, x in v.items()) if isinstance(v, dict) else None,
+    )
+    def test_loose_arguments(self, loose, named):
+        args = {"invariant": "hyperdet3q", "group": "su", "trials": 3, "seed": 1, **loose}
+        if named is None:  # a numpy integer is an integer, and the report holds an int
+            assert type(invariance_suite(ghz_state(3), **args).trials) is int
+            return
+        with pytest.raises(ValidationError, match=named):
+            invariance_suite(ghz_state(3), **args)
+
     def test_trials_validated(self):
         with pytest.raises(ValidationError):
             invariance_suite(bell_state("phi+"), "norm", "su", trials=0)
@@ -222,13 +250,16 @@ class TestStackedTrials:
     @settings(max_examples=40, deadline=None)
     @given(
         st.sampled_from(DIMS_GROUPS),
-        st.integers(0, 2**64 - 1),
-        st.integers(0, 2**20),
+        st.one_of(st.sampled_from([2**63, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+        st.one_of(st.integers(0, 2**20), st.integers(0, 2**64 - 1)),
         st.integers(1, 40),
         st.integers(0, 2**31 - 1),
         st.booleans(),
     )
+    @example(((2, 2, 2), "su"), 2**64 - 1, 2**64 - 1, 40, 0, False)
+    @example(((3, 3, 3), "u"), 2**63, 2**64 - 1, 7, 1, True)
     def test_draws_and_row_values(self, dims_group, seed, start, trials, state_seed, product):
+        start = min(start, 2**64 - trials)  # the last trial's counter stays below 2**64
         dims, token = dims_group
         maps = sampling._group_maps(StateVector(dims, np.eye(np.prod(dims))[0]), token)
         factors = sampling._draw_block(maps, seed, start, start + trials)
