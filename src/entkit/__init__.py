@@ -3,122 +3,30 @@
 Schmidt data, the two- and three-qubit determinant invariants, the
 qutrit normal-form invariants, the Majorana stellar representation,
 and Monte-Carlo verification of local-unitary invariance, with a
-matching command-line interface (``entkit``).
+matching command-line interface (``entkit``).  Every name in a library
+module's ``__all__`` is importable from the top level.
 """
 
-from .classify import ClassificationReport, DefinitionCheck, classify_state
-from .hyperdet import ThreeQubitClass, cayley_hyperdeterminant, classify_three_qubit
-from .majorana import (
-    DickeExpansion,
-    MajoranaConstellation,
-    NotSymmetricError,
-    SpherePoint,
-    SymmetricClassification,
-    binary_discriminant,
-    classify_symmetric,
-    coherent_state,
-    dicke_state,
-    find_stars,
-    majorana_polynomial,
-    symmetrize_check,
-)
-from .qutrit import (
-    NormalFormCoefficients,
-    PhiFamilyResult,
-    QutritInvariantReport,
-    build_normal_form_state,
-    fundamental_invariants,
-    hyperdeterminant_333,
-    phi_family,
-)
-from .sampling import (
-    InvarianceReport,
-    haar_unitary,
-    invariance_suite,
-    random_su2,
-    random_sud,
-    trial_rng,
-)
-from .schmidt import (
-    SchmidtDecomposition,
-    bipartite_determinant,
-    det_squared,
-    is_entangled_bipartite,
-    is_product_multipartite,
-    schmidt_decompose,
-)
-from .stateio import LoadedState, read_state, state_from_json, state_to_json, write_state
-from .states import (
-    LocalUnitary,
-    NumericError,
-    StateVector,
-    ValidationError,
-    apply_local_unitary,
-    bell_state,
-    fidelity,
-    ghz_state,
-    inner_product,
-    make_state,
-    pauli,
-    w_state,
-)
+from . import classify, hyperdet, majorana, qutrit, sampling, schmidt, stateio, states
+from .classify import *  # noqa: F403
+from .hyperdet import *  # noqa: F403
+from .majorana import *  # noqa: F403
+from .qutrit import *  # noqa: F403
+from .sampling import *  # noqa: F403
+from .schmidt import *  # noqa: F403
+from .stateio import *  # noqa: F403
+from .states import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "StateVector",
-    "LocalUnitary",
-    "ValidationError",
-    "NumericError",
-    "NotSymmetricError",
-    "make_state",
-    "bell_state",
-    "ghz_state",
-    "w_state",
-    "apply_local_unitary",
-    "inner_product",
-    "fidelity",
-    "pauli",
-    "LoadedState",
-    "read_state",
-    "write_state",
-    "state_to_json",
-    "state_from_json",
-    "SchmidtDecomposition",
-    "schmidt_decompose",
-    "is_entangled_bipartite",
-    "is_product_multipartite",
-    "bipartite_determinant",
-    "det_squared",
-    "ThreeQubitClass",
-    "cayley_hyperdeterminant",
-    "classify_three_qubit",
-    "NormalFormCoefficients",
-    "QutritInvariantReport",
-    "PhiFamilyResult",
-    "build_normal_form_state",
-    "fundamental_invariants",
-    "hyperdeterminant_333",
-    "phi_family",
-    "DickeExpansion",
-    "SpherePoint",
-    "MajoranaConstellation",
-    "SymmetricClassification",
-    "symmetrize_check",
-    "dicke_state",
-    "majorana_polynomial",
-    "find_stars",
-    "binary_discriminant",
-    "coherent_state",
-    "classify_symmetric",
-    "InvarianceReport",
-    "trial_rng",
-    "random_su2",
-    "haar_unitary",
-    "random_sud",
-    "invariance_suite",
-    "DefinitionCheck",
-    "ClassificationReport",
-    "classify_state",
+    *states.__all__,
+    *stateio.__all__,
+    *schmidt.__all__,
+    *hyperdet.__all__,
+    *qutrit.__all__,
+    *majorana.__all__,
+    *sampling.__all__,
+    *classify.__all__,
 ]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .states import StateVector, ValidationError
+from .states import StateVector, ValidationError, _as_real
 
 __all__ = ["ThreeQubitClass", "cayley_hyperdeterminant", "classify_three_qubit"]
 
@@ -81,7 +81,14 @@ def classify_three_qubit(
     stratum, which contains the W orbit and every product state.  Finer
     separation inside the stratum is the job of
     :func:`entkit.schmidt.is_product_multipartite`.
+
+    Raises
+    ------
+    ValidationError
+        If ``tolerance`` is not a finite real number >= 0 (bools are
+        rejected), or the state's dims are not (2, 2, 2).
     """
+    tolerance = _as_real(tolerance, "tolerance", lo=0)
     return _class_of(cayley_hyperdeterminant(state), tolerance)
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import NumericError, StateVector, ValidationError, _check_qubit_count, _normalized
-from .states import _as_complex_array, _as_int, _as_real, _check_unit_norm
+from .states import _as_int, _as_real, _unit_vector
 
 __all__ = [
     "NotSymmetricError",
@@ -92,16 +92,9 @@ class DickeExpansion:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _as_int(self.n, "the qubit count n"))
-        if self.n < 1:
-            raise ValidationError(f"need at least one qubit, got n={self.n}")
-        c = _as_complex_array(np.reshape(self.coeffs, -1), "Dicke coefficient vector")
-        if c.size != self.n + 1:
-            raise ValidationError(f"need {self.n + 1} Dicke coefficients, got {c.size}")
-        c = c.copy()
-        _check_unit_norm(c, "Dicke coefficients")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        n = _as_int(self.n, "the qubit count n", lo=1)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "coeffs", _unit_vector(self.coeffs, n + 1, "Dicke coefficients"))
 
 
 @dataclass(frozen=True)
@@ -111,6 +104,13 @@ class SpherePoint:
     ``theta`` lies in [0, pi] and the azimuth ``phi`` in [0, 2 pi).
     Stars found by :func:`find_stars` whose azimuth lies within rounding
     of 2 pi are reported with ``phi = 0``.
+
+    Raises
+    ------
+    ValidationError
+        If ``theta`` or ``phi`` is not a finite real number or lies
+        outside its range, or ``multiplicity`` is not an integer >= 1
+        (bools are rejected).
     """
 
     theta: float
@@ -118,12 +118,14 @@ class SpherePoint:
     multiplicity: int = 1
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValidationError(f"theta {self.theta} outside [0, pi]")
-        if not 0.0 <= self.phi < _TWO_PI:
-            raise ValidationError(f"phi {self.phi} outside [0, 2 pi)")
-        if self.multiplicity < 1:
-            raise ValidationError("multiplicity must be at least 1")
+        theta, phi = _as_real(self.theta, "theta"), _as_real(self.phi, "phi")
+        if not 0.0 <= theta <= math.pi:
+            raise ValidationError(f"theta {theta} outside [0, pi]")
+        if not 0.0 <= phi < _TWO_PI:
+            raise ValidationError(f"phi {phi} outside [0, 2 pi)")
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "multiplicity", _as_int(self.multiplicity, "multiplicity", lo=1))
 
     def xyz(self) -> np.ndarray:
         st = math.sin(self.theta)
@@ -215,9 +217,7 @@ def symmetrize_check(state: StateVector, tolerance: float = 1e-9) -> DickeExpans
         If some transposition moves the amplitudes by more than
         ``tolerance``.
     """
-    tolerance = _as_real(tolerance, "tolerance")
-    if tolerance < 0:
-        raise ValidationError(f"tolerance must be >= 0, got {tolerance!r}")
+    tolerance = _as_real(tolerance, "tolerance", lo=0)
     if any(d != 2 for d in state.dims):
         raise ValidationError(f"symmetrize_check needs qubits, got dims {state.dims}")
     n = state.n_parties
@@ -277,15 +277,17 @@ def coherent_state(direction, n: int) -> DickeExpansion:
     n : int
         Qubit count, at least 1.
     """
-    n = _as_int(n, "the qubit count n")
-    if n < 1:
-        raise ValidationError(f"coherent_state needs n >= 1, got {n}")
+    n = _as_int(n, "the qubit count n", lo=1)
     if isinstance(direction, SpherePoint):
         theta, phi = direction.theta, direction.phi
     else:
-        theta, phi = float(direction[0]), float(direction[1])
-    if not (math.isfinite(theta) and math.isfinite(phi)):
-        raise ValidationError(f"coherent_state needs finite angles, got ({theta}, {phi})")
+        theta, phi = direction[0], direction[1]
+    try:
+        theta, phi = _as_real(theta, "theta"), _as_real(phi, "phi")
+    except ValidationError:
+        raise ValidationError(
+            f"coherent_state needs finite angles, got ({theta!r}, {phi!r})"
+        ) from None
     half = theta / 2.0
     # one power per k: an array power rounds differently at large n
     c = np.array(
@@ -302,9 +304,7 @@ def coherent_state(direction, n: int) -> DickeExpansion:
 
 def _padded(poly, n: int) -> np.ndarray:
     """Ascending coefficients of degree at most n >= 1, zero-padded to length n + 1."""
-    n = _as_int(n, "the qubit count n")
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
+    n = _as_int(n, "the qubit count n", lo=1)
     a = np.asarray(poly, dtype=np.complex128).reshape(-1)
     if a.size > n + 1:
         raise ValidationError(f"polynomial degree {a.size - 1} exceeds qubit count {n}")
@@ -504,13 +504,6 @@ def _single_linkage_clusters(dist: np.ndarray, accept) -> list[list[int]]:
     return clusters
 
 
-def _check_cluster_tol(cluster_tol) -> float:
-    tol = _as_real(cluster_tol, "cluster_tol")
-    if tol < 0:
-        raise ValidationError(f"cluster_tol must be >= 0, got {cluster_tol!r}")
-    return tol
-
-
 def find_stars(poly, n: int, cluster_tol: float = 1e-6) -> MajoranaConstellation:
     """Locate the Majorana stars of a degree-n polynomial.
 
@@ -540,7 +533,7 @@ def find_stars(poly, n: int, cluster_tol: float = 1e-6) -> MajoranaConstellation
     NumericError
         If every coefficient is below 1e-14 in magnitude.
     """
-    cluster_tol = _check_cluster_tol(cluster_tol)
+    cluster_tol = _as_real(cluster_tol, "cluster_tol", lo=0)
     a = _padded(poly, n)
     if not np.all(np.isfinite(a.view(np.float64))):
         raise NumericError("polynomial coefficients are not finite")
@@ -632,7 +625,7 @@ def classify_symmetric(
     of the same qubit count.  ``cluster_tol`` is checked as in
     :func:`find_stars` before the state is read.
     """
-    _check_cluster_tol(cluster_tol)
+    _as_real(cluster_tol, "cluster_tol", lo=0)
     expansion = symmetrize_check(state, tolerance)
     constellation = find_stars(
         majorana_polynomial(expansion), expansion.n, cluster_tol

@@ -33,7 +33,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
-from .states import NumericError, StateVector, ValidationError, make_state
+from .states import NumericError, StateVector, ValidationError, _as_complex, make_state
 
 __all__ = [
     "NormalFormCoefficients",
@@ -65,7 +65,7 @@ class NormalFormCoefficients:
     def __post_init__(self) -> None:
         vals = []
         for name in ("a1", "a2", "a3"):
-            v = complex(getattr(self, name))
+            v = _as_complex(getattr(self, name), name)
             if not (cmath.isfinite(v)):
                 raise ValidationError(f"{name} is not finite")
             vals.append(v)
@@ -318,7 +318,7 @@ def phi_family(alpha: complex, beta: complex) -> PhiFamilyResult:
     >>> [round(v.real, 12) for v in (res.report.i6, res.report.j12, res.delta)]
     [-8.0, -2.666666666667, 151.703703703704]
     """
-    alpha, beta = complex(alpha), complex(beta)
+    alpha, beta = _as_complex(alpha, "alpha"), _as_complex(beta, "beta")
     state = _phi_state(alpha, beta)
     a, b = _Exact.of(alpha), _Exact.of(beta)
     i6 = -8 * a * a * b**4

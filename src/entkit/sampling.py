@@ -20,6 +20,7 @@ suite's value bit for bit.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -43,6 +44,7 @@ from .states import (  # noqa: F401
     ValidationError,
     _apply_block,
     _as_complex_array,
+    _as_int,
     _check_unit_norm,
     _check_unitary,
     apply_local_unitary,
@@ -65,7 +67,15 @@ _BLOCK_ENTRIES = 2**13
 
 @dataclass(frozen=True)
 class InvarianceReport:
-    """Drift statistics of one functional over sampled local unitaries."""
+    """Drift statistics of one functional over sampled local unitaries.
+
+    Raises
+    ------
+    ValidationError
+        If ``trials`` is not an integer >= 1, ``seed`` not an integer in
+        [0, 2**64) (bools are rejected for both), or a drift statistic
+        not a real number >= 0 (NaN is rejected).
+    """
 
     invariant_name: str
     trials: int
@@ -74,10 +84,13 @@ class InvarianceReport:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValidationError(f"need at least one trial, got {self.trials}")
-        if not (self.max_abs_drift >= 0.0 and self.mean_abs_drift >= 0.0):  # NaN fails too
-            raise ValidationError("drift statistics must be non-negative numbers")
+        object.__setattr__(self, "trials", _as_int(self.trials, "trials", lo=1))
+        object.__setattr__(self, "seed", _as_int(self.seed, "seed", lo=0, hi=2**64 - 1))
+        drifts = (self.max_abs_drift, self.mean_abs_drift)
+        if not all(  # NaN fails the comparison too
+            isinstance(v, numbers.Real) and not isinstance(v, bool) and v >= 0.0 for v in drifts
+        ):
+            raise ValidationError(f"drift statistics must be non-negative numbers, got {drifts}")
 
 
 def _philox_key(seed: int, counter: int) -> tuple[int, int]:
@@ -140,9 +153,13 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
     QR of a complex Ginibre matrix, with the R diagonal's phases folded
     into Q; without that correction QR is not Haar.
+
+    Raises
+    ------
+    ValidationError
+        If ``d`` is not an integer >= 1 (bools are rejected).
     """
-    if d < 1:
-        raise ValidationError(f"need d >= 1, got {d}")
+    d = _as_int(d, "the dimension d", lo=1)
     return _haar(rng.standard_normal((1, 2 * d * d)), d)[0]
 
 
@@ -152,9 +169,13 @@ def random_sud(d: int, rng: np.random.Generator) -> np.ndarray:
     A Haar U(d) sample divided by the principal d-th root of its
     determinant; the principal branch keeps the construction
     deterministic.
+
+    Raises
+    ------
+    ValidationError
+        If ``d`` is not an integer >= 2 (bools are rejected).
     """
-    if d < 2:
-        raise ValidationError(f"need d >= 2, got {d}")
+    d = _as_int(d, "the dimension d", lo=2)
     return _sud(rng.standard_normal((1, 2 * d * d)), d)[0]
 
 
@@ -328,9 +349,7 @@ def invariance_suite(
     -------
     InvarianceReport
     """
-    trials = states._as_int(trials, "trials")
-    if trials < 1:
-        raise ValidationError(f"need at least one trial, got {trials}")
+    trials = _as_int(trials, "trials", lo=1)
     if trials > states.MAX_ENTRIES:
         raise ValidationError(f"trials {trials} exceeds the cap {states.MAX_ENTRIES}")
     label, fn = named_invariant(invariant)

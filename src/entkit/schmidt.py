@@ -22,13 +22,12 @@ The Schmidt rank uses a relative singular value cutoff
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .states import StateVector, ValidationError, _as_real
+from .states import StateVector, ValidationError, _as_int, _as_real
 
 __all__ = [
     "SchmidtDecomposition",
@@ -99,18 +98,14 @@ class SchmidtDecomposition:
 
 
 def _normalize_cut(state: StateVector, cut) -> tuple[int, ...]:
-    parties = set(range(state.n_parties))
     try:
         entries = tuple(cut)
-        if any(isinstance(p, bool) for p in entries):
-            raise TypeError
-        cut = tuple(sorted(operator.index(p) for p in entries))
     except TypeError:
-        raise ValidationError(
-            f"cut must be a collection of integer party indices, got {cut!r}"
-        ) from None
-    if len(set(cut)) != len(cut) or not set(cut) <= parties:
-        raise ValidationError(f"cut {cut} is not a subset of parties {sorted(parties)}")
+        raise ValidationError(f"cut must be a collection of party indices, got {cut!r}") from None
+    last = state.n_parties - 1
+    cut = tuple(sorted(_as_int(p, "a party index", lo=0, hi=last) for p in entries))
+    if len(set(cut)) != len(cut):
+        raise ValidationError(f"cut {cut} lists a party twice")
     if len(cut) == 0 or len(cut) == state.n_parties:
         raise ValidationError("cut must be a nonempty proper subset of the parties")
     return cut

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import StateVector, ValidationError, _dense, _normalized
+from .states import StateVector, ValidationError, _as_real, _dense, _normalized
 
 __all__ = ["LoadedState", "read_state", "write_state", "state_to_json", "state_from_json"]
 
@@ -35,7 +35,14 @@ def state_to_json(state: StateVector, threshold: float = 0.0) -> dict:
 
     Entries with |amplitude| <= threshold are omitted; the default keeps
     every nonzero entry.
+
+    Raises
+    ------
+    ValidationError
+        If ``threshold`` is not a finite real number >= 0 (bools are
+        rejected).
     """
+    threshold = _as_real(threshold, "threshold", lo=0)
     amps = state.amplitudes
     keep = np.flatnonzero(np.abs(amps) > threshold)
     indices = np.column_stack(np.unravel_index(keep, state.dims)).tolist()

@@ -73,21 +73,38 @@ def _check_qubit_count(n: int) -> None:
         )
 
 
-def _as_int(value, what: str) -> int:
-    """``value`` through ``operator.index``: numpy integers pass, bools, floats and strings raise."""
+def _bounded(value, what: str, lo, hi):
+    """``value`` unless it lies outside ``[lo, hi]``; a bound of None is open."""
+    if lo is not None and value < lo:
+        raise ValidationError(f"{what} must be >= {lo}, got {value!r}")
+    if hi is not None and value > hi:
+        raise ValidationError(f"{what} must be <= {hi}, got {value!r}")
+    return value
+
+
+def _as_int(value, what: str, lo: int | None = None, hi: int | None = None) -> int:
+    """``value`` as an int in ``[lo, hi]``, both bounds inclusive; None leaves a side open.
+
+    Numpy integers pass; bools, floats, strings and None raise
+    ``ValidationError`` ("trials must be an integer, got 2.5"), and so
+    does a value out of bounds ("the qubit count n must be >= 1, got 0").
+    """
     try:
         if isinstance(value, bool):
             raise TypeError
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+    return _bounded(value, what, lo, hi)
 
 
-def _as_real(value, what: str) -> float:
-    """``value`` as a finite float.
+def _as_real(value, what: str, lo: float | None = None, hi: float | None = None) -> float:
+    """``value`` as a finite float in ``[lo, hi]``, both bounds inclusive; None leaves a side open.
 
     Numpy reals pass; bools, complex numbers, strings, None, NaN, inf and
-    ints beyond the float range raise ``ValidationError``.
+    ints beyond the float range raise ``ValidationError`` ("tolerance
+    must be a finite real number, got nan"), and so does a value out of
+    bounds ("tolerance must be >= 0, got -1.0").
     """
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
@@ -95,12 +112,35 @@ def _as_real(value, what: str) -> float:
         except OverflowError:
             real = math.inf
         if math.isfinite(real):
-            return real
+            return _bounded(real, what, lo, hi)
     raise ValidationError(f"{what} must be a finite real number, got {value!r}")
 
 
+def _as_complex(value, what: str) -> complex:
+    """``complex(value)``; a value that is not a number raises ``ValidationError``."""
+    try:
+        return complex(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be a number, got {value!r}") from None
+
+
+def _as_dims(dims) -> tuple[int, ...]:
+    """Local dimensions as a nonempty tuple of ints >= 2 whose product is within the cap."""
+    try:
+        dims = tuple(_as_int(d, "a local dimension", lo=2) for d in dims)
+    except TypeError:
+        raise ValidationError(f"dims must be a sequence of integers, got {dims!r}") from None
+    if not dims:
+        raise ValidationError("a state needs at least one party")
+    _check_size(math.prod(dims))
+    return dims
+
+
 def _as_complex_array(values, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.complex128)
+    try:
+        arr = np.asarray(values, dtype=np.complex128)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be an array of numbers") from None
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{what} contains non-finite entries")
     return arr
@@ -113,6 +153,17 @@ def _check_unit_norm(amps: np.ndarray, what: str = "amplitudes") -> None:
     worst = float(norms[np.argmax(np.abs(norms - 1.0))])
     if abs(worst - 1.0) > ATOL:
         raise ValidationError(f"{what} have norm {worst:.6g}, not 1")
+
+
+def _unit_vector(values, size: int, what: str) -> np.ndarray:
+    """``values`` as a read-only flat complex copy of length ``size``, finite and of norm 1."""
+    v = _as_complex_array(values, what).reshape(-1)
+    if v.size != size:
+        raise ValidationError(f"{what} have {v.size} entries, not {size}")
+    v = v.copy()
+    _check_unit_norm(v, what)
+    v.setflags(write=False)
+    return v
 
 
 def _check_unitary(m: np.ndarray, what: str) -> None:
@@ -145,20 +196,9 @@ class StateVector:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        dims = tuple(_as_int(d, "a local dimension") for d in self.dims)
-        if len(dims) < 1 or any(d < 2 for d in dims):
-            raise ValidationError(f"every local dimension must be >= 2, got {dims}")
-        size = math.prod(dims)
-        _check_size(size)
-        amps = _as_complex_array(self.amplitudes, "amplitudes").reshape(-1)
-        if amps.size != size:
-            raise ValidationError(
-                f"amplitude count {amps.size} does not match prod(dims) = {size}"
-            )
-        amps = amps.copy()
-        _check_unit_norm(amps)
-        amps.setflags(write=False)
+        dims = _as_dims(self.dims)
         object.__setattr__(self, "dims", dims)
+        amps = _unit_vector(self.amplitudes, math.prod(dims), "amplitudes")
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -209,13 +249,11 @@ class LocalUnitary:
 def _dense(dims, entries) -> np.ndarray:
     """Flat amplitude array from sparse ``(multi-index, amplitude)`` pairs, in one pass.
 
-    Rejects a local dimension below 2, a wrong arity, an out-of-range or
-    repeated index, a non-finite value and an empty entry list.
+    Rejects an empty dims list, a local dimension that is not an integer
+    or is below 2, a wrong arity, an out-of-range or repeated index, a
+    value that is not a number or not finite, and an empty entry list.
     """
-    dims = tuple(_as_int(d, "a local dimension") for d in dims)
-    if any(d < 2 for d in dims):
-        raise ValidationError(f"every local dimension must be >= 2, got {dims}")
-    _check_size(math.prod(dims))
+    dims = _as_dims(dims)
     arr = np.zeros(dims, dtype=np.complex128)
     items = entries.items() if hasattr(entries, "items") else entries
     seen = set()
@@ -231,7 +269,10 @@ def _dense(dims, entries) -> np.ndarray:
         if index in seen:
             raise ValidationError(f"amplitude index {list(index)} is listed twice")
         seen.add(index)
-        value = complex(value)
+        try:
+            value = complex(value)
+        except (TypeError, ValueError):
+            raise ValidationError(f"amplitude {value!r} at index {index} is not a number") from None
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             raise ValidationError(f"non-finite amplitude at index {index}")
         arr[index] = value
@@ -290,7 +331,7 @@ def make_state(dims, entries) -> StateVector:
     >>> make_state([2, 2], {(0, 0): 1, (1, 1): 1}).amplitude((0, 0))
     (0.7071067811865475+0j)
     """
-    dims = tuple(dims)
+    dims = _as_dims(dims)
     return StateVector(dims, _normalized(_dense(dims, entries))[0])
 
 
@@ -303,7 +344,6 @@ def bell_state(which: str) -> StateVector:
         phi+/- have support on 00 and 11, psi+/- on 01 and 10; the
         sign applies to the second term.
     """
-    which = which.lower()
     r = 1.0 / math.sqrt(2.0)
     table = {
         "phi+": {(0, 0): r, (1, 1): r},
@@ -311,16 +351,15 @@ def bell_state(which: str) -> StateVector:
         "psi+": {(0, 1): r, (1, 0): r},
         "psi-": {(0, 1): r, (1, 0): -r},
     }
-    if which not in table:
+    key = which.lower() if isinstance(which, str) else None
+    if key not in table:
         raise ValidationError(f"unknown Bell state {which!r}; expected one of {BELL_KINDS}")
-    return make_state((2, 2), table[which])
+    return make_state((2, 2), table[key])
 
 
 def ghz_state(n_parties: int) -> StateVector:
     """(|0...0> + |1...1>)/sqrt(2) on ``n_parties`` qubits (n >= 2)."""
-    n = _as_int(n_parties, "the party count")
-    if n < 2:
-        raise ValidationError(f"ghz_state needs at least 2 parties, got {n}")
+    n = _as_int(n_parties, "the party count", lo=2)
     _check_qubit_count(n)
     return make_state((2,) * n, {(0,) * n: 1.0, (1,) * n: 1.0})
 
@@ -390,7 +429,7 @@ def pauli(name: str) -> np.ndarray:
         "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
         "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
     }
-    try:
-        return table[name.upper()].copy()
-    except KeyError:
-        raise ValidationError(f"unknown Pauli {name!r}") from None
+    key = name.upper() if isinstance(name, str) else None
+    if key not in table:
+        raise ValidationError(f"unknown Pauli {name!r}")
+    return table[key]

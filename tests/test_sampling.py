@@ -365,3 +365,17 @@ class TestReportType:
                 invariant_name="x", trials=1, max_abs_drift=max_drift,
                 mean_abs_drift=mean_drift, seed=0,
             )
+
+    # a seed outside the range every other seed gets, or of another type, was kept
+    @pytest.mark.parametrize("seed", [-1, 2**64, True, None], ids=repr)
+    def test_seed_rejected(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            InvarianceReport("x", trials=1, max_abs_drift=0.0, mean_abs_drift=0.0, seed=seed)
+
+    # these raised a bare TypeError from the sign comparison
+    @pytest.mark.parametrize("drift", ["x", None], ids=repr)
+    def test_non_real_drift_rejected(self, drift):
+        with pytest.raises(ValidationError, match="non-negative"):
+            InvarianceReport("x", trials=1, max_abs_drift=drift, mean_abs_drift=0.0, seed=0)
+        with pytest.raises(ValidationError, match="non-negative"):
+            InvarianceReport("x", trials=1, max_abs_drift=0.0, mean_abs_drift=drift, seed=0)

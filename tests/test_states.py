@@ -6,20 +6,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entkit import (
+    InvarianceReport,
     LocalUnitary,
+    NormalFormCoefficients,
+    SpherePoint,
     StateVector,
     ValidationError,
     apply_local_unitary,
     bell_state,
     classify_state,
     classify_symmetric,
+    classify_three_qubit,
     fidelity,
     ghz_state,
+    haar_unitary,
     inner_product,
     is_product_multipartite,
     make_state,
     pauli,
+    phi_family,
+    random_sud,
     schmidt_decompose,
+    state_to_json,
     symmetrize_check,
     w_state,
 )
@@ -186,6 +194,10 @@ INTEGER_PARAMETERS = {
     "DickeExpansion n": lambda v: DickeExpansion(v, np.array([1, 0, 0], dtype=complex)),
     "coherent_state n": lambda v: coherent_state((0.3, 0.2), v),
     "find_stars n": lambda v: find_stars([1.0, 0.0, 1.0], v),
+    "haar_unitary d": lambda v: haar_unitary(v, np.random.default_rng(0)),
+    "random_sud d": lambda v: random_sud(v, np.random.default_rng(0)),
+    "InvarianceReport trials": lambda v: InvarianceReport("norm", v, 0.0, 0.0, 0),
+    "SpherePoint multiplicity": lambda v: SpherePoint(0.1, 0.2, v),
 }
 
 
@@ -196,6 +208,44 @@ def test_integer_parameters_reject_non_integers(call, bad):
         call(bad)
     for v in (2, np.int64(2), np.uint8(2)):
         call(v)
+
+
+# each call raised a bare AttributeError, TypeError or ValueError from the
+# conversion of a string, None or a scalar before it was checked
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bell_state(1),
+        lambda: pauli(None),
+        lambda: NormalFormCoefficients(None, 1, 1),
+        lambda: NormalFormCoefficients("x", 1, 1),
+        lambda: phi_family("x", 1),
+        lambda: make_state([2, 2], {(0, 0): None}),
+        lambda: make_state([2, 2], {(0, 0): "x"}),
+        lambda: coherent_state((None, 0.2), 3),
+        lambda: coherent_state(("x", 0.2), 3),
+        lambda: SpherePoint("x", 0.2),
+        lambda: DickeExpansion(2, "abc"),
+        lambda: make_state(2, {(0,): 1.0}),
+    ],
+    ids=[
+        "bell_state(1)",
+        "pauli(None)",
+        "NormalFormCoefficients(None)",
+        "NormalFormCoefficients('x')",
+        "phi_family('x')",
+        "make_state(None)",
+        "make_state('x')",
+        "coherent_state(None)",
+        "coherent_state('x')",
+        "SpherePoint('x')",
+        "DickeExpansion('abc')",
+        "make_state dims 2",
+    ],
+)
+def test_non_numbers_raise_validation_error(call):
+    with pytest.raises(ValidationError):
+        call()
 
 
 class TestLocalUnitary:
@@ -273,6 +323,10 @@ class TestRealParameters:
             "tolerance", lambda v: is_product_multipartite(ghz_state(3), tolerance=v)
         ),
         "symmetrize_check": ("tolerance", lambda v: symmetrize_check(ghz_state(3), v)),
+        # at -1 the W state fell in the GHZ class; at NaN every state fell outside it
+        "classify_three_qubit": ("tolerance", lambda v: classify_three_qubit(w_state(), v)),
+        # NaN kept no amplitude, and read_state rejected the document
+        "state_to_json": ("threshold", lambda v: state_to_json(ghz_state(3), v)),
         # the non-finite coefficient would raise NumericError if read first
         "find_stars": ("cluster_tol", lambda v: find_stars([1.0, math.nan], 1, cluster_tol=v)),
         "classify_symmetric": (
