@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import NumericError, StateVector, ValidationError, _check_qubit_count, _normalized
-from .states import _as_int, _as_real, _unit_vector
+from .states import _as_instance, _as_int, _as_real, _complex_array, _unit_vector
 
 __all__ = [
     "NotSymmetricError",
@@ -257,7 +257,7 @@ def majorana_polynomial(expansion: DickeExpansion) -> np.ndarray:
 
     Index j of the output is the coefficient of z^j.
     """
-    n = expansion.n
+    n = _as_instance(expansion, DickeExpansion, "the expansion").n
     a = np.zeros(n + 1, dtype=np.complex128)
     for k, w in enumerate(_dicke_weights(n)):
         a[n - k] = (-1) ** k * w * expansion.coeffs[k]
@@ -281,7 +281,12 @@ def coherent_state(direction, n: int) -> DickeExpansion:
     if isinstance(direction, SpherePoint):
         theta, phi = direction.theta, direction.phi
     else:
-        theta, phi = direction[0], direction[1]
+        try:
+            theta, phi = direction
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"direction must be a SpherePoint or a (theta, phi) pair, got {direction!r}"
+            ) from None
     try:
         theta, phi = _as_real(theta, "theta"), _as_real(phi, "phi")
     except ValidationError:
@@ -305,7 +310,7 @@ def coherent_state(direction, n: int) -> DickeExpansion:
 def _padded(poly, n: int) -> np.ndarray:
     """Ascending coefficients of degree at most n >= 1, zero-padded to length n + 1."""
     n = _as_int(n, "the qubit count n", lo=1)
-    a = np.asarray(poly, dtype=np.complex128).reshape(-1)
+    a = _complex_array(poly, "the polynomial coefficients").reshape(-1)
     if a.size > n + 1:
         raise ValidationError(f"polynomial degree {a.size - 1} exceeds qubit count {n}")
     return np.concatenate([a, np.zeros(n + 1 - a.size, dtype=np.complex128)])

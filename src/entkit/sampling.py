@@ -16,6 +16,15 @@ suite's functional, so trial t replayed through :func:`trial_rng`, the
 single-draw samplers, :class:`~entkit.states.LocalUnitary`,
 :func:`~entkit.states.apply_local_unitary` and the invariant gives the
 suite's value bit for bit.
+
+The kernels on d x d matrices pick their body from the local dimension
+d alone, never from the number of trials.  Up to a small cut
+(``states._SMALL_D``) they loop over the d columns or rows and run each
+step on the whole trial axis: Haar draws orthonormalize the Ginibre
+columns by Gram-Schmidt with one reorthogonalization, and the unitarity
+check and the contraction add their products in a fixed order.  Above
+the cut, LAPACK's QR and numpy's stacked matmul run one matrix at a
+time, which is faster there.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ from .schmidt import (  # noqa: F401
     schmidt_decompose,
 )
 from .states import (  # noqa: F401
+    _SMALL_D,
     LocalUnitary,
     StateVector,
     ValidationError,
@@ -130,11 +140,46 @@ def _su2(q: np.ndarray) -> np.ndarray:
 
 
 def _haar(g: np.ndarray, d: int) -> np.ndarray:
-    """Rows of 2 d^2 normals (real parts, then imaginary) → :func:`haar_unitary` matrices."""
-    z = (g[..., : d * d] + 1j * g[..., d * d :]).reshape(g.shape[:-1] + (d, d))
-    q, r = np.linalg.qr(z / np.sqrt(2.0))
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[..., None, :]
+    """Rows of 2 d^2 normals (real parts, then imaginary) → :func:`haar_unitary` matrices.
+
+    Up to ``states._SMALL_D`` the Ginibre columns are orthonormalized by
+    Gram-Schmidt with one reorthogonalization, on a (column, row, trial)
+    layout so every step is vectorized over the trials.  Each sum is
+    taken one row or one column at a time, in an order that does not
+    depend on the number of trials, so a stack of one gives the bits of
+    the same trial in a larger stack.  Above the cut, LAPACK's QR runs
+    and the R diagonal's phases are folded into Q.
+    """
+    if d > _SMALL_D:
+        z = (g[..., : d * d] + 1j * g[..., d * d :]).reshape(g.shape[:-1] + (d, d))
+        q, r = np.linalg.qr(z / np.sqrt(2.0))
+        diag = np.diagonal(r, axis1=-2, axis2=-1)
+        return q * (diag / np.abs(diag))[..., None, :]
+    normals = g.reshape(-1, 2 * d * d).T
+    cols = np.empty((d, d, normals.shape[1]), dtype=np.complex128)  # (column, row, trial)
+    cols.real = normals[: d * d].reshape(d, d, -1).transpose(1, 0, 2)
+    cols.imag = normals[d * d :].reshape(d, d, -1).transpose(1, 0, 2)
+    q = np.empty_like(cols)
+    q_conj = np.empty_like(cols)
+    for c in range(d):
+        v = cols[c]
+        for _ in range(2 if c else 0):  # project out columns 0..c-1, then once more
+            inner = q_conj[:c] * v
+            proj = inner[:, 0]
+            for r in range(1, d):
+                proj = proj + inner[:, r]
+            parts = q[:c] * proj[:, None]
+            for k in range(c):
+                v = v - parts[k]
+        squares = v.view(np.float64) ** 2
+        norm2 = squares[:, 0::2] + squares[:, 1::2]
+        total = norm2[0]
+        for r in range(1, d):
+            total = total + norm2[r]
+        # R's diagonal is this norm, real and positive, so Q needs no phase fold
+        np.divide(v, np.sqrt(total), out=q[c])
+        np.conjugate(q[c], out=q_conj[c])
+    return np.ascontiguousarray(q.transpose(2, 1, 0)).reshape(g.shape[:-1] + (d, d))
 
 
 def _sud(g: np.ndarray, d: int) -> np.ndarray:
@@ -151,8 +196,12 @@ def random_su2(rng: np.random.Generator) -> np.ndarray:
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed U(d) matrix.
 
-    QR of a complex Ginibre matrix, with the R diagonal's phases folded
-    into Q; without that correction QR is not Haar.
+    The Q factor of a complex Ginibre matrix whose R factor has a
+    positive real diagonal (Mezzadri 2007); an arbitrary QR is not Haar.
+    For d up to ``states._SMALL_D`` Q comes from Gram-Schmidt with one
+    reorthogonalization, whose R diagonal is positive as it stands;
+    above it from LAPACK's QR with the R diagonal's phases folded into
+    Q.  The two agree to rounding.
 
     Raises
     ------

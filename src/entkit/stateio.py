@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import StateVector, ValidationError, _as_real, _dense, _normalized
+from .states import StateVector, ValidationError, _as_instance, _as_real, _dense, _normalized
 
 __all__ = ["LoadedState", "read_state", "write_state", "state_to_json", "state_from_json"]
 
@@ -42,6 +42,7 @@ def state_to_json(state: StateVector, threshold: float = 0.0) -> dict:
         If ``threshold`` is not a finite real number >= 0 (bools are
         rejected).
     """
+    state = _as_instance(state, StateVector, "the state")
     threshold = _as_real(threshold, "threshold", lo=0)
     amps = state.amplitudes
     keep = np.flatnonzero(np.abs(amps) > threshold)

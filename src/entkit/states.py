@@ -40,6 +40,13 @@ ATOL = 1e-9
 #: soft cap on dense amplitude storage
 MAX_ENTRIES = 2**24
 
+#: largest local dimension d whose unitary kernels (the Haar draw, the
+#: unitarity check and the contraction) loop over d columns or rows and
+#: vectorize over a stack of trials; above it numpy's stacked matmul and
+#: LAPACK are faster.  Chosen from d alone, never from the stack length,
+#: so a replayed one-trial stack runs the same body as the engine
+_SMALL_D = 4
+
 BELL_KINDS = ("phi+", "psi+", "phi-", "psi-")
 
 
@@ -136,11 +143,30 @@ def _as_dims(dims) -> tuple[int, ...]:
     return dims
 
 
-def _as_complex_array(values, what: str) -> np.ndarray:
+def _as_instance(value, kind, what: str):
+    """``value`` if it is an instance of the class ``kind``, else ``ValidationError``.
+
+    A module name bound to a wrapper of the class, one that keeps the
+    class as ``__wrapped__`` the way :func:`functools.wraps` does, is
+    checked against the class.
+    """
+    kind = getattr(kind, "__wrapped__", kind)
+    if not isinstance(value, kind):
+        raise ValidationError(f"{what} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+def _complex_array(values, what: str) -> np.ndarray:
+    """``values`` as a complex array; a value that is not an array of numbers raises."""
     try:
-        arr = np.asarray(values, dtype=np.complex128)
+        return np.asarray(values, dtype=np.complex128)
     except (TypeError, ValueError):
         raise ValidationError(f"{what} must be an array of numbers") from None
+
+
+def _as_complex_array(values, what: str) -> np.ndarray:
+    """``values`` as a complex array of finite numbers."""
+    arr = _complex_array(values, what)
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{what} contains non-finite entries")
     return arr
@@ -167,8 +193,22 @@ def _unit_vector(values, size: int, what: str) -> np.ndarray:
 
 
 def _check_unitary(m: np.ndarray, what: str) -> None:
-    """Reject unless every square matrix in the stack ``m`` has max |U*U - I| <= ATOL."""
-    resid = float(np.max(np.abs(np.swapaxes(m.conj(), -1, -2) @ m - np.eye(m.shape[-1]))))
+    """Reject unless every square matrix in the stack ``m`` has max |U*U - I| <= ATOL.
+
+    Up to ``_SMALL_D``, U*U is accumulated one row of U at a time on a
+    (row, column, trial) layout, so each temporary is the size of the
+    stack.
+    """
+    d = m.shape[-1]
+    if d <= _SMALL_D:
+        rows = np.ascontiguousarray(m.reshape(-1, d, d).transpose(1, 2, 0))
+        gram = rows[0, :, None].conj() * rows[0, None, :]
+        for r in range(1, d):
+            gram += rows[r, :, None].conj() * rows[r, None, :]
+        gram -= np.eye(d)[..., None]
+    else:
+        gram = np.swapaxes(m.conj(), -1, -2) @ m - np.eye(d)
+    resid = float(np.max(np.abs(gram)))
     if not resid <= ATOL:
         raise ValidationError(f"{what} is not unitary: max |U*U - I| = {resid:.3e}")
 
@@ -230,8 +270,14 @@ class LocalUnitary:
     factors: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
+        try:
+            factors = tuple(self.factors)
+        except TypeError:
+            raise ValidationError(
+                f"factors must be a sequence of square arrays, got {self.factors!r}"
+            ) from None
         checked = []
-        for k, f in enumerate(self.factors):
+        for k, f in enumerate(factors):
             m = _as_complex_array(f, f"factor {k}")
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValidationError(f"factor {k} is not square: shape {m.shape}")
@@ -386,6 +432,8 @@ def apply_local_unitary(state: StateVector, u: LocalUnitary) -> StateVector:
         run on a stack of one, so the amplitudes equal the suite's bit
         for bit.
     """
+    state = _as_instance(state, StateVector, "the state")
+    u = _as_instance(u, LocalUnitary, "the local unitary")
     if u.dims != state.dims:
         raise ValidationError(
             f"factor dims {u.dims} do not match state dims {state.dims}"
@@ -397,15 +445,32 @@ def _apply_block(tensor: np.ndarray, factors: list) -> np.ndarray:
     """``(U_1 x ... x U_N) tensor`` for each trial, stacked on a leading axis.
 
     ``factors`` holds one ``(trials, d, d)`` array per party; one state
-    is the stack of one trial.
+    is the stack of one trial.  A party of dimension up to ``_SMALL_D``
+    is contracted with the trial axis last, as a sum over the contracted
+    index j added in order: one product of the output's size per j.
+    Above it, numpy's stacked matmul contracts with the trial axis first.
     """
-    t = tensor.reshape(1, -1)
+    t, last = tensor.reshape(1, -1), False  # trial axis first; one row serves every trial
     left = 1
     for u in factors:
         d = u.shape[-1]
-        # party k as the middle axis of (trial, parties before, d, parties after)
-        t = u[:, None] @ t.reshape(len(t), left, d, -1)
+        if (d <= _SMALL_D) != last:  # move the trial axis to the other end
+            t = t.reshape(-1, t.shape[-1]) if last else t.reshape(len(t), -1)
+            t, last = np.ascontiguousarray(t.T), not last
+        if last:
+            # party k as axis 1 of (parties before, d, parties after, trial)
+            t = t.reshape(left, d, -1, t.shape[-1])
+            ut = np.ascontiguousarray(u.transpose(1, 2, 0))  # (i, j, trial)
+            out = ut[:, 0, None] * t[:, None, 0]
+            for j in range(1, d):
+                out += ut[:, j, None] * t[:, None, j]
+            t = out
+        else:
+            # party k as the middle axis of (trial, parties before, d, parties after)
+            t = u[:, None] @ t.reshape(len(t), left, d, -1)
         left *= d
+    if last:
+        t = np.ascontiguousarray(t.reshape(-1, t.shape[-1]).T)
     return t.reshape((len(t),) + tensor.shape)
 
 

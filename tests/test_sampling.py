@@ -26,12 +26,17 @@ from entkit import (
 )
 from entkit.sampling import named_invariant
 
-#: (dims, group token) pairs the stacked draws are checked on
+#: largest local dimension the trial-vectorized kernels serve
+SMALL_D = entkit.states._SMALL_D
+
+#: (dims, group token) pairs the stacked draws are checked on; the last two
+#: put a party on each side of the kernels' dimension cut
 DIMS_GROUPS = [
     ((2, 2), "su"), ((2, 2), "u"), ((2, 2), "su2"),
     ((2, 2, 2), "su"), ((2, 2, 2), "u"), ((2, 2, 2), "su2"),
     ((4, 4), "su"), ((4, 4), "u"),
     ((3, 3, 3), "su"), ((3, 3, 3), "u"), ((3, 3, 3), "u3"),
+    ((2, SMALL_D + 2), "u"), ((SMALL_D + 1, 2), "su"),
 ]
 
 #: the benchmark's five state/invariant/group cases
@@ -41,6 +46,23 @@ REFERENCE_CASES = [
     (rand_state(np.random.default_rng(3), (4, 4)), "schmidt-rank", "u"),
     (build_normal_form_state(NormalFormCoefficients(2, 1, 1)), "norm", "su"),
     (ghz_state(3), "amp00", "su"),
+]
+
+#: state/invariant/group cases with a party above the kernels' dimension cut
+ABOVE_CUT_CASES = [
+    (rand_state(np.random.default_rng(4), (2, SMALL_D + 2)), "schmidt-rank", "u"),
+    (rand_state(np.random.default_rng(5), (SMALL_D + 1, 2)), "norm", "su"),
+]
+
+
+def schmidt_rank(state: StateVector) -> int:
+    return schmidt_decompose(state, (0,)).rank
+
+
+#: (dims, group, invariant, the same invariant as a custom callable)
+CUSTOM_CASES = [((2, 2), g, "det", bipartite_determinant) for g in ("su", "u", "su2")] + [
+    ((2, SMALL_D + 2), "u", "schmidt-rank", schmidt_rank),
+    ((SMALL_D + 1, 2), "su", "schmidt-rank", schmidt_rank),
 ]
 
 
@@ -258,6 +280,8 @@ class TestStackedTrials:
     )
     @example(((2, 2, 2), "su"), 2**64 - 1, 2**64 - 1, 40, 0, False)
     @example(((3, 3, 3), "u"), 2**63, 2**64 - 1, 7, 1, True)
+    @example(DIMS_GROUPS[-2], 5, 0, 9, 2, False)
+    @example(DIMS_GROUPS[-1], 6, 2**64 - 1, 9, 3, True)
     def test_draws_and_row_values(self, dims_group, seed, start, trials, state_seed, product):
         start = min(start, 2**64 - trials)  # the last trial's counter stays below 2**64
         dims, token = dims_group
@@ -285,12 +309,14 @@ class TestStackedTrials:
                 assert list(got) == [schmidt_decompose(r, (0,)).rank for r in rows]
 
     @settings(max_examples=15, deadline=None)
-    @given(st.integers(0, 2**64 - 1), st.integers(1, 40), st.sampled_from(["su", "u", "su2"]))
-    def test_custom_callable_matches_registry(self, seed, trials, group):
-        state = rand_state(np.random.default_rng(seed % 2**32), (2, 2))
-        custom = ("det", lambda s: bipartite_determinant(s))
-        assert invariance_suite(state, custom, group, trials, seed) == invariance_suite(
-            state, "det", group, trials, seed
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 40), st.sampled_from(CUSTOM_CASES))
+    @example(7, 12, CUSTOM_CASES[-2])
+    @example(8, 13, CUSTOM_CASES[-1])
+    def test_custom_callable_matches_registry(self, seed, trials, case):
+        dims, group, name, fn = case
+        state = rand_state(np.random.default_rng(seed % 2**32), dims)
+        assert invariance_suite(state, (name, fn), group, trials, seed) == invariance_suite(
+            state, name, group, trials, seed
         )
 
     @pytest.mark.parametrize("state,invariant,group", REFERENCE_CASES)
@@ -309,7 +335,7 @@ class TestStackedTrials:
         assert rep.max_abs_drift == np.max(drifts)
         assert rep.mean_abs_drift == np.mean(drifts)
 
-    @pytest.mark.parametrize("state,invariant,group", REFERENCE_CASES)
+    @pytest.mark.parametrize("state,invariant,group", REFERENCE_CASES + ABOVE_CUT_CASES)
     def test_report_independent_of_block_size(self, monkeypatch, state, invariant, group):
         size = state.amplitudes.size
         trials = sampling._BLOCK_ENTRIES // size + 1  # one past the default block
@@ -319,11 +345,30 @@ class TestStackedTrials:
             reports.append(invariance_suite(state, invariant, group, trials, seed=11))
         assert reports[0] == reports[1] == reports[2]
 
-    def test_stacked_unitarity_check_is_live(self, monkeypatch):
-        su2 = sampling._su2
-        monkeypatch.setattr(sampling, "_su2", lambda q: 1.01 * su2(q))
+    @pytest.mark.parametrize(
+        "dims,group,sampler",
+        [
+            ((2, 2), "su", "_su2"),
+            ((2, 2), "u", "_haar"),
+            ((3, 3), "u", "_haar"),
+            ((4, 4), "u", "_haar"),
+            ((SMALL_D + 2, 2), "u", "_haar"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "scale,unitary", [(1.01, False), (1 + 1e-8, False), (1 + 1e-12, True), (np.nan, False)]
+    )
+    def test_stacked_unitarity_check_is_live(
+        self, monkeypatch, dims, group, sampler, scale, unitary
+    ):
+        draw = getattr(sampling, sampler)
+        monkeypatch.setattr(sampling, sampler, lambda *args: scale * draw(*args))
+        state = StateVector(dims, np.eye(np.prod(dims))[0])
+        if unitary:
+            assert invariance_suite(state, "norm", group, trials=20).max_abs_drift < 1e-9
+            return
         with pytest.raises(ValidationError, match="factor 0 is not unitary"):
-            invariance_suite(bell_state("phi+"), "det", "su", trials=20)
+            invariance_suite(state, "norm", group, trials=20)
 
     def test_non_finite_factor_rejected(self, monkeypatch):
         monkeypatch.setattr(sampling, "_su2", lambda q: np.full(q.shape[:-1] + (2, 2), np.nan))
@@ -379,3 +424,42 @@ class TestReportType:
             InvarianceReport("x", trials=1, max_abs_drift=drift, mean_abs_drift=0.0, seed=0)
         with pytest.raises(ValidationError, match="non-negative"):
             InvarianceReport("x", trials=1, max_abs_drift=0.0, mean_abs_drift=drift, seed=0)
+
+
+class TestSmallDimensionKernels:
+    """The trial-vectorized kernels against LAPACK and tensordot references."""
+
+    @pytest.mark.parametrize("d", range(1, SMALL_D + 1))
+    def test_haar_matches_qr_with_phase_fold(self, d):
+        g = np.random.default_rng(d).standard_normal((2000, 2 * d * d))
+        z = (g[:, : d * d] + 1j * g[:, d * d :]).reshape(-1, d, d)
+        q, r = np.linalg.qr(z)
+        diag = np.diagonal(r, axis1=-2, axis2=-1)
+        want = q * (diag / np.abs(diag))[:, None, :]
+        got = sampling._haar(g, d)
+        assert got.flags.c_contiguous
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("d", range(2, SMALL_D + 1))
+    def test_apply_block_matches_tensordot(self, d):
+        rng = np.random.default_rng(d)
+        dims = (d, SMALL_D + 1, d)  # the middle party runs the matmul body
+        tensor = rand_state(rng, dims).tensor()
+        factors = [sampling._haar(rng.standard_normal((30, 2 * k * k)), k) for k in dims]
+        got = sampling._apply_block(tensor, factors)
+        assert got.flags.c_contiguous
+        for row in range(30):
+            want = tensor
+            for k, u in enumerate(factors):
+                want = np.moveaxis(np.tensordot(u[row], want, axes=([1], [k])), 0, k)
+            assert np.max(np.abs(got[row] - want)) <= 1e-13
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_haar_trace_moments(self, d):
+        # Diaconis-Shahshahani: for Haar U(d), E tr U = 0, E |tr U|^2 = 1 and
+        # E |tr U|^4 = 2, so both sample means have standard error 1/sqrt(n)
+        n = 20_000
+        u = sampling._haar(np.random.default_rng(100 + d).standard_normal((n, 2 * d * d)), d)
+        tr = np.trace(u, axis1=-2, axis2=-1)
+        assert abs(np.mean(tr)) <= 5 / np.sqrt(n)
+        assert abs(np.mean(np.abs(tr) ** 2) - 1.0) <= 5 / np.sqrt(n)

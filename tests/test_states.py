@@ -34,7 +34,14 @@ from entkit import (
 from conftest import rand_state
 
 import entkit.states
-from entkit.majorana import DickeExpansion, coherent_state, dicke_state, find_stars
+from entkit.majorana import (
+    DickeExpansion,
+    binary_discriminant,
+    coherent_state,
+    dicke_state,
+    find_stars,
+    majorana_polynomial,
+)
 from entkit.states import make_state_raw
 
 R2 = 1.0 / math.sqrt(2.0)
@@ -227,6 +234,13 @@ def test_integer_parameters_reject_non_integers(call, bad):
         lambda: SpherePoint("x", 0.2),
         lambda: DickeExpansion(2, "abc"),
         lambda: make_state(2, {(0,): 1.0}),
+        lambda: LocalUnitary(5),
+        lambda: apply_local_unitary(ghz_state(3), 5),
+        lambda: find_stars(["x"], 1),
+        lambda: binary_discriminant(["x"], 1),
+        lambda: majorana_polynomial(5),
+        lambda: state_to_json(5),
+        lambda: coherent_state(5, 3),
     ],
     ids=[
         "bell_state(1)",
@@ -241,6 +255,13 @@ def test_integer_parameters_reject_non_integers(call, bad):
         "SpherePoint('x')",
         "DickeExpansion('abc')",
         "make_state dims 2",
+        "LocalUnitary(5)",
+        "apply_local_unitary(ghz, 5)",
+        "find_stars(['x'])",
+        "binary_discriminant(['x'])",
+        "majorana_polynomial(5)",
+        "state_to_json(5)",
+        "coherent_state(5)",
     ],
 )
 def test_non_numbers_raise_validation_error(call):

@@ -40,11 +40,15 @@ def test_every_target_is_patched_and_restored():
         invariance_spans = set(tracer.op_stats)
         tracer.run_op(1, "classify", lambda: entkit.classify_state(ghz_state(3)))
         classify_spans = set(tracer.op_stats)
+        # the argument checks name StateVector, which the tracer has wrapped
+        flip = entkit.LocalUnitary((entkit.pauli("X"), entkit.pauli("I")))
+        doc = entkit.state_to_json(entkit.apply_local_unitary(bell_state("phi+"), flip))
     finally:
         tracer.uninstall()
     for module, attr, orig in before:
         assert getattr(module, attr) is orig, f"{module.__name__}.{attr} not restored"
     assert report.trials == 3
+    assert [a["index"] for a in doc["amplitudes"]] == [[0, 1], [1, 0]]
     assert {"invariance", "sampling.invariance_suite"} <= invariance_spans
     assert {
         "classify",
