@@ -22,7 +22,7 @@ import numpy as np
 from .hyperdet import _class_of, cayley_hyperdeterminant
 from .majorana import NotSymmetricError, classify_symmetric
 from .schmidt import bipartite_determinant, schmidt_decompose
-from .states import StateVector, ValidationError
+from .states import StateVector, ValidationError, _as_instance
 
 __all__ = ["DefinitionCheck", "ClassificationReport", "classify_state"]
 
@@ -168,7 +168,7 @@ def classify_state(
     -------
     ClassificationReport
     """
-    if state.n_parties < 2:
+    if _as_instance(state, StateVector, "the state").n_parties < 2:
         raise ValidationError("classification needs at least two parties")
     # one decomposition per single-party cut; keep only its coefficients.
     # The bases are never read, so the long singular vectors are never

@@ -1,7 +1,15 @@
 """The 2x2x2 hyperdeterminant and the three-qubit class split.
 
 ``cayley_hyperdeterminant`` evaluates the degree-4 polynomial in the
-eight amplitudes c_ijk term by term:
+eight amplitudes c_ijk as the discriminant of the slice pencil.  With
+the slices A = c_0jk and B = c_1jk along the first party,
+
+    det(A + t B) = det A + m t + det B t^2,
+    m = A00 B11 + B00 A11 - A01 B10 - B01 A10,
+
+and Det = m^2 - 4 det A det B (Gelfand, Kapranov and Zelevinsky 1994,
+ch. 14), so only the two-qubit determinant kernel and one mixed term
+enter.  Written out term by term, this is Cayley's quartic
 
     Det =   c000^2 c111^2 + c001^2 c110^2 + c010^2 c101^2 + c100^2 c011^2
           - 2 (c000 c001 c110 c111 + c000 c010 c101 c111 + c000 c100 c011 c111
@@ -16,7 +24,8 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .states import StateVector, ValidationError, _as_real
+from .schmidt import _det2
+from .states import StateVector, ValidationError, _as_instance, _as_real
 
 __all__ = ["ThreeQubitClass", "cayley_hyperdeterminant", "classify_three_qubit"]
 
@@ -42,7 +51,7 @@ def cayley_hyperdeterminant(state: StateVector) -> complex:
     complex
         The polynomial above evaluated on the normalized amplitudes.
     """
-    if state.dims != (2, 2, 2):
+    if _as_instance(state, StateVector, "the state").dims != (2, 2, 2):
         raise ValidationError(
             f"cayley_hyperdeterminant needs dims (2, 2, 2), got {state.dims}"
         )
@@ -50,26 +59,11 @@ def cayley_hyperdeterminant(state: StateVector) -> complex:
 
 
 def _cayley(c):
-    """The polynomial on amplitudes ``c[..., i, j, k]``; leading axes are a batch."""
-    squares = (
-        (c[..., 0, 0, 0] * c[..., 1, 1, 1]) ** 2
-        + (c[..., 0, 0, 1] * c[..., 1, 1, 0]) ** 2
-        + (c[..., 0, 1, 0] * c[..., 1, 0, 1]) ** 2
-        + (c[..., 1, 0, 0] * c[..., 0, 1, 1]) ** 2
-    )
-    pairs = (
-        c[..., 0, 0, 0] * c[..., 0, 0, 1] * c[..., 1, 1, 0] * c[..., 1, 1, 1]
-        + c[..., 0, 0, 0] * c[..., 0, 1, 0] * c[..., 1, 0, 1] * c[..., 1, 1, 1]
-        + c[..., 0, 0, 0] * c[..., 1, 0, 0] * c[..., 0, 1, 1] * c[..., 1, 1, 1]
-        + c[..., 0, 0, 1] * c[..., 0, 1, 0] * c[..., 1, 0, 1] * c[..., 1, 1, 0]
-        + c[..., 0, 0, 1] * c[..., 1, 0, 0] * c[..., 0, 1, 1] * c[..., 1, 1, 0]
-        + c[..., 0, 1, 0] * c[..., 1, 0, 0] * c[..., 0, 1, 1] * c[..., 1, 0, 1]
-    )
-    quads = (
-        c[..., 0, 0, 0] * c[..., 0, 1, 1] * c[..., 1, 0, 1] * c[..., 1, 1, 0]
-        + c[..., 0, 0, 1] * c[..., 0, 1, 0] * c[..., 1, 0, 0] * c[..., 1, 1, 1]
-    )
-    return squares - 2.0 * pairs + 4.0 * quads
+    """The pencil discriminant on amplitudes ``c[..., i, j, k]``; leading axes are a batch."""
+    a, b = c[..., 0, :, :], c[..., 1, :, :]
+    m = a[..., 0, 0] * b[..., 1, 1] + b[..., 0, 0] * a[..., 1, 1]
+    m = m - a[..., 0, 1] * b[..., 1, 0] - b[..., 0, 1] * a[..., 1, 0]
+    return m * m - 4.0 * _det2(a) * _det2(b)
 
 
 def classify_three_qubit(

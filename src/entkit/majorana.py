@@ -218,7 +218,7 @@ def symmetrize_check(state: StateVector, tolerance: float = 1e-9) -> DickeExpans
         ``tolerance``.
     """
     tolerance = _as_real(tolerance, "tolerance", lo=0)
-    if any(d != 2 for d in state.dims):
+    if any(d != 2 for d in _as_instance(state, StateVector, "the state").dims):
         raise ValidationError(f"symmetrize_check needs qubits, got dims {state.dims}")
     n = state.n_parties
     flat = state.amplitudes
@@ -241,7 +241,7 @@ def dicke_state(expansion: DickeExpansion) -> StateVector:
 
     Basis index i carries c_k / sqrt(C(n, k)) with k the popcount of i.
     """
-    n = expansion.n
+    n = _as_instance(expansion, DickeExpansion, "the expansion").n
     _check_qubit_count(n)
     weights = expansion.coeffs / _dicke_weights(n)
     # popcount of 0 .. 2**n - 1: setting the next high bit adds one to every count
@@ -308,9 +308,11 @@ def coherent_state(direction, n: int) -> DickeExpansion:
 
 
 def _padded(poly, n: int) -> np.ndarray:
-    """Ascending coefficients of degree at most n >= 1, zero-padded to length n + 1."""
+    """Ascending 1-D coefficients of degree at most n >= 1, zero-padded to length n + 1."""
     n = _as_int(n, "the qubit count n", lo=1)
-    a = _complex_array(poly, "the polynomial coefficients").reshape(-1)
+    a = _complex_array(poly, "the polynomial coefficients")
+    if a.ndim != 1:
+        raise ValidationError(f"the polynomial coefficients must be 1-D, got shape {a.shape}")
     if a.size > n + 1:
         raise ValidationError(f"polynomial degree {a.size - 1} exceeds qubit count {n}")
     return np.concatenate([a, np.zeros(n + 1 - a.size, dtype=np.complex128)])

@@ -54,6 +54,7 @@ from .states import (  # noqa: F401
     ValidationError,
     _apply_block,
     _as_complex_array,
+    _as_instance,
     _as_int,
     _check_unit_norm,
     _check_unitary,
@@ -401,6 +402,7 @@ def invariance_suite(
     trials = _as_int(trials, "trials", lo=1)
     if trials > states.MAX_ENTRIES:
         raise ValidationError(f"trials {trials} exceeds the cap {states.MAX_ENTRIES}")
+    state = _as_instance(state, StateVector, "the state")
     label, fn = named_invariant(invariant)
     stacked = _REGISTRY[label] if isinstance(invariant, str) else _per_row(fn, state.dims)
     maps = _group_maps(state, group)

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .states import StateVector, ValidationError, _as_int, _as_real
+from .states import StateVector, ValidationError, _as_instance, _as_int, _as_real
 
 __all__ = [
     "SchmidtDecomposition",
@@ -151,7 +151,7 @@ def schmidt_decompose(
     >>> d.rank
     2
     """
-    if state.n_parties < 2:
+    if _as_instance(state, StateVector, "the state").n_parties < 2:
         raise ValidationError("schmidt_decompose needs at least two parties")
     tolerance = _as_real(tolerance, "tolerance")
     if not 0 < tolerance < 1:
@@ -257,7 +257,7 @@ def is_product_multipartite(state: StateVector, tolerance: float = 1e-9) -> bool
     For pure states, Schmidt rank 1 on each cut ``{k}`` is equivalent to
     a full tensor product factorization.
     """
-    if state.n_parties < 2:
+    if _as_instance(state, StateVector, "the state").n_parties < 2:
         return True
     return all(
         schmidt_decompose(state, (k,), tolerance).rank == 1
@@ -281,7 +281,7 @@ def bipartite_determinant(state: StateVector, rescale: bool = False) -> complex:
     -------
     complex
     """
-    if state.dims != (2, 2):
+    if _as_instance(state, StateVector, "the state").dims != (2, 2):
         raise ValidationError(f"bipartite_determinant needs dims (2, 2), got {state.dims}")
     det = complex(_det2(state.tensor()[None])[0])
     return 2.0 * det if rescale else det

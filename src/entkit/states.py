@@ -263,8 +263,8 @@ class StateVector:
 class LocalUnitary:
     """One unitary factor per party, applied as U_1 x U_2 x ... x U_N.
 
-    Each factor k must be square, of size ``dims[k]``, and satisfy
-    U U^dagger = I entrywise within 1e-9.
+    Each factor k must be square and nonempty, of size ``dims[k]``,
+    and satisfy U U^dagger = I entrywise within 1e-9.
     """
 
     factors: tuple[np.ndarray, ...]
@@ -281,6 +281,8 @@ class LocalUnitary:
             m = _as_complex_array(f, f"factor {k}")
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValidationError(f"factor {k} is not square: shape {m.shape}")
+            if m.size == 0:
+                raise ValidationError(f"factor {k} is empty: shape {m.shape}")
             _check_unitary(m, f"factor {k}")
             m = m.copy()
             m.setflags(write=False)
@@ -476,7 +478,8 @@ def _apply_block(tensor: np.ndarray, factors: list) -> np.ndarray:
 
 def inner_product(a: StateVector, b: StateVector) -> complex:
     """<a|b> with conjugation on ``a``."""
-    if a.dims != b.dims:
+    a = _as_instance(a, StateVector, "the first state")
+    if a.dims != _as_instance(b, StateVector, "the second state").dims:
         raise ValidationError(f"dims differ: {a.dims} vs {b.dims}")
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 

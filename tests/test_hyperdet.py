@@ -15,6 +15,7 @@ from entkit import (
     classify_three_qubit,
     ghz_state,
     make_state,
+    pauli,
     w_state,
 )
 from entkit.sampling import random_su2, trial_rng
@@ -25,8 +26,11 @@ def pencil_oracle(state: StateVector) -> complex:
 
     det(A0 + x A1) of the two slices along the first party is the
     quadratic c2 x^2 + c1 x + c0; the hyperdeterminant equals its
-    discriminant c1^2 - 4 c2 c0.  Independent of the term-by-term
-    expansion: only 2x2 determinants enter.
+    discriminant c1^2 - 4 c2 c0.  The library evaluates the same
+    identity, so this oracle checks only how it is evaluated: here the
+    determinants come from ``np.linalg.det`` and the mixed coefficient
+    from det(A0 + A1) - c0 - c2.  :func:`ckw_oracle` does not use the
+    identity.
     """
     t = state.tensor()
     a0, a1 = t[0], t[1]
@@ -34,6 +38,33 @@ def pencil_oracle(state: StateVector) -> complex:
     c2 = complex(np.linalg.det(a1))
     c1 = complex(np.linalg.det(a0 + a1)) - c0 - c2
     return c1 * c1 - 4.0 * c2 * c0
+
+
+def concurrence(rho: np.ndarray) -> float:
+    """Wootters' concurrence of a two-qubit density matrix.
+
+    max(0, l1 - l2 - l3 - l4) over the square roots l1 >= ... >= l4 of
+    the eigenvalues of rho (Y x Y) rho* (Y x Y).
+    """
+    yy = np.kron(pauli("Y"), pauli("Y"))
+    ev = np.linalg.eigvals(rho @ yy @ rho.conj() @ yy).real
+    lam = np.sort(np.sqrt(np.clip(ev, 0.0, None)))[::-1]
+    return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+
+
+def ckw_oracle(state: StateVector) -> float:
+    """4 |Det| from the Coffman-Kundu-Wootters identity.
+
+    The three-tangle 4 |Det| equals 4 det rho_A - C(rho_AB)^2 - C(rho_AC)^2
+    (Coffman, Kundu and Wootters 2000), with the reduced density
+    matrices of the normalized state and C Wootters' concurrence.
+    """
+    t = state.tensor()
+    rho_a = np.einsum("ijk,ljk->il", t, t.conj())
+    rho_ab = np.einsum("ijk,lmk->ijlm", t, t.conj()).reshape(4, 4)
+    rho_ac = np.einsum("ijk,ljm->iklm", t, t.conj()).reshape(4, 4)
+    tangle_a = 4.0 * np.linalg.det(rho_a).real
+    return tangle_a - concurrence(rho_ab) ** 2 - concurrence(rho_ac) ** 2
 
 
 class TestValues:
@@ -60,6 +91,12 @@ class TestOracle:
             s = rand_state(rng, (2, 2, 2))
             worst = max(worst, abs(cayley_hyperdeterminant(s) - pencil_oracle(s)))
         assert worst < 1e-12
+
+    def test_agrees_with_ckw_three_tangle(self, rng):
+        # square roots of the near-zero eigenvalues in the concurrence limit the accuracy
+        states = [ghz_state(3), w_state()] + [rand_state(rng, (2, 2, 2)) for _ in range(300)]
+        worst = max(abs(4.0 * abs(cayley_hyperdeterminant(s)) - ckw_oracle(s)) for s in states)
+        assert worst < 1e-6
 
     def test_permutation_of_parties_preserves_modulus(self, rng):
         s = rand_state(rng, (2, 2, 2))

@@ -14,13 +14,18 @@ from entkit import (
     ValidationError,
     apply_local_unitary,
     bell_state,
+    bipartite_determinant,
+    cayley_hyperdeterminant,
     classify_state,
     classify_symmetric,
     classify_three_qubit,
+    det_squared,
     fidelity,
     ghz_state,
     haar_unitary,
     inner_product,
+    invariance_suite,
+    is_entangled_bipartite,
     is_product_multipartite,
     make_state,
     pauli,
@@ -218,7 +223,8 @@ def test_integer_parameters_reject_non_integers(call, bad):
 
 
 # each call raised a bare AttributeError, TypeError or ValueError from the
-# conversion of a string, None or a scalar before it was checked
+# conversion of a string, None or a scalar before it was checked, or, for a
+# polynomial that is not 1-D, raised NumericError or returned a value
 @pytest.mark.parametrize(
     "call",
     [
@@ -235,9 +241,14 @@ def test_integer_parameters_reject_non_integers(call, bad):
         lambda: DickeExpansion(2, "abc"),
         lambda: make_state(2, {(0,): 1.0}),
         lambda: LocalUnitary(5),
+        lambda: LocalUnitary((np.zeros((0, 0)),)),
         lambda: apply_local_unitary(ghz_state(3), 5),
         lambda: find_stars(["x"], 1),
+        lambda: find_stars(None, 1),
+        lambda: find_stars([[1, 2]], 1),
         lambda: binary_discriminant(["x"], 1),
+        lambda: binary_discriminant(None, 1),
+        lambda: binary_discriminant(5, 1),
         lambda: majorana_polynomial(5),
         lambda: state_to_json(5),
         lambda: coherent_state(5, 3),
@@ -256,9 +267,14 @@ def test_integer_parameters_reject_non_integers(call, bad):
         "DickeExpansion('abc')",
         "make_state dims 2",
         "LocalUnitary(5)",
+        "LocalUnitary(0x0)",
         "apply_local_unitary(ghz, 5)",
         "find_stars(['x'])",
+        "find_stars(None)",
+        "find_stars([[1, 2]])",
         "binary_discriminant(['x'])",
+        "binary_discriminant(None)",
+        "binary_discriminant(5)",
         "majorana_polynomial(5)",
         "state_to_json(5)",
         "coherent_state(5)",
@@ -267,6 +283,34 @@ def test_integer_parameters_reject_non_integers(call, bad):
 def test_non_numbers_raise_validation_error(call):
     with pytest.raises(ValidationError):
         call()
+
+
+# each call reads its argument as a state (dicke_state: as a Dicke
+# expansion); a value of another kind raised a bare AttributeError
+STATE_ARGUMENTS = {
+    "schmidt_decompose": lambda v: schmidt_decompose(v, (0,)),
+    "is_entangled_bipartite": lambda v: is_entangled_bipartite(v, (0,)),
+    "is_product_multipartite": is_product_multipartite,
+    "bipartite_determinant": bipartite_determinant,
+    "det_squared": det_squared,
+    "cayley_hyperdeterminant": cayley_hyperdeterminant,
+    "classify_three_qubit": classify_three_qubit,
+    "symmetrize_check": symmetrize_check,
+    "classify_symmetric": classify_symmetric,
+    "dicke_state": dicke_state,
+    "classify_state": classify_state,
+    "inner_product a": lambda v: inner_product(v, bell_state("phi+")),
+    "inner_product b": lambda v: inner_product(bell_state("phi+"), v),
+    "fidelity": lambda v: fidelity(bell_state("phi+"), v),
+    "invariance_suite": lambda v: invariance_suite(v, "norm", trials=2),
+}
+
+
+@pytest.mark.parametrize("bad", [5, None, "x"])
+@pytest.mark.parametrize("call", STATE_ARGUMENTS.values(), ids=STATE_ARGUMENTS.keys())
+def test_state_arguments_reject_other_kinds(call, bad):
+    with pytest.raises(ValidationError, match="must be a (StateVector|DickeExpansion)"):
+        call(bad)
 
 
 class TestLocalUnitary:
