@@ -11,6 +11,13 @@ The four checks ask progressively finer questions:
 
 Each check carries the numbers its verdict rests on, and checks that
 do not apply to the given shape say so instead of guessing.
+
+A qubit state gets one symmetry pass, whose Dicke expansion Definition
+4 reuses.  When that pass finds the state exactly permutation-symmetric
+(every adjacent-transposition drift 0.0), every single-party cut matrix
+is an exact column permutation of the cut-0 matrix, so cut 0 is the one
+Schmidt factorization and its coefficients serve all n cuts.  Any other
+state has each cut factored as given.
 """
 
 from __future__ import annotations
@@ -19,8 +26,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import majorana
 from .hyperdet import _class_of, cayley_hyperdeterminant
-from .majorana import NotSymmetricError, classify_symmetric
+from .majorana import DickeExpansion, NotSymmetricError
 from .schmidt import bipartite_determinant, schmidt_decompose
 from .states import StateVector, ValidationError, _as_instance
 
@@ -122,21 +130,34 @@ def _definition_3(state: StateVector, lambdas: list[np.ndarray], tolerance: floa
     )
 
 
-def _definition_4(state: StateVector, tolerance: float) -> DefinitionCheck:
+def _symmetry(state: StateVector, tolerance: float) -> tuple[DickeExpansion | str, bool]:
+    """One symmetry pass: ``(expansion, exact)``, a note in place of a missing expansion.
+
+    The pass runs at tolerance 0, so it returns an expansion only when
+    every transposition drift is 0.0.  Where it stops at a drift above
+    ``tolerance``, every earlier drift was 0, so a pass at ``tolerance``
+    would stop there with the same error; only a first drift in
+    (0, tolerance] needs that second pass.
+    """
     if any(d != 2 for d in state.dims):
-        return DefinitionCheck(
-            definition=4,
-            verdict="not-applicable",
-            evidence={"note": "stellar classification needs qubit parties"},
-        )
+        return "stellar classification needs qubit parties", False
     try:
-        cls = classify_symmetric(state, tolerance)
+        return majorana.symmetrize_check(state, 0.0), True
     except NotSymmetricError as exc:
+        if exc.drift > tolerance:
+            return f"not permutation-symmetric: {exc}", False
+    try:
+        return majorana.symmetrize_check(state, tolerance), False
+    except NotSymmetricError as exc:
+        return f"not permutation-symmetric: {exc}", False
+
+
+def _definition_4(expansion: DickeExpansion | str) -> DefinitionCheck:
+    if isinstance(expansion, str):
         return DefinitionCheck(
-            definition=4,
-            verdict="not-applicable",
-            evidence={"note": f"not permutation-symmetric: {exc}"},
+            definition=4, verdict="not-applicable", evidence={"note": expansion}
         )
+    cls = majorana._classify_expansion(expansion)
     con = cls.constellation
     return DefinitionCheck(
         definition=4,
@@ -155,6 +176,11 @@ def classify_state(
 ) -> ClassificationReport:
     """Run all four definitional checks on one state.
 
+    A qubit state gets one permutation-symmetry pass, which Definition
+    4 reuses.  An exactly symmetric state (every transposition drift
+    0.0) is factored at cut 0 only, and those coefficients stand for
+    every cut; any other state is factored at each single-party cut.
+
     Parameters
     ----------
     state : StateVector
@@ -172,12 +198,18 @@ def classify_state(
         raise ValidationError("classification needs at least two parties")
     # one decomposition per single-party cut; keep only its coefficients.
     # The bases are never read, so the long singular vectors are never
-    # formed, and no cut matrix outlives its decomposition
-    lambdas = [
-        schmidt_decompose(state, (k,), tolerance).lambdas for k in range(state.n_parties)
-    ]
+    # formed, and no cut matrix outlives its decomposition.  Cut 0 comes
+    # first, so the tolerance is checked before the symmetry pass reads it
+    lambdas = [schmidt_decompose(state, (0,), tolerance).lambdas]
+    expansion, exact = _symmetry(state, tolerance)
+    if exact:
+        lambdas *= state.n_parties
+    else:
+        lambdas += [
+            schmidt_decompose(state, (k,), tolerance).lambdas for k in range(1, state.n_parties)
+        ]
     d3, warnings = _definition_3(state, lambdas, tolerance)
-    d1, d4 = _definition_1(lambdas), _definition_4(state, tolerance)
+    d1, d4 = _definition_1(lambdas), _definition_4(expansion)
     # for a symmetric state, level-1 (one distinct star) means product
     if d4.verdict.startswith("level-") and (d4.verdict == "level-1") != (d1.verdict == "product"):
         warnings.append(

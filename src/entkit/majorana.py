@@ -81,7 +81,15 @@ _FLOOR_C = 4.0
 
 
 class NotSymmetricError(ValidationError):
-    """The state is not invariant under qubit permutations."""
+    """The state is not invariant under qubit permutations.
+
+    ``drift`` is the amplitude move of the transposition that failed
+    the check, NaN where none was measured.
+    """
+
+    def __init__(self, message: str, drift: float = math.nan):
+        super().__init__(message)
+        self.drift = drift
 
 
 @dataclass(frozen=True)
@@ -215,7 +223,7 @@ def symmetrize_check(state: StateVector, tolerance: float = 1e-9) -> DickeExpans
         state is not made of qubits.
     NotSymmetricError
         If some transposition moves the amplitudes by more than
-        ``tolerance``.
+        ``tolerance``; the first such move is its ``drift``.
     """
     tolerance = _as_real(tolerance, "tolerance", lo=0)
     if any(d != 2 for d in _as_instance(state, StateVector, "the state").dims):
@@ -227,7 +235,7 @@ def symmetrize_check(state: StateVector, tolerance: float = 1e-9) -> DickeExpans
         drift = float(np.max(np.abs(p[:, 0, 1] - p[:, 1, 0])))
         if drift > tolerance:
             raise NotSymmetricError(
-                f"swap of qubits {k} and {k + 1} moves amplitudes by {drift:.3e}"
+                f"swap of qubits {k} and {k + 1} moves amplitudes by {drift:.3e}", drift
             )
     coeffs = np.array([w * flat[2**k - 1] for k, w in enumerate(_dicke_weights(n))])
     norm = np.linalg.norm(coeffs)
@@ -633,10 +641,14 @@ def classify_symmetric(
     :func:`find_stars` before the state is read.
     """
     _as_real(cluster_tol, "cluster_tol", lo=0)
-    expansion = symmetrize_check(state, tolerance)
-    constellation = find_stars(
-        majorana_polynomial(expansion), expansion.n, cluster_tol
-    )
+    return _classify_expansion(symmetrize_check(state, tolerance), cluster_tol)
+
+
+def _classify_expansion(
+    expansion: DickeExpansion, cluster_tol: float = 1e-6
+) -> SymmetricClassification:
+    """:func:`classify_symmetric` from the state's checked Dicke expansion."""
+    constellation = find_stars(majorana_polynomial(expansion), expansion.n, cluster_tol)
     return SymmetricClassification(
         constellation=constellation, onion_level=constellation.distinct_count
     )

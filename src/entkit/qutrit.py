@@ -33,7 +33,8 @@ import sys
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
-from .states import NumericError, StateVector, ValidationError, _as_complex, make_state
+from .states import NumericError, StateVector, ValidationError, _as_complex, _as_instance
+from .states import make_state
 
 __all__ = [
     "NormalFormCoefficients",
@@ -120,6 +121,7 @@ def build_normal_form_state(coeffs: NormalFormCoefficients) -> StateVector:
     (1,2,3), (2,3,1), (3,1,2) and a3 the anti-cyclic triples
     (1,3,2), (2,1,3), (3,2,1), in 1-based labels.
     """
+    coeffs = _as_instance(coeffs, NormalFormCoefficients, "the coefficients")
     return _slot_state(zip((_DIAGONAL, _CYCLIC, _ANTI_CYCLIC), coeffs.as_tuple()))
 
 
@@ -222,6 +224,8 @@ def fundamental_invariants(coeffs: NormalFormCoefficients) -> QutritInvariantRep
 
     Raises
     ------
+    ValidationError
+        If ``coeffs`` is not a :class:`NormalFormCoefficients`.
     NumericError
         If an invariant overflows, or a nonzero one underflows below the
         smallest normal float.
@@ -232,6 +236,7 @@ def fundamental_invariants(coeffs: NormalFormCoefficients) -> QutritInvariantRep
     >>> (r.i6, r.i9, r.i12, r.j12)
     ((1+0j), 0j, (-1+0j), 0j)
     """
+    coeffs = _as_instance(coeffs, NormalFormCoefficients, "the coefficients")
     a1, a2, a3 = (_Exact.of(v) for v in coeffs.as_tuple())
     x, y, z = a1**3, a2**3, a3**3
     xy, yz, zx = x * y, y * z, z * x
@@ -257,11 +262,12 @@ def hyperdeterminant_333(report: QutritInvariantReport) -> complex:
     Raises
     ------
     ValidationError
-        If the report violates -I12 - I6^2 = 24 J12 beyond relative
-        1e-9.
+        If ``report`` is not a :class:`QutritInvariantReport`, or it
+        violates -I12 - I6^2 = 24 J12 beyond relative 1e-9.
     NumericError
         If that check or the rounded combination overflows.
     """
+    report = _as_instance(report, QutritInvariantReport, "the report")
     try:
         resid = abs(-report.i12 - report.i6**2 - 24.0 * report.j12)
         scale = max(abs(report.i12), abs(report.i6) ** 2, 24.0 * abs(report.j12))

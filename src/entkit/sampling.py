@@ -191,6 +191,7 @@ def _sud(g: np.ndarray, d: int) -> np.ndarray:
 
 def random_su2(rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed SU(2) matrix from a uniform unit quaternion."""
+    rng = _as_instance(rng, np.random.Generator, "the generator")
     return _su2(rng.standard_normal((1, 4)))[0]
 
 
@@ -207,9 +208,11 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     Raises
     ------
     ValidationError
-        If ``d`` is not an integer >= 1 (bools are rejected).
+        If ``d`` is not an integer >= 1 (bools are rejected), or
+        ``rng`` is not a numpy ``Generator``.
     """
     d = _as_int(d, "the dimension d", lo=1)
+    rng = _as_instance(rng, np.random.Generator, "the generator")
     return _haar(rng.standard_normal((1, 2 * d * d)), d)[0]
 
 
@@ -223,9 +226,11 @@ def random_sud(d: int, rng: np.random.Generator) -> np.ndarray:
     Raises
     ------
     ValidationError
-        If ``d`` is not an integer >= 2 (bools are rejected).
+        If ``d`` is not an integer >= 2 (bools are rejected), or
+        ``rng`` is not a numpy ``Generator``.
     """
     d = _as_int(d, "the dimension d", lo=2)
+    rng = _as_instance(rng, np.random.Generator, "the generator")
     return _sud(rng.standard_normal((1, 2 * d * d)), d)[0]
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from conftest import rand_state
 
@@ -5,14 +6,21 @@ import entkit.classify
 
 from entkit import (
     DefinitionCheck,
+    DickeExpansion,
+    NotSymmetricError,
+    StateVector,
     ValidationError,
     bell_state,
     classify_state,
     ghz_state,
     make_state,
+    schmidt_decompose,
+    symmetrize_check,
     w_state,
 )
 from entkit.majorana import coherent_state, dicke_state
+
+EPS = np.finfo(float).eps
 
 
 def by_def(report, k):
@@ -110,34 +118,120 @@ class TestOtherShapes:
             classify_state(make_state([2], {(0,): 1.0}))
 
 
+def count_calls(monkeypatch, state, targets):
+    """Calls of each ``module.name`` in ``targets`` during one ``classify_state``."""
+    calls = {name: 0 for _, name in targets}
+    for module, name in targets:
+        fn = getattr(module, name)
+
+        def counted(*args, _fn=fn, _name=name, **kw):
+            calls[_name] += 1
+            return _fn(*args, **kw)
+
+        monkeypatch.setattr(module, name, counted)
+    report = classify_state(state)
+    return calls, report
+
+
 class TestOnePass:
-    """Definitions 1-3 share one Schmidt decomposition per single-party cut."""
+    """Definitions 1-3 share one Schmidt decomposition per single-party cut.
+
+    An exactly symmetric state has one decomposition in all: cut 0's.
+    """
 
     @staticmethod
     def count_calls(monkeypatch, state):
-        calls = {"schmidt_decompose": 0, "cayley_hyperdeterminant": 0}
-        for name in calls:
-            fn = getattr(entkit.classify, name)
-
-            def counted(*args, _fn=fn, _name=name, **kwargs):
-                calls[_name] += 1
-                return _fn(*args, **kwargs)
-
-            monkeypatch.setattr(entkit.classify, name, counted)
-        classify_state(state)
-        return calls
+        names = ("schmidt_decompose", "cayley_hyperdeterminant")
+        return count_calls(monkeypatch, state, [(entkit.classify, n) for n in names])[0]
 
     def test_ghz3(self, monkeypatch):
         calls = self.count_calls(monkeypatch, ghz_state(3))
-        assert calls == {"schmidt_decompose": 3, "cayley_hyperdeterminant": 1}
+        assert calls == {"schmidt_decompose": 1, "cayley_hyperdeterminant": 1}
 
     def test_product3(self, monkeypatch):
         calls = self.count_calls(monkeypatch, make_state([2, 2, 2], {(0, 0, 0): 1.0}))
+        assert calls == {"schmidt_decompose": 1, "cayley_hyperdeterminant": 1}
+
+    def test_non_symmetric3(self, monkeypatch, rng):
+        calls = self.count_calls(monkeypatch, rand_state(rng, (2, 2, 2)))
         assert calls == {"schmidt_decompose": 3, "cayley_hyperdeterminant": 1}
 
     def test_two_qutrit(self, monkeypatch, rng):
         calls = self.count_calls(monkeypatch, rand_state(rng, (3, 3)))
         assert calls == {"schmidt_decompose": 2, "cayley_hyperdeterminant": 0}
+
+
+def random_dicke(n, seed):
+    rng = np.random.default_rng([seed, n])
+    c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    return dicke_state(DickeExpansion(n, c / np.linalg.norm(c)))
+
+
+def moved(state, index, delta):
+    """``state`` with ``delta`` added to one amplitude, renormalized."""
+    amps = state.amplitudes.copy()
+    amps[index] += delta
+    return StateVector(state.dims, amps / np.linalg.norm(amps))
+
+
+SYMMETRIC = (
+    [(f"dicke{n}", random_dicke(n, 23)) for n in range(2, 17)]
+    + [(f"ghz{n}", ghz_state(n)) for n in (2, 5, 16)]
+    + [("zero12", make_state([2] * 12, {(0,) * 12: 1.0}))]
+    + [("coherent9", dicke_state(coherent_state((0.7, 1.9), 9)))]
+)
+
+
+class TestSymmetricCuts:
+    """An exactly symmetric state is factored at cut 0 only; any drift keeps every cut."""
+
+    TARGETS = [(entkit.classify, "schmidt_decompose"), (entkit.majorana, "symmetrize_check")]
+
+    @staticmethod
+    def assert_cuts_match(report, state, tol):
+        d2 = by_def(report, 2).evidence
+        for k in range(state.n_parties):
+            want = schmidt_decompose(state, (k,))
+            assert d2["ranks"][f"cut_{k}"] == want.rank
+            got = np.array(d2["schmidt_coefficients"][f"cut_{k}"])
+            np.testing.assert_allclose(got, want.lambdas, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("state", [s for _, s in SYMMETRIC], ids=[i for i, _ in SYMMETRIC])
+    def test_cut_zero_stands_for_every_cut(self, monkeypatch, state):
+        calls, report = count_calls(monkeypatch, state, self.TARGETS)
+        assert calls == {"schmidt_decompose": 1, "symmetrize_check": 1}
+        # the per-cut factorizations differ among themselves by rounding in
+        # their row products of length L = 2^(n-1): by up to about 0.05 L eps
+        # over 60 seeds per n (1.2e-13 at n = 16).  The bound is 1e-13, or
+        # L eps / 8 where that is larger
+        n = state.n_parties
+        self.assert_cuts_match(report, state, max(1e-13, 2.0 ** (n - 1) * EPS / 8))
+
+    def test_near_symmetric_keeps_every_cut(self, monkeypatch):
+        n = 6
+        # index 2^(n-2) reads (0, 1) on qubits 0, 1: the first transposition moves
+        state = moved(random_dicke(n, 5), 2 ** (n - 2), 1e-12)
+        with pytest.raises(NotSymmetricError):
+            symmetrize_check(state, 0.0)
+        calls, report = count_calls(monkeypatch, state, self.TARGETS)
+        assert calls == {"schmidt_decompose": n, "symmetrize_check": 2}
+        assert by_def(report, 4).verdict.startswith("level-")
+        self.assert_cuts_match(report, state, 0.0)
+
+    def test_last_transposition_broken(self, monkeypatch):
+        n = 7
+        # index 1 reads (0, 1) on qubits n - 2, n - 1 and (0, 0) on every
+        # other adjacent pair, so only the last transposition moves it
+        state = moved(random_dicke(n, 9), 1, 0.1)
+        for k in range(n - 1):
+            pairs = state.amplitudes.reshape(2**k, 2, 2, -1)
+            assert np.array_equal(pairs[:, 0, 1], pairs[:, 1, 0]) == (k < n - 2)
+        calls, report = count_calls(monkeypatch, state, self.TARGETS)
+        assert calls == {"schmidt_decompose": n, "symmetrize_check": 1}
+        d4 = by_def(report, 4)
+        assert d4.verdict == "not-applicable"
+        assert f"swap of qubits {n - 2} and {n - 1}" in d4.evidence["note"]
+        self.assert_cuts_match(report, state, 0.0)
 
 
 class TestCrossDefinition:
@@ -149,7 +243,7 @@ class TestCrossDefinition:
     )
     def test_disagreement_warns(self, monkeypatch, state, verdict):
         check = DefinitionCheck(definition=4, verdict=verdict, evidence={"partition": []})
-        monkeypatch.setattr(entkit.classify, "_definition_4", lambda state, tolerance: check)
+        monkeypatch.setattr(entkit.classify, "_definition_4", lambda expansion: check)
         rep = classify_state(state)
         assert sum("definitions disagree" in w for w in rep.warnings) == 1
 

@@ -84,8 +84,9 @@ class TestSymmetrizeCheck:
 
     def test_asymmetric_rejected(self):
         s = make_state([2, 2], {(0, 1): 1.0})
-        with pytest.raises(NotSymmetricError):
+        with pytest.raises(NotSymmetricError) as err:
             symmetrize_check(s)
+        assert err.value.drift == 1.0
 
     def test_tolerance_loosens(self):
         s = make_state([2, 2], {(0, 1): 1.0, (1, 0): 1.0 + 1e-7})

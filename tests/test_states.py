@@ -15,14 +15,17 @@ from entkit import (
     apply_local_unitary,
     bell_state,
     bipartite_determinant,
+    build_normal_form_state,
     cayley_hyperdeterminant,
     classify_state,
     classify_symmetric,
     classify_three_qubit,
     det_squared,
     fidelity,
+    fundamental_invariants,
     ghz_state,
     haar_unitary,
+    hyperdeterminant_333,
     inner_product,
     invariance_suite,
     is_entangled_bipartite,
@@ -30,6 +33,7 @@ from entkit import (
     make_state,
     pauli,
     phi_family,
+    random_su2,
     random_sud,
     schmidt_decompose,
     state_to_json,
@@ -305,11 +309,29 @@ STATE_ARGUMENTS = {
     "invariance_suite": lambda v: invariance_suite(v, "norm", trials=2),
 }
 
+# the same for a qutrit coefficient triple or report and a random generator,
+# with the class each call names
+KIND_ARGUMENTS = {
+    "build_normal_form_state": ("NormalFormCoefficients", build_normal_form_state),
+    "fundamental_invariants": ("NormalFormCoefficients", fundamental_invariants),
+    "hyperdeterminant_333": ("QutritInvariantReport", hyperdeterminant_333),
+    "random_su2": ("Generator", random_su2),
+    "haar_unitary rng": ("Generator", lambda v: haar_unitary(2, v)),
+    "random_sud rng": ("Generator", lambda v: random_sud(2, v)),
+}
+
 
 @pytest.mark.parametrize("bad", [5, None, "x"])
 @pytest.mark.parametrize("call", STATE_ARGUMENTS.values(), ids=STATE_ARGUMENTS.keys())
 def test_state_arguments_reject_other_kinds(call, bad):
     with pytest.raises(ValidationError, match="must be a (StateVector|DickeExpansion)"):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", [5, None, "x"])
+@pytest.mark.parametrize("kind,call", KIND_ARGUMENTS.values(), ids=KIND_ARGUMENTS.keys())
+def test_other_arguments_reject_other_kinds(kind, call, bad):
+    with pytest.raises(ValidationError, match=f"must be a {kind}, got"):
         call(bad)
 
 

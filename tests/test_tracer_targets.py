@@ -5,6 +5,10 @@ attribute name.  A rename or a removed import would break the traced
 benchmark run without failing any other test, so this test installs the
 tracer, runs one invariance and one classification operation under it,
 and checks that every patched name existed and is restored afterwards.
+A symmetric state's classification reaches every layer the classify
+metrics read, so a call path that went round a patched name would
+zero those metrics without failing anything else; the last test
+checks that it does not.
 """
 
 import importlib.util
@@ -56,3 +60,18 @@ def test_every_target_is_patched_and_restored():
         "schmidt.schmidt_decompose",
         tracing.HYPERDET,
     } <= classify_spans
+
+
+def test_symmetric_classify_records_each_layer():
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.run_op(0, "classify", lambda: entkit.classify_state(ghz_state(4)))
+    finally:
+        tracer.uninstall()
+    calls = {name: stats[0] for name, stats in tracer.op_stats.items()}
+    assert calls["majorana.symmetrize_check"] == 1
+    assert calls["schmidt.schmidt_decompose"] == 1
+    assert calls["majorana.find_stars"] == 1
+    assert calls["majorana.majorana_polynomial"] == 1
