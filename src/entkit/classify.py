@@ -52,6 +52,7 @@ class DefinitionCheck:
     def __post_init__(self) -> None:
         if self.definition not in (1, 2, 3, 4):
             raise ValidationError(f"definition number must be 1-4, got {self.definition}")
+        _as_instance(self.verdict, str, "the verdict")
         if not self.evidence:
             raise ValidationError("a verdict must cite its evidence")
 
@@ -86,48 +87,26 @@ def _definition_2(lambdas: list[np.ndarray]) -> DefinitionCheck:
 
 def _definition_3(state: StateVector, lambdas: list[np.ndarray], tolerance: float):
     """Closed-form LU invariant where one exists; extra warnings second."""
-    dims = state.dims
+    dims, warnings = state.dims, []
     if dims == (2, 2):
         det = bipartite_determinant(state)
-        check = DefinitionCheck(
-            definition=3,
-            verdict="entangled" if abs(det) > tolerance else "product",
-            evidence={"det": det, "det_squared": det**2, "two_det": 2.0 * det},
-        )
-        return check, [_DET_WARNING]
-    if dims == (2, 2, 2):
+        verdict = "entangled" if abs(det) > tolerance else "product"
+        evidence = {"det": det, "det_squared": det**2, "two_det": 2.0 * det}
+        warnings.append(_DET_WARNING)
+    elif dims == (2, 2, 2):
         det = cayley_hyperdeterminant(state)
-        return (
-            DefinitionCheck(
-                definition=3,
-                verdict=_class_of(det).value,
-                evidence={"hyperdeterminant": det, "abs_hyperdeterminant": abs(det)},
-            ),
-            [],
-        )
-    if state.n_parties == 2:
-        return (
-            DefinitionCheck(
-                definition=3,
-                verdict="entangled" if lambdas[0].size > 1 else "product",
-                evidence={
-                    "schmidt_coefficients": [float(v) for v in lambdas[0]],
-                    "note": "the Schmidt multiset is the complete LU invariant "
-                    "for two parties",
-                },
-            ),
-            [],
-        )
-    return (
-        DefinitionCheck(
-            definition=3,
-            verdict="not-evaluated",
-            evidence={
-                "note": f"no closed-form invariant implemented for dims {list(dims)}"
-            },
-        ),
-        [],
-    )
+        verdict = _class_of(det).value
+        evidence = {"hyperdeterminant": det, "abs_hyperdeterminant": abs(det)}
+    elif state.n_parties == 2:
+        verdict = "entangled" if lambdas[0].size > 1 else "product"
+        evidence = {
+            "schmidt_coefficients": [float(v) for v in lambdas[0]],
+            "note": "the Schmidt multiset is the complete LU invariant for two parties",
+        }
+    else:
+        verdict = "not-evaluated"
+        evidence = {"note": f"no closed-form invariant implemented for dims {list(dims)}"}
+    return DefinitionCheck(definition=3, verdict=verdict, evidence=evidence), warnings
 
 
 def _symmetry(state: StateVector, tolerance: float) -> tuple[DickeExpansion | str, bool]:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import NumericError, StateVector, ValidationError, _check_qubit_count, _normalized
-from .states import _as_instance, _as_int, _as_real, _complex_array, _unit_vector
+from .states import _as_complex, _as_instance, _as_int, _as_real, _complex_array, _unit_vector
 
 __all__ = [
     "NotSymmetricError",
@@ -161,11 +161,15 @@ class MajoranaConstellation:
     discriminant: complex
 
     def __post_init__(self) -> None:
-        if sum(s.multiplicity for s in self.stars) != self.n:
+        try:
+            stars = [_as_instance(s, SpherePoint, "a star") for s in self.stars]
+            partition = [_as_int(m, "a partition entry", lo=1) for m in self.partition]
+        except TypeError:
+            raise ValidationError("stars and partition must be sequences") from None
+        _as_complex(self.discriminant, "the discriminant")
+        if sum(s.multiplicity for s in stars) != _as_int(self.n, "the qubit count n", lo=1):
             raise ValidationError("star multiplicities must sum to n")
-        if not (
-            self.distinct_count == len(self.stars) == len(self.partition)
-        ):
+        if not _as_int(self.distinct_count, "distinct_count") == len(stars) == len(partition):
             raise ValidationError("distinct_count must match stars and partition")
 
 
@@ -176,12 +180,17 @@ class SymmetricClassification:
     constellation: MajoranaConstellation
     onion_level: int
 
+    def __post_init__(self) -> None:
+        _as_instance(self.constellation, MajoranaConstellation, "the constellation")
+        _as_int(self.onion_level, "the onion level", lo=1)
+
     @property
     def n(self) -> int:
         return self.constellation.n
 
     def precedes(self, other: "SymmetricClassification") -> bool:
         """Strict onion order; defined only between equal qubit counts."""
+        other = _as_instance(other, SymmetricClassification, "the other classification")
         if self.n != other.n:
             raise ValidationError(
                 f"onion order is defined only for equal qubit counts "
@@ -577,7 +586,7 @@ def find_stars(poly, n: int, cluster_tol: float = 1e-6) -> MajoranaConstellation
         for mem in _single_linkage_clusters(dist, accept)
     ]
     stars.sort(key=lambda sp: (-sp.multiplicity, sp.theta, sp.phi))
-    partition = tuple(sorted((sp.multiplicity for sp in stars), reverse=True))
+    partition = tuple(sp.multiplicity for sp in stars)
     return MajoranaConstellation(
         n=n,
         stars=tuple(stars),

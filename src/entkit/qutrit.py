@@ -27,7 +27,6 @@ as an exact 0, and no intermediate can overflow or lose bits.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass, fields, replace
@@ -64,14 +63,9 @@ class NormalFormCoefficients:
     a3: complex
 
     def __post_init__(self) -> None:
-        vals = []
         for name in ("a1", "a2", "a3"):
-            v = _as_complex(getattr(self, name), name)
-            if not (cmath.isfinite(v)):
-                raise ValidationError(f"{name} is not finite")
-            vals.append(v)
-            object.__setattr__(self, name, v)
-        if all(v == 0 for v in vals):
+            object.__setattr__(self, name, _as_complex(getattr(self, name), name))
+        if not any(self.as_tuple()):
             raise ValidationError("at least one of a1, a2, a3 must be nonzero")
 
     def as_tuple(self) -> tuple[complex, complex, complex]:
@@ -88,7 +82,7 @@ class QutritInvariantReport:
     ``delta`` is therefore the correctly rounded hyperdeterminant, where
     the combination of the other (rounded) fields can lose up to twelve
     digits to cancellation.  The J12 relation -I12 - I6^2 = 24 J12 holds
-    to rounding.  Every field must be finite.
+    to rounding.  Every field must be a finite number and is stored as a complex.
     """
 
     i6: complex
@@ -99,8 +93,7 @@ class QutritInvariantReport:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if not cmath.isfinite(getattr(self, f.name)):
-                raise ValidationError(f"{f.name} is not finite")
+            object.__setattr__(self, f.name, _as_complex(getattr(self, f.name), f.name))
 
 
 class PhiFamilyResult(NamedTuple):

@@ -1,30 +1,31 @@
-"""Haar-random local unitaries and Monte-Carlo invariance checks.
+"""Local unitaries: random draws, their application, and Monte-Carlo invariance checks.
 
 Randomness comes from counter-based Philox streams keyed by
 (seed, counter), so trial t of a run is reproducible in isolation and
-disjoint counter ranges never collide.  The invariance suite applies a
-fresh local unitary per trial and reports how far a chosen functional
-drifts from its value on the untransformed state; genuine invariants
-stay at rounding level while the negative control moves at order one.
+disjoint counter ranges never collide.  A :class:`LocalUnitary` holds
+one checked unitary factor per party and :func:`apply_local_unitary`
+applies it to a state.  The invariance suite applies a fresh local
+unitary per trial and reports how far a chosen functional drifts from
+its value on the untransformed state; genuine invariants stay at
+rounding level while the negative control moves at order one.
 Trials run in stacked blocks: each sampler below is the one-trial case
 of a map on a leading trial axis, and the suite applies that map, the
 unitarity and norm checks, the contraction and the functional once per
 block.  The public single-state path runs the same kernels on a stack
-of one trial: :func:`~entkit.states.apply_local_unitary` contracts with
-the suite's contraction and :func:`named_invariant` evaluates the
-suite's functional, so trial t replayed through :func:`trial_rng`, the
-single-draw samplers, :class:`~entkit.states.LocalUnitary`,
-:func:`~entkit.states.apply_local_unitary` and the invariant gives the
-suite's value bit for bit.
+of one trial: :func:`apply_local_unitary` contracts with the suite's
+contraction and :func:`named_invariant` evaluates the suite's
+functional, so trial t replayed through :func:`trial_rng`, the
+single-draw samplers, :class:`LocalUnitary`, :func:`apply_local_unitary`
+and the invariant gives the suite's value bit for bit.
 
 The kernels on d x d matrices pick their body from the local dimension
 d alone, never from the number of trials.  Up to a small cut
-(``states._SMALL_D``) they loop over the d columns or rows and run each
-step on the whole trial axis: Haar draws orthonormalize the Ginibre
-columns by Gram-Schmidt with one reorthogonalization, and the unitarity
-check and the contraction add their products in a fixed order.  Above
-the cut, LAPACK's QR and numpy's stacked matmul run one matrix at a
-time, which is faster there.
+(``_SMALL_D``) they loop over the d columns or rows and run each step
+on the whole trial axis: Haar draws orthonormalize the Ginibre columns
+by Gram-Schmidt with one reorthogonalization, and the unitarity check
+and the contraction add their products in a fixed order.  Above the
+cut, LAPACK's QR and numpy's stacked matmul run one matrix at a time,
+which is faster there.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ import numpy as np
 from . import states
 from .hyperdet import _cayley, cayley_hyperdeterminant
 
-# LocalUnitary, apply_local_unitary and schmidt_decompose are unused here,
-# but perfbench/tracing.py patches these names on this module
+# schmidt_decompose is unused here, but perfbench/tracing.py patches this
+# name on this module
 from .schmidt import (  # noqa: F401
     _det2,
     _ranks,
@@ -47,18 +48,14 @@ from .schmidt import (  # noqa: F401
     bipartite_determinant,
     schmidt_decompose,
 )
-from .states import (  # noqa: F401
-    _SMALL_D,
-    LocalUnitary,
+from .states import (
+    ATOL,
     StateVector,
     ValidationError,
-    _apply_block,
     _as_complex_array,
     _as_instance,
     _as_int,
     _check_unit_norm,
-    _check_unitary,
-    apply_local_unitary,
 )
 
 __all__ = [
@@ -67,9 +64,18 @@ __all__ = [
     "random_su2",
     "haar_unitary",
     "random_sud",
+    "LocalUnitary",
+    "apply_local_unitary",
     "named_invariant",
     "invariance_suite",
 ]
+
+#: largest local dimension d whose unitary kernels (the Haar draw, the
+#: unitarity check and the contraction) loop over d columns or rows and
+#: vectorize over a stack of trials; above it numpy's stacked matmul and
+#: LAPACK are faster.  Chosen from d alone, never from the stack length,
+#: so a replayed one-trial stack runs the same body as the engine
+_SMALL_D = 4
 
 #: amplitudes held by one stacked block of trials, so memory stays bounded
 #: for any trial count; a block holds at least one trial
@@ -83,9 +89,10 @@ class InvarianceReport:
     Raises
     ------
     ValidationError
-        If ``trials`` is not an integer >= 1, ``seed`` not an integer in
-        [0, 2**64) (bools are rejected for both), or a drift statistic
-        not a real number >= 0 (NaN is rejected).
+        If ``invariant_name`` is not a string, ``trials`` not an integer
+        >= 1, ``seed`` not an integer in [0, 2**64) (bools are rejected
+        for both), or a drift statistic not a real number >= 0 (NaN is
+        rejected).
     """
 
     invariant_name: str
@@ -95,6 +102,7 @@ class InvarianceReport:
     seed: int
 
     def __post_init__(self) -> None:
+        _as_instance(self.invariant_name, str, "the invariant name")
         object.__setattr__(self, "trials", _as_int(self.trials, "trials", lo=1))
         object.__setattr__(self, "seed", _as_int(self.seed, "seed", lo=0, hi=2**64 - 1))
         drifts = (self.max_abs_drift, self.mean_abs_drift)
@@ -143,7 +151,7 @@ def _su2(q: np.ndarray) -> np.ndarray:
 def _haar(g: np.ndarray, d: int) -> np.ndarray:
     """Rows of 2 d^2 normals (real parts, then imaginary) → :func:`haar_unitary` matrices.
 
-    Up to ``states._SMALL_D`` the Ginibre columns are orthonormalized by
+    Up to ``_SMALL_D`` the Ginibre columns are orthonormalized by
     Gram-Schmidt with one reorthogonalization, on a (column, row, trial)
     layout so every step is vectorized over the trials.  Each sum is
     taken one row or one column at a time, in an order that does not
@@ -200,7 +208,7 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
     The Q factor of a complex Ginibre matrix whose R factor has a
     positive real diagonal (Mezzadri 2007); an arbitrary QR is not Haar.
-    For d up to ``states._SMALL_D`` Q comes from Gram-Schmidt with one
+    For d up to ``_SMALL_D`` Q comes from Gram-Schmidt with one
     reorthogonalization, whose R diagonal is positive as it stands;
     above it from LAPACK's QR with the R diagonal's phases folded into
     Q.  The two agree to rounding.
@@ -232,6 +240,121 @@ def random_sud(d: int, rng: np.random.Generator) -> np.ndarray:
     d = _as_int(d, "the dimension d", lo=2)
     rng = _as_instance(rng, np.random.Generator, "the generator")
     return _sud(rng.standard_normal((1, 2 * d * d)), d)[0]
+
+
+def _check_unitary(m: np.ndarray, what: str) -> None:
+    """Reject unless every square matrix in the stack ``m`` has max |U*U - I| <= ATOL.
+
+    Up to ``_SMALL_D``, U*U is accumulated one row of U at a time on a
+    (row, column, trial) layout, so each temporary is the size of the
+    stack.
+    """
+    d = m.shape[-1]
+    if d <= _SMALL_D:
+        rows = np.ascontiguousarray(m.reshape(-1, d, d).transpose(1, 2, 0))
+        gram = rows[0, :, None].conj() * rows[0, None, :]
+        for r in range(1, d):
+            gram += rows[r, :, None].conj() * rows[r, None, :]
+        gram -= np.eye(d)[..., None]
+    else:
+        gram = np.swapaxes(m.conj(), -1, -2) @ m - np.eye(d)
+    resid = float(np.max(np.abs(gram)))
+    if not resid <= ATOL:
+        raise ValidationError(f"{what} is not unitary: max |U*U - I| = {resid:.3e}")
+
+
+@dataclass(frozen=True)
+class LocalUnitary:
+    """One unitary factor per party, applied as U_1 x U_2 x ... x U_N.
+
+    Each factor k must be square and nonempty, of size ``dims[k]``,
+    and satisfy U U^dagger = I entrywise within 1e-9.
+    """
+
+    factors: tuple[np.ndarray, ...]
+
+    def __post_init__(self) -> None:
+        try:
+            factors = tuple(self.factors)
+        except TypeError:
+            raise ValidationError(
+                f"factors must be a sequence of square arrays, got {self.factors!r}"
+            ) from None
+        checked = []
+        for k, f in enumerate(factors):
+            m = _as_complex_array(f, f"factor {k}")
+            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise ValidationError(f"factor {k} is not square: shape {m.shape}")
+            if m.size == 0:
+                raise ValidationError(f"factor {k} is empty: shape {m.shape}")
+            _check_unitary(m, f"factor {k}")
+            m = m.copy()
+            m.setflags(write=False)
+            checked.append(m)
+        object.__setattr__(self, "factors", tuple(checked))
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return tuple(f.shape[0] for f in self.factors)
+
+
+def apply_local_unitary(state: StateVector, u: LocalUnitary) -> StateVector:
+    """Apply U_1 x ... x U_N to a state, one factor per party.
+
+    Parameters
+    ----------
+    state : StateVector
+    u : LocalUnitary
+        ``u.dims`` must equal ``state.dims``.
+
+    Returns
+    -------
+    StateVector
+        The transformed state; the norm is preserved by unitarity.  The
+        contraction is that of the invariance suite's stacked trials,
+        run on a stack of one, so the amplitudes equal the suite's bit
+        for bit.
+    """
+    state = _as_instance(state, StateVector, "the state")
+    u = _as_instance(u, LocalUnitary, "the local unitary")
+    if u.dims != state.dims:
+        raise ValidationError(
+            f"factor dims {u.dims} do not match state dims {state.dims}"
+        )
+    return StateVector(state.dims, _apply_block(state.tensor(), [f[None] for f in u.factors])[0])
+
+
+def _apply_block(tensor: np.ndarray, factors: list) -> np.ndarray:
+    """``(U_1 x ... x U_N) tensor`` for each trial, stacked on a leading axis.
+
+    ``factors`` holds one ``(trials, d, d)`` array per party; one state
+    is the stack of one trial.  A party of dimension up to ``_SMALL_D``
+    is contracted with the trial axis last, as a sum over the contracted
+    index j added in order: one product of the output's size per j.
+    Above it, numpy's stacked matmul contracts with the trial axis first.
+    """
+    t, last = tensor.reshape(1, -1), False  # trial axis first; one row serves every trial
+    left = 1
+    for u in factors:
+        d = u.shape[-1]
+        if (d <= _SMALL_D) != last:  # move the trial axis to the other end
+            t = t.reshape(-1, t.shape[-1]) if last else t.reshape(len(t), -1)
+            t, last = np.ascontiguousarray(t.T), not last
+        if last:
+            # party k as axis 1 of (parties before, d, parties after, trial)
+            t = t.reshape(left, d, -1, t.shape[-1])
+            ut = np.ascontiguousarray(u.transpose(1, 2, 0))  # (i, j, trial)
+            out = ut[:, 0, None] * t[:, None, 0]
+            for j in range(1, d):
+                out += ut[:, j, None] * t[:, None, j]
+            t = out
+        else:
+            # party k as the middle axis of (trial, parties before, d, parties after)
+            t = u[:, None] @ t.reshape(len(t), left, d, -1)
+        left *= d
+    if last:
+        t = np.ascontiguousarray(t.reshape(-1, t.shape[-1]).T)
+    return t.reshape((len(t),) + tensor.shape)
 
 
 def _group_maps(state: StateVector, group):
@@ -376,14 +499,14 @@ def invariance_suite(
     size; trial t still draws from the Philox stream keyed (seed, t),
     so any trial replays alone through :func:`trial_rng` and the
     single-draw functions, and the report does not depend on the block
-    size.  The replayed trial's :func:`~entkit.states.apply_local_unitary`
-    equals the suite's contraction bit for bit, and for a registry name
-    so does its :func:`named_invariant` value: the suite and the
-    single-state API run the same kernels, one state being a stack of
-    one trial.  Runs with equal (seed, trials) are bitwise identical.
-    Every block's factors must pass the unitarity check of
-    :class:`~entkit.states.LocalUnitary` and its transformed states the
-    finite-and-norm check of :class:`~entkit.states.StateVector`.
+    size.  The replayed trial's :func:`apply_local_unitary` equals the
+    suite's contraction bit for bit, and for a registry name so does its
+    :func:`named_invariant` value: the suite and the single-state API
+    run the same kernels, one state being a stack of one trial.  Runs
+    with equal (seed, trials) are bitwise identical.  Every block's
+    factors must pass the unitarity check of :class:`LocalUnitary` and
+    its transformed states the norm check of
+    :class:`~entkit.states.StateVector`, which rejects non-finite rows.
     Registry functionals are evaluated on the whole block; a custom
     callable sees each trial as a :class:`~entkit.states.StateVector`.
 
@@ -421,7 +544,7 @@ def invariance_suite(
         factors = _draw_block(maps, seed, start, stop)
         for k, u in enumerate(factors):
             _check_unitary(u, f"factor {k}")
-        out = _as_complex_array(_apply_block(tensor, factors), "amplitudes")
+        out = _apply_block(tensor, factors)
         _check_unit_norm(out.reshape(len(out), -1))
         drifts[start:stop] = np.abs(stacked(out) - baseline)
     return InvarianceReport(

@@ -13,6 +13,7 @@ coefficients.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,10 +99,18 @@ def state_from_json(doc: dict) -> LoadedState:
     return LoadedState(StateVector(tuple(dims), amps), norm)
 
 
+def _as_path(path):
+    """``path`` as a str or bytes file name; ``open`` would take an int for a file descriptor."""
+    try:
+        return os.fspath(path)
+    except TypeError:
+        raise ValidationError(f"path must be a str or os.PathLike, got {path!r}") from None
+
+
 def read_state(path) -> LoadedState:
     """Read a state file from ``path``."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(_as_path(path), "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
@@ -115,5 +124,5 @@ def write_state(state: StateVector, path) -> None:
     # json.dumps without indent runs the C encoder; json.dump to a file
     # and any indent fall back to the pure-Python one
     text = json.dumps(state_to_json(state))
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(_as_path(path), "w", encoding="utf-8") as fh:
         fh.write(text + "\n")

@@ -1,4 +1,4 @@
-"""Dense multipartite state vectors and local unitary maps.
+"""Dense multipartite state vectors and the package's argument rules.
 
 A pure state of N parties with local dimensions ``dims = (d_1, ..., d_N)``
 is stored as a dense complex array of length ``prod(dims)``, indexed in
@@ -10,6 +10,7 @@ threads.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 import operator
@@ -21,13 +22,11 @@ __all__ = [
     "ValidationError",
     "NumericError",
     "StateVector",
-    "LocalUnitary",
     "make_state",
     "make_state_raw",
     "bell_state",
     "ghz_state",
     "w_state",
-    "apply_local_unitary",
     "inner_product",
     "fidelity",
     "pauli",
@@ -39,13 +38,6 @@ ATOL = 1e-9
 
 #: soft cap on dense amplitude storage
 MAX_ENTRIES = 2**24
-
-#: largest local dimension d whose unitary kernels (the Haar draw, the
-#: unitarity check and the contraction) loop over d columns or rows and
-#: vectorize over a stack of trials; above it numpy's stacked matmul and
-#: LAPACK are faster.  Chosen from d alone, never from the stack length,
-#: so a replayed one-trial stack runs the same body as the engine
-_SMALL_D = 4
 
 BELL_KINDS = ("phi+", "psi+", "phi-", "psi-")
 
@@ -124,11 +116,16 @@ def _as_real(value, what: str, lo: float | None = None, hi: float | None = None)
 
 
 def _as_complex(value, what: str) -> complex:
-    """``complex(value)``; a value that is not a number raises ``ValidationError``."""
+    """``complex(value)``; a value that is not a finite number raises ``ValidationError``."""
     try:
-        return complex(value)
+        z = complex(value)
+    except OverflowError:  # an int beyond the float range
+        z = complex(math.inf)
     except (TypeError, ValueError):
         raise ValidationError(f"{what} must be a number, got {value!r}") from None
+    if not cmath.isfinite(z):
+        raise ValidationError(f"{what} is not finite")
+    return z
 
 
 def _as_dims(dims) -> tuple[int, ...]:
@@ -173,11 +170,14 @@ def _as_complex_array(values, what: str) -> np.ndarray:
 
 
 def _check_unit_norm(amps: np.ndarray, what: str = "amplitudes") -> None:
-    """Reject unless every row of finite, C-contiguous ``amps`` has norm 1 within ATOL."""
+    """Reject unless every row of C-contiguous ``amps`` has norm 1 within ATOL.
+
+    A row with a NaN or infinite entry has a norm of NaN or inf and fails.
+    """
     parts = amps.view(np.float64)  # (re, im) pairs: one pass and no temporary copy
     norms = np.sqrt(np.einsum("...i,...i->...", parts, parts)).reshape(-1)
     worst = float(norms[np.argmax(np.abs(norms - 1.0))])
-    if abs(worst - 1.0) > ATOL:
+    if not abs(worst - 1.0) <= ATOL:
         raise ValidationError(f"{what} have norm {worst:.6g}, not 1")
 
 
@@ -190,27 +190,6 @@ def _unit_vector(values, size: int, what: str) -> np.ndarray:
     _check_unit_norm(v, what)
     v.setflags(write=False)
     return v
-
-
-def _check_unitary(m: np.ndarray, what: str) -> None:
-    """Reject unless every square matrix in the stack ``m`` has max |U*U - I| <= ATOL.
-
-    Up to ``_SMALL_D``, U*U is accumulated one row of U at a time on a
-    (row, column, trial) layout, so each temporary is the size of the
-    stack.
-    """
-    d = m.shape[-1]
-    if d <= _SMALL_D:
-        rows = np.ascontiguousarray(m.reshape(-1, d, d).transpose(1, 2, 0))
-        gram = rows[0, :, None].conj() * rows[0, None, :]
-        for r in range(1, d):
-            gram += rows[r, :, None].conj() * rows[r, None, :]
-        gram -= np.eye(d)[..., None]
-    else:
-        gram = np.swapaxes(m.conj(), -1, -2) @ m - np.eye(d)
-    resid = float(np.max(np.abs(gram)))
-    if not resid <= ATOL:
-        raise ValidationError(f"{what} is not unitary: max |U*U - I| = {resid:.3e}")
 
 
 @dataclass(frozen=True)
@@ -259,51 +238,20 @@ class StateVector:
         return complex(self.tensor()[tuple(index)])
 
 
-@dataclass(frozen=True)
-class LocalUnitary:
-    """One unitary factor per party, applied as U_1 x U_2 x ... x U_N.
-
-    Each factor k must be square and nonempty, of size ``dims[k]``,
-    and satisfy U U^dagger = I entrywise within 1e-9.
-    """
-
-    factors: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        try:
-            factors = tuple(self.factors)
-        except TypeError:
-            raise ValidationError(
-                f"factors must be a sequence of square arrays, got {self.factors!r}"
-            ) from None
-        checked = []
-        for k, f in enumerate(factors):
-            m = _as_complex_array(f, f"factor {k}")
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValidationError(f"factor {k} is not square: shape {m.shape}")
-            if m.size == 0:
-                raise ValidationError(f"factor {k} is empty: shape {m.shape}")
-            _check_unitary(m, f"factor {k}")
-            m = m.copy()
-            m.setflags(write=False)
-            checked.append(m)
-        object.__setattr__(self, "factors", tuple(checked))
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(f.shape[0] for f in self.factors)
-
-
 def _dense(dims, entries) -> np.ndarray:
     """Flat amplitude array from sparse ``(multi-index, amplitude)`` pairs, in one pass.
 
     Rejects an empty dims list, a local dimension that is not an integer
-    or is below 2, a wrong arity, an out-of-range or repeated index, a
-    value that is not a number or not finite, and an empty entry list.
+    or is below 2, entries that are not a mapping or a sequence of pairs,
+    a wrong arity, an out-of-range or repeated index, a value that is not
+    a number or not finite, and an empty entry list.
     """
     dims = _as_dims(dims)
     arr = np.zeros(dims, dtype=np.complex128)
-    items = entries.items() if hasattr(entries, "items") else entries
+    try:
+        items = [(i, v) for i, v in (entries.items() if hasattr(entries, "items") else entries)]
+    except (TypeError, ValueError):
+        raise ValidationError(f"entries must be (index, value) pairs, got {entries!r}") from None
     seen = set()
     for index, value in items:
         try:
@@ -415,65 +363,6 @@ def ghz_state(n_parties: int) -> StateVector:
 def w_state() -> StateVector:
     """The three-qubit W state (|001> + |010> + |100>)/sqrt(3)."""
     return make_state((2, 2, 2), {(0, 0, 1): 1.0, (0, 1, 0): 1.0, (1, 0, 0): 1.0})
-
-
-def apply_local_unitary(state: StateVector, u: LocalUnitary) -> StateVector:
-    """Apply U_1 x ... x U_N to a state, one factor per party.
-
-    Parameters
-    ----------
-    state : StateVector
-    u : LocalUnitary
-        ``u.dims`` must equal ``state.dims``.
-
-    Returns
-    -------
-    StateVector
-        The transformed state; the norm is preserved by unitarity.  The
-        contraction is that of the invariance suite's stacked trials,
-        run on a stack of one, so the amplitudes equal the suite's bit
-        for bit.
-    """
-    state = _as_instance(state, StateVector, "the state")
-    u = _as_instance(u, LocalUnitary, "the local unitary")
-    if u.dims != state.dims:
-        raise ValidationError(
-            f"factor dims {u.dims} do not match state dims {state.dims}"
-        )
-    return StateVector(state.dims, _apply_block(state.tensor(), [f[None] for f in u.factors])[0])
-
-
-def _apply_block(tensor: np.ndarray, factors: list) -> np.ndarray:
-    """``(U_1 x ... x U_N) tensor`` for each trial, stacked on a leading axis.
-
-    ``factors`` holds one ``(trials, d, d)`` array per party; one state
-    is the stack of one trial.  A party of dimension up to ``_SMALL_D``
-    is contracted with the trial axis last, as a sum over the contracted
-    index j added in order: one product of the output's size per j.
-    Above it, numpy's stacked matmul contracts with the trial axis first.
-    """
-    t, last = tensor.reshape(1, -1), False  # trial axis first; one row serves every trial
-    left = 1
-    for u in factors:
-        d = u.shape[-1]
-        if (d <= _SMALL_D) != last:  # move the trial axis to the other end
-            t = t.reshape(-1, t.shape[-1]) if last else t.reshape(len(t), -1)
-            t, last = np.ascontiguousarray(t.T), not last
-        if last:
-            # party k as axis 1 of (parties before, d, parties after, trial)
-            t = t.reshape(left, d, -1, t.shape[-1])
-            ut = np.ascontiguousarray(u.transpose(1, 2, 0))  # (i, j, trial)
-            out = ut[:, 0, None] * t[:, None, 0]
-            for j in range(1, d):
-                out += ut[:, j, None] * t[:, None, j]
-            t = out
-        else:
-            # party k as the middle axis of (trial, parties before, d, parties after)
-            t = u[:, None] @ t.reshape(len(t), left, d, -1)
-        left *= d
-    if last:
-        t = np.ascontiguousarray(t.reshape(-1, t.shape[-1]).T)
-    return t.reshape((len(t),) + tensor.shape)
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:

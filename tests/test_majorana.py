@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from entkit import (
     DickeExpansion,
+    LocalUnitary,
     MajoranaConstellation,
     NotSymmetricError,
     NumericError,
@@ -29,7 +30,6 @@ from entkit import (
 )
 from entkit.majorana import _ClusterGeometry, _padded, _scaled_core, _single_linkage_clusters
 from entkit.sampling import random_su2, trial_rng
-from entkit.states import LocalUnitary
 
 R2 = 1.0 / math.sqrt(2.0)
 

@@ -174,6 +174,13 @@ class TestInvariants:
         with pytest.raises(ValidationError):
             NormalFormCoefficients(float("inf"), 1, 0)
 
+    def test_int_beyond_float_range_rejected(self):
+        # complex(10**400) raised a bare OverflowError
+        with pytest.raises(ValidationError, match="a1 is not finite"):
+            NormalFormCoefficients(10**400, 1, 1)
+        with pytest.raises(ValidationError, match="i6 is not finite"):
+            QutritInvariantReport(10**400, 0, 0, 0, 0)
+
 
 class TestCombination:
     def test_combination_on_exact_integer_report(self):

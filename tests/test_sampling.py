@@ -27,7 +27,7 @@ from entkit import (
 from entkit.sampling import named_invariant
 
 #: largest local dimension the trial-vectorized kernels serve
-SMALL_D = entkit.states._SMALL_D
+SMALL_D = sampling._SMALL_D
 
 #: (dims, group token) pairs the stacked draws are checked on; the last two
 #: put a party on each side of the kernels' dimension cut
@@ -379,6 +379,12 @@ class TestStackedTrials:
         apply = sampling._apply_block
         monkeypatch.setattr(sampling, "_apply_block", lambda t, f: 1.5 * apply(t, f))
         with pytest.raises(ValidationError, match="norm 1.5"):
+            invariance_suite(bell_state("phi+"), "norm", "su", trials=20)
+
+    def test_non_finite_contraction_rejected(self, monkeypatch):
+        apply = sampling._apply_block
+        monkeypatch.setattr(sampling, "_apply_block", lambda t, f: np.nan * apply(t, f))
+        with pytest.raises(ValidationError, match="norm nan"):
             invariance_suite(bell_state("phi+"), "norm", "su", trials=20)
 
     def test_custom_callable_sees_state_vectors(self):

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from entkit import (
     InvarianceReport,
     LocalUnitary,
+    MajoranaConstellation,
     NormalFormCoefficients,
+    QutritInvariantReport,
     SpherePoint,
     StateVector,
     ValidationError,
@@ -198,6 +200,12 @@ class TestStateVector:
         with pytest.raises(ValidationError, match="norm"):
             StateVector((2, 2), np.array(amps, dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_unit_norm_check_rejects_non_finite_rows(self, bad):
+        rows = np.array([[1, 0], [bad, 0]], dtype=complex)
+        with pytest.raises(ValidationError, match=f"norm {bad}"):
+            entkit.states._check_unit_norm(rows)
+
 
 # each call takes one integer parameter v = 2; floats used to be truncated
 # (dims (2, 2) from 2.7, three qubits from ghz_state(3.9)) or to fail with a
@@ -256,6 +264,11 @@ def test_integer_parameters_reject_non_integers(call, bad):
         lambda: majorana_polynomial(5),
         lambda: state_to_json(5),
         lambda: coherent_state(5, 3),
+        lambda: MajoranaConstellation(2, (5,), 1, (2,), 0j),
+        lambda: MajoranaConstellation(2, None, 1, (2,), 0j),
+        lambda: QutritInvariantReport("x", 0j, 0j, 0j, 0j),
+        lambda: QutritInvariantReport(0j, 0j, 0j, 0j, None),
+        lambda: classify_symmetric(bell_state("phi+")).precedes(3),
     ],
     ids=[
         "bell_state(1)",
@@ -282,6 +295,11 @@ def test_integer_parameters_reject_non_integers(call, bad):
         "majorana_polynomial(5)",
         "state_to_json(5)",
         "coherent_state(5)",
+        "MajoranaConstellation(stars=(5,))",
+        "MajoranaConstellation(stars=None)",
+        "QutritInvariantReport('x')",
+        "QutritInvariantReport(delta=None)",
+        "SymmetricClassification.precedes(3)",
     ],
 )
 def test_non_numbers_raise_validation_error(call):
