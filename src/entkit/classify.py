@@ -30,7 +30,7 @@ from . import majorana
 from .hyperdet import _class_of, cayley_hyperdeterminant
 from .majorana import DickeExpansion, NotSymmetricError
 from .schmidt import bipartite_determinant, schmidt_decompose
-from .states import StateVector, ValidationError, _as_instance
+from .states import StateVector, ValidationError, _as_instance, _as_int
 
 __all__ = ["DefinitionCheck", "ClassificationReport", "classify_state"]
 
@@ -50,8 +50,7 @@ class DefinitionCheck:
     evidence: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.definition not in (1, 2, 3, 4):
-            raise ValidationError(f"definition number must be 1-4, got {self.definition}")
+        _as_int(self.definition, "the definition number", lo=1, hi=4)
         _as_instance(self.verdict, str, "the verdict")
         if not self.evidence:
             raise ValidationError("a verdict must cite its evidence")
@@ -165,7 +164,8 @@ def classify_state(
     state : StateVector
         At least two parties.
     state_id : str, optional
-        Label copied into the report.
+        Label copied into the report; a value that is not a str raises
+        ``ValidationError``.
     tolerance : float, optional
         Rank and symmetry threshold shared by the checks.
 
@@ -175,6 +175,7 @@ def classify_state(
     """
     if _as_instance(state, StateVector, "the state").n_parties < 2:
         raise ValidationError("classification needs at least two parties")
+    _as_instance(state_id, str, "the state id")
     # one decomposition per single-party cut; keep only its coefficients.
     # The bases are never read, so the long singular vectors are never
     # formed, and no cut matrix outlives its decomposition.  Cut 0 comes

@@ -35,9 +35,10 @@ from .qutrit import (
     fundamental_invariants,
     hyperdeterminant_333,
 )
-from .sampling import invariance_suite
+from .sampling import _REGISTRY, invariance_suite
 from .schmidt import bipartite_determinant, schmidt_decompose
 from .states import (
+    BELL_KINDS,
     NumericError,
     ValidationError,
     _check_qubit_count,
@@ -284,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--invariant",
         required=True,
-        help="norm | det | hyperdet3q | schmidt-rank | amp00",
+        help=" | ".join(_REGISTRY),
     )
     p.add_argument(
         "--group",
@@ -306,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return g
 
     g = generator("bell", lambda a: bell_state(a.which))
-    g.add_argument("--which", choices=["phi+", "psi+", "phi-", "psi-"], default="phi+")
+    g.add_argument("--which", choices=BELL_KINDS, default="phi+")
     g = generator("ghz", lambda a: ghz_state(a.n))
     g.add_argument("--n", type=int, default=3)
     generator("w", lambda a: w_state())

@@ -34,7 +34,7 @@ separations near the ``cluster_tol`` floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -146,43 +146,53 @@ class SpherePoint:
 class MajoranaConstellation:
     """The stars of one symmetric state.
 
-    ``partition`` lists the multiplicities in descending order; it sums
-    to ``n`` and has one entry per distinct star.  ``discriminant`` is
-    the normalized binary-form discriminant of the defining polynomial
-    (see :func:`binary_discriminant`); it vanishes when some star is
+    Built from ``stars`` and ``discriminant``; the other fields are read
+    off the stars.  ``n`` is the sum of the multiplicities,
+    ``distinct_count`` the number of stars, and ``partition`` the
+    multiplicities in descending order.  ``discriminant`` is the
+    normalized binary-form discriminant of the defining polynomial (see
+    :func:`binary_discriminant`); it vanishes when some star is
     repeated, and it underflows to 0 for large n, so there 0 does not
     mean a repeated star.
+
+    Raises
+    ------
+    ValidationError
+        If ``stars`` is not a nonempty sequence of :class:`SpherePoint`
+        or ``discriminant`` is not a finite number.
     """
 
-    n: int
+    n: int = field(init=False)
     stars: tuple[SpherePoint, ...]
-    distinct_count: int
-    partition: tuple[int, ...]
+    distinct_count: int = field(init=False)
+    partition: tuple[int, ...] = field(init=False)
     discriminant: complex
 
     def __post_init__(self) -> None:
         try:
-            stars = [_as_instance(s, SpherePoint, "a star") for s in self.stars]
-            partition = [_as_int(m, "a partition entry", lo=1) for m in self.partition]
+            stars = tuple(_as_instance(s, SpherePoint, "a star") for s in self.stars)
         except TypeError:
-            raise ValidationError("stars and partition must be sequences") from None
+            raise ValidationError(f"stars must be a sequence, got {self.stars!r}") from None
+        if not stars:
+            raise ValidationError("a constellation needs at least one star")
         _as_complex(self.discriminant, "the discriminant")
-        if sum(s.multiplicity for s in stars) != _as_int(self.n, "the qubit count n", lo=1):
-            raise ValidationError("star multiplicities must sum to n")
-        if not _as_int(self.distinct_count, "distinct_count") == len(stars) == len(partition):
-            raise ValidationError("distinct_count must match stars and partition")
+        partition = tuple(sorted((s.multiplicity for s in stars), reverse=True))
+        object.__setattr__(self, "stars", stars)
+        object.__setattr__(self, "n", sum(partition))
+        object.__setattr__(self, "distinct_count", len(stars))
+        object.__setattr__(self, "partition", partition)
 
 
 @dataclass(frozen=True)
 class SymmetricClassification:
-    """Constellation plus the onion level (= distinct star count)."""
+    """Constellation plus its onion level, set to the distinct star count."""
 
     constellation: MajoranaConstellation
-    onion_level: int
+    onion_level: int = field(init=False)
 
     def __post_init__(self) -> None:
-        _as_instance(self.constellation, MajoranaConstellation, "the constellation")
-        _as_int(self.onion_level, "the onion level", lo=1)
+        con = _as_instance(self.constellation, MajoranaConstellation, "the constellation")
+        object.__setattr__(self, "onion_level", con.distinct_count)
 
     @property
     def n(self) -> int:
@@ -586,14 +596,7 @@ def find_stars(poly, n: int, cluster_tol: float = 1e-6) -> MajoranaConstellation
         for mem in _single_linkage_clusters(dist, accept)
     ]
     stars.sort(key=lambda sp: (-sp.multiplicity, sp.theta, sp.phi))
-    partition = tuple(sp.multiplicity for sp in stars)
-    return MajoranaConstellation(
-        n=n,
-        stars=tuple(stars),
-        distinct_count=len(stars),
-        partition=partition,
-        discriminant=binary_discriminant(a, n),
-    )
+    return MajoranaConstellation(stars, binary_discriminant(a, n))
 
 
 def binary_discriminant(poly, n: int) -> complex:
@@ -657,7 +660,6 @@ def _classify_expansion(
     expansion: DickeExpansion, cluster_tol: float = 1e-6
 ) -> SymmetricClassification:
     """:func:`classify_symmetric` from the state's checked Dicke expansion."""
-    constellation = find_stars(majorana_polynomial(expansion), expansion.n, cluster_tol)
     return SymmetricClassification(
-        constellation=constellation, onion_level=constellation.distinct_count
+        find_stars(majorana_polynomial(expansion), expansion.n, cluster_tol)
     )

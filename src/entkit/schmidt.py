@@ -56,7 +56,8 @@ class SchmidtDecomposition:
         Schmidt coefficients, descending, all above
         ``tolerance_used * lambdas[0]``; their squares sum to 1.
     rank : int
-        Number of retained coefficients.
+        Number of retained coefficients, ``len(lambdas)``; set on
+        construction, not passed.
     cut : tuple of int
         Party indices on the left side, sorted.
     tolerance_used : float
@@ -71,10 +72,13 @@ class SchmidtDecomposition:
     """
 
     lambdas: np.ndarray
-    rank: int
+    rank: int = field(init=False)
     cut: tuple[int, ...]
     tolerance_used: float
     _matrix: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rank", len(self.lambdas))
 
     @cached_property
     def _bases(self) -> tuple[np.ndarray, np.ndarray]:
@@ -158,10 +162,8 @@ def schmidt_decompose(
         raise ValidationError(f"tolerance must lie in (0, 1), got {tolerance!r}")
     m, cut = bipartition_matrix(state, cut)
     s = _singular_values(m)
-    rank = int(_ranks(s, tolerance))
     return SchmidtDecomposition(
-        lambdas=s[:rank].copy(),
-        rank=rank,
+        lambdas=s[: int(_ranks(s, tolerance))].copy(),
         cut=cut,
         tolerance_used=tolerance,
         _matrix=m,

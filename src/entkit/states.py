@@ -116,16 +116,41 @@ def _as_real(value, what: str, lo: float | None = None, hi: float | None = None)
 
 
 def _as_complex(value, what: str) -> complex:
-    """``complex(value)``; a value that is not a finite number raises ``ValidationError``."""
+    """``complex(value)`` of a finite number.
+
+    Numpy numbers pass; bools, strings, None and NaN or infinite values
+    raise ``ValidationError``, the kind rule of :func:`_as_real`.
+    """
     try:
+        # the builtin types first: isinstance stops at the first match, before the ABC
+        if isinstance(value, bool) or not isinstance(value, (complex, float, int, numbers.Number)):
+            raise TypeError
         z = complex(value)
     except OverflowError:  # an int beyond the float range
         z = complex(math.inf)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError):  # ValueError: Decimal("sNaN") has no complex value
         raise ValidationError(f"{what} must be a number, got {value!r}") from None
     if not cmath.isfinite(z):
         raise ValidationError(f"{what} is not finite")
     return z
+
+
+def _as_index(index, dims: tuple[int, ...]) -> tuple[int, ...]:
+    """``index`` as a tuple of ints, one per party, each in ``[0, d)`` for its ``d`` in ``dims``.
+
+    Numpy integers pass; a value that is not a sequence of integers
+    (bools are rejected), a wrong arity and an entry out of range raise
+    ``ValidationError``.
+    """
+    try:
+        if bool in map(type, index):
+            raise TypeError
+        index = tuple(map(operator.index, index))
+    except TypeError:
+        raise ValidationError(f"index {index!r} is not a sequence of integers") from None
+    if len(index) != len(dims) or min(index) < 0 or not all(map(operator.lt, index, dims)):
+        raise ValidationError(f"index {index} out of range for dims {dims}")
+    return index
 
 
 def _as_dims(dims) -> tuple[int, ...]:
@@ -232,10 +257,8 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
     def amplitude(self, index: tuple[int, ...]) -> complex:
-        """Amplitude at a multi-index."""
-        if len(index) != len(self.dims):
-            raise ValidationError(f"index {index} has wrong arity for dims {self.dims}")
-        return complex(self.tensor()[tuple(index)])
+        """Amplitude at a multi-index, checked as the entries of :func:`make_state` are."""
+        return complex(self.tensor()[_as_index(index, self.dims)])
 
 
 def _dense(dims, entries) -> np.ndarray:
@@ -243,8 +266,8 @@ def _dense(dims, entries) -> np.ndarray:
 
     Rejects an empty dims list, a local dimension that is not an integer
     or is below 2, entries that are not a mapping or a sequence of pairs,
-    a wrong arity, an out-of-range or repeated index, a value that is not
-    a number or not finite, and an empty entry list.
+    an index that :func:`_as_index` rejects or that repeats, a value
+    that :func:`_as_complex` rejects, and an empty entry list.
     """
     dims = _as_dims(dims)
     arr = np.zeros(dims, dtype=np.complex128)
@@ -254,24 +277,14 @@ def _dense(dims, entries) -> np.ndarray:
         raise ValidationError(f"entries must be (index, value) pairs, got {entries!r}") from None
     seen = set()
     for index, value in items:
-        try:
-            index = tuple(operator.index(i) for i in index)
-        except TypeError:
-            raise ValidationError(f"index {index!r} is not a sequence of integers") from None
-        if len(index) != len(dims) or any(
-            not 0 <= i < d for i, d in zip(index, dims)
-        ):
-            raise ValidationError(f"index {index} out of range for dims {dims}")
+        index = _as_index(index, dims)
         if index in seen:
             raise ValidationError(f"amplitude index {list(index)} is listed twice")
         seen.add(index)
         try:
-            value = complex(value)
-        except (TypeError, ValueError):
-            raise ValidationError(f"amplitude {value!r} at index {index} is not a number") from None
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-            raise ValidationError(f"non-finite amplitude at index {index}")
-        arr[index] = value
+            arr[index] = _as_complex(value, "the amplitude")
+        except ValidationError as exc:  # formatting the index per entry would slow file reads
+            raise ValidationError(f"{exc} at index {index}") from None
     if not seen:
         raise ValidationError("no amplitude entries given")
     return arr.reshape(-1)

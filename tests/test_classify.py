@@ -253,6 +253,18 @@ class TestCheckType:
         with pytest.raises(ValidationError):
             DefinitionCheck(definition=5, verdict="x", evidence={"a": 1})
 
+    @pytest.mark.parametrize("definition", [True, 2.0, "2", None])
+    def test_definition_must_be_an_integer(self, definition):
+        # a bool or a float would serialize as true or 2.0
+        with pytest.raises(ValidationError, match="the definition number must be an integer"):
+            DefinitionCheck(definition=definition, verdict="x", evidence={"a": 1})
+
+    @pytest.mark.parametrize("state_id", [None, 5, b"bell"])
+    def test_state_id_must_be_a_string(self, state_id):
+        # None would reach the report's JSON as "state_id": null
+        with pytest.raises(ValidationError, match="the state id must be a str"):
+            classify_state(bell_state("phi+"), state_id=state_id)
+
     def test_evidence_required(self):
         with pytest.raises(ValidationError):
             DefinitionCheck(definition=1, verdict="x", evidence={})

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -14,6 +15,7 @@ from entkit import (
     NumericError,
     SpherePoint,
     StateVector,
+    SymmetricClassification,
     ValidationError,
     apply_local_unitary,
     bell_state,
@@ -642,11 +644,24 @@ class TestClassification:
             a.precedes(b)
 
     def test_constellation_invariants_enforced(self):
+        # n, the partition and the distinct count are read off the stars,
+        # so a constellation that contradicts its stars cannot be written
         star = SpherePoint(theta=0.0, phi=0.0, multiplicity=2)
+        con = MajoranaConstellation(stars=(star,), discriminant=0.0)
+        assert (con.n, con.partition, con.distinct_count) == (2, (2,), 1)
         with pytest.raises(ValidationError):
-            MajoranaConstellation(
-                n=3, stars=(star,), distinct_count=1, partition=(2,), discriminant=0.0
-            )
+            MajoranaConstellation(stars=(), discriminant=0.0)
+
+    def test_constellation_derives_from_unsorted_stars(self):
+        stars = [SpherePoint(0.3, 0.2), SpherePoint(1.0, 0.5, 3), SpherePoint(2.0, 1.0, 2)]
+        con = MajoranaConstellation(stars, 0j)
+        assert con.stars == tuple(stars)
+        assert con.partition == (3, 2, 1)
+        assert con.n == 6 and con.distinct_count == 3
+        assert SymmetricClassification(con).onion_level == con.distinct_count == 3
+        assert list(dataclasses.asdict(con)) == [
+            "n", "stars", "distinct_count", "partition", "discriminant"
+        ]
 
     def test_sphere_point_validation(self):
         with pytest.raises(ValidationError):

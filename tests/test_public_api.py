@@ -164,13 +164,9 @@ def valid_calls(files):
         "DickeExpansion": dict(n=1, coeffs=np.array([1, 0], dtype=complex)),
         "SpherePoint": dict(theta=0.3, phi=0.2),
         "MajoranaConstellation": dict(
-            n=2,
-            stars=constellation.stars,
-            distinct_count=1,
-            partition=(2,),
-            discriminant=constellation.discriminant,
+            stars=constellation.stars, discriminant=constellation.discriminant
         ),
-        "SymmetricClassification": dict(constellation=constellation, onion_level=1),
+        "SymmetricClassification": dict(constellation=constellation),
         "symmetrize_check": dict(state=bell),
         "dicke_state": dict(expansion=expansion),
         "majorana_polynomial": dict(expansion=expansion),

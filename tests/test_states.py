@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -171,7 +172,9 @@ class TestConstructors:
         with pytest.raises(ValidationError, match="storage cap"):
             dicke_state(DickeExpansion(100000, c))
 
-    @pytest.mark.parametrize("entries", [[(0, 1.0)], [((0.5,), 1.0)], [("a", 1.0)]])
+    @pytest.mark.parametrize(
+        "entries", [[(0, 1.0)], [((0.5,), 1.0)], [("a", 1.0)], [((True,), 1.0)]]
+    )
     def test_rejects_index_that_is_not_integers(self, entries):
         with pytest.raises(ValidationError, match="not a sequence of integers"):
             make_state((2,), entries)
@@ -182,6 +185,12 @@ class TestStateVector:
         s = bell_state("phi+")
         with pytest.raises(ValueError):
             s.amplitudes[0] = 0.0
+
+    @pytest.mark.parametrize("index", [(0, -1), (True, 1), (0.5, 0), 5, (0, 0, 0)])
+    def test_amplitude_rejects_bad_index(self, index):
+        # numpy would read (0, -1) as the amplitude at (0, 1)
+        with pytest.raises(ValidationError):
+            bell_state("phi+").amplitude(index)
 
     def test_tensor_shape(self):
         s = ghz_state(3)
@@ -264,8 +273,13 @@ def test_integer_parameters_reject_non_integers(call, bad):
         lambda: majorana_polynomial(5),
         lambda: state_to_json(5),
         lambda: coherent_state(5, 3),
-        lambda: MajoranaConstellation(2, (5,), 1, (2,), 0j),
-        lambda: MajoranaConstellation(2, None, 1, (2,), 0j),
+        lambda: MajoranaConstellation((5,), 0j),
+        lambda: MajoranaConstellation(None, 0j),
+        lambda: make_state([2], {(0,): "1", (1,): 1}),
+        lambda: make_state([2], {(0,): True, (1,): 1}),
+        lambda: NormalFormCoefficients("2", 1, 1),
+        lambda: NormalFormCoefficients(True, 1, 1),
+        lambda: make_state([2], {(0,): Decimal("sNaN"), (1,): 1}),
         lambda: QutritInvariantReport("x", 0j, 0j, 0j, 0j),
         lambda: QutritInvariantReport(0j, 0j, 0j, 0j, None),
         lambda: classify_symmetric(bell_state("phi+")).precedes(3),
@@ -297,6 +311,11 @@ def test_integer_parameters_reject_non_integers(call, bad):
         "coherent_state(5)",
         "MajoranaConstellation(stars=(5,))",
         "MajoranaConstellation(stars=None)",
+        "make_state('1')",
+        "make_state(True)",
+        "NormalFormCoefficients('2')",
+        "NormalFormCoefficients(True)",
+        "make_state(Decimal('sNaN'))",
         "QutritInvariantReport('x')",
         "QutritInvariantReport(delta=None)",
         "SymmetricClassification.precedes(3)",
