@@ -17,7 +17,8 @@ A qubit state gets one symmetry pass, whose Dicke expansion Definition
 (every adjacent-transposition drift 0.0), every single-party cut matrix
 is an exact column permutation of the cut-0 matrix, so cut 0 is the one
 Schmidt factorization and its coefficients serve all n cuts.  Any other
-state has each cut factored as given.
+state has every single-party cut factored by one call that reads each
+qubit party's rows in place and runs one stacked 2 x 2 SVD.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from . import majorana
 from .hyperdet import _class_of, cayley_hyperdeterminant
 from .majorana import DickeExpansion, NotSymmetricError
-from .schmidt import bipartite_determinant, schmidt_decompose
+from .schmidt import _as_tolerance, _single_cut_lambdas, bipartite_determinant, schmidt_decompose
 from .states import StateVector, ValidationError, _as_instance, _as_int
 
 __all__ = ["DefinitionCheck", "ClassificationReport", "classify_state"]
@@ -176,18 +177,14 @@ def classify_state(
     if _as_instance(state, StateVector, "the state").n_parties < 2:
         raise ValidationError("classification needs at least two parties")
     _as_instance(state_id, str, "the state id")
-    # one decomposition per single-party cut; keep only its coefficients.
-    # The bases are never read, so the long singular vectors are never
-    # formed, and no cut matrix outlives its decomposition.  Cut 0 comes
-    # first, so the tolerance is checked before the symmetry pass reads it
-    lambdas = [schmidt_decompose(state, (0,), tolerance).lambdas]
+    tolerance = _as_tolerance(tolerance)
+    # only the coefficients of each single-party cut are kept: the bases
+    # are never read, so the long singular vectors are never formed
     expansion, exact = _symmetry(state, tolerance)
     if exact:
-        lambdas *= state.n_parties
+        lambdas = [schmidt_decompose(state, (0,), tolerance).lambdas] * state.n_parties
     else:
-        lambdas += [
-            schmidt_decompose(state, (k,), tolerance).lambdas for k in range(1, state.n_parties)
-        ]
+        lambdas = _single_cut_lambdas(state, tolerance)
     d3, warnings = _definition_3(state, lambdas, tolerance)
     d1, d4 = _definition_1(lambdas), _definition_4(expansion)
     # for a symmetric state, level-1 (one distinct star) means product

@@ -1,19 +1,27 @@
 """Schmidt decomposition, Schmidt rank and the bipartite determinant.
 
-Any bipartition of the parties is supported: the amplitude tensor is
-permuted so the chosen parties come first and reshaped to a matrix.
-The Schmidt coefficients of a non-square matrix are the singular
-values of a small triangular factor of it (Chan's R-SVD), so the long
-singular vectors are never formed unless the Schmidt bases are read.
-Which factor depends on the short side:
+Any bipartition of the parties is supported.  The Schmidt coefficients
+of a non-square cut matrix are the singular values of a small
+triangular factor of it (Chan's R-SVD), so the long singular vectors
+are never formed unless the Schmidt bases are read.  Which factor
+depends on the cut:
 
-- two rows (every single-qubit cut): one modified Gram-Schmidt step on
-  the two rows, a few passes over them with no copy beyond one row,
-  where LAPACK's QR spends most of its time copying the long side;
-- a short side above 2: the R factor of an R-only QR of the tall
-  orientation;
-- a square matrix: the SVD directly, since its R factor would be as
-  large.
+- one qubit party against a longer side (every single-qubit cut of
+  three or more qubits): one modified Gram-Schmidt step on its two
+  rows, read in place.  For party k of n, the rows are ``[:, 0]`` and
+  ``[:, 1]`` of an (A, 2, B) view of the amplitude tensor when
+  k < n // 2, and of one copy of the tensor with its axes reversed
+  otherwise, where the party sits at n - 1 - k.  Each row is then A
+  runs of B contiguous entries, with B >= 2**(n // 2) for n qubits, and
+  no cut matrix is gathered;
+- any other cut: the tensor is permuted so the chosen parties come
+  first and reshaped to a matrix.  A short side of 2 gets the same
+  Gram-Schmidt step, a short side above 2 the R factor of an R-only QR
+  of the tall orientation, and a square matrix the SVD directly, since
+  its R factor would be as large.
+
+All n single-party cuts at once, as classification reads them, share
+the one reversed copy, one stacked 2 x 2 SVD and one rank count.
 
 The Schmidt rank uses a relative singular value cutoff
 ``sigma > tolerance * sigma_max``.
@@ -43,12 +51,12 @@ __all__ = [
 class SchmidtDecomposition:
     """Result of a Schmidt decomposition across one bipartition.
 
-    The result holds the read-only cut matrix it was computed from (the
-    amplitudes with the cut parties flattened on the left).  The
-    coefficients are computed up front; the Schmidt bases are computed
-    from that matrix on first read, by a thin SVD, and cached.  Reading
-    them costs a second factorization, which callers that need only the
-    coefficients never pay.
+    The result holds the state it was computed from.  The coefficients
+    are computed up front; the Schmidt bases are computed on first read,
+    by gathering the cut matrix (the amplitudes with the cut parties
+    flattened on the left) and a thin SVD of it, and cached.  Reading
+    them costs a gather and a second factorization, which callers that
+    need only the coefficients never pay.
 
     Attributes
     ----------
@@ -75,14 +83,14 @@ class SchmidtDecomposition:
     rank: int = field(init=False)
     cut: tuple[int, ...]
     tolerance_used: float
-    _matrix: np.ndarray = field(repr=False)
+    _state: StateVector = field(repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rank", len(self.lambdas))
 
     @cached_property
     def _bases(self) -> tuple[np.ndarray, np.ndarray]:
-        u, _, vh = np.linalg.svd(self._matrix, full_matrices=False)
+        u, _, vh = np.linalg.svd(_cut_matrix(self._state, self.cut), full_matrices=False)
         left, right = u[:, : self.rank].T.copy(), vh[: self.rank].copy()
         left.setflags(write=False)
         right.setflags(write=False)
@@ -118,12 +126,25 @@ def _normalize_cut(state: StateVector, cut) -> tuple[int, ...]:
 def bipartition_matrix(state: StateVector, cut) -> tuple[np.ndarray, tuple[int, ...]]:
     """Amplitudes as a read-only matrix with the cut parties flattened on the left."""
     cut = _normalize_cut(state, cut)
+    return _cut_matrix(state, cut), cut
+
+
+def _cut_matrix(state: StateVector, cut: tuple[int, ...]) -> np.ndarray:
+    """Read-only ``dim_A x dim_B`` matrix of a normalized ``cut``, gathered by one transpose."""
     rest = tuple(p for p in range(state.n_parties) if p not in cut)
     t = np.transpose(state.tensor(), cut + rest)
     d_left = math.prod(state.dims[p] for p in cut)
     m = t.reshape(d_left, -1)
     m.setflags(write=False)
-    return m, cut
+    return m
+
+
+def _as_tolerance(tolerance) -> float:
+    """``tolerance`` as a float in (0, 1), else ``ValidationError``."""
+    tolerance = _as_real(tolerance, "tolerance")
+    if not 0 < tolerance < 1:
+        raise ValidationError(f"tolerance must lie in (0, 1), got {tolerance!r}")
+    return tolerance
 
 
 def schmidt_decompose(
@@ -157,17 +178,67 @@ def schmidt_decompose(
     """
     if _as_instance(state, StateVector, "the state").n_parties < 2:
         raise ValidationError("schmidt_decompose needs at least two parties")
-    tolerance = _as_real(tolerance, "tolerance")
-    if not 0 < tolerance < 1:
-        raise ValidationError(f"tolerance must lie in (0, 1), got {tolerance!r}")
-    m, cut = bipartition_matrix(state, cut)
-    s = _singular_values(m)
+    tolerance = _as_tolerance(tolerance)
+    cut = _normalize_cut(state, cut)
+    if _on_two_rows(state.dims, cut):
+        # the factor and view classification uses, so the two agree bit for bit
+        view = next(_two_row_views(state.tensor(), cut))
+        s = np.linalg.svd(_two_row_factor(view), compute_uv=False)[0]
+    else:
+        s = _singular_values(_cut_matrix(state, cut))
     return SchmidtDecomposition(
         lambdas=s[: int(_ranks(s, tolerance))].copy(),
         cut=cut,
         tolerance_used=tolerance,
-        _matrix=m,
+        _state=state,
     )
+
+
+def _on_two_rows(dims: tuple[int, ...], cut: tuple[int, ...]) -> bool:
+    """True iff ``cut`` is one qubit party whose other side is longer than 2."""
+    return len(cut) == 1 and dims[cut[0]] == 2 < math.prod(dims) // 2
+
+
+def _two_row_views(t: np.ndarray, parties):
+    """Each qubit party's cut matrix as a one-matrix stack ``(1, A, 2, B)``, read in place.
+
+    Party k of n is read from the amplitude tensor ``t`` when
+    k < n // 2, and otherwise from one copy of ``t`` with its axes
+    reversed, made at the first such party, where it sits at n - 1 - k.
+    Either way the B entries of a row block are contiguous, and for n
+    qubits B >= 2**(n // 2).
+    """
+    n, rev = t.ndim, None
+    for k in parties:
+        if k >= n // 2:
+            if rev is None:
+                rev = t.T.copy()
+            yield rev.reshape(1, math.prod(rev.shape[: n - 1 - k]), 2, -1)
+        else:
+            yield t.reshape(1, math.prod(t.shape[:k]), 2, -1)
+
+
+def _single_cut_lambdas(state: StateVector, tolerance: float) -> list[np.ndarray]:
+    """Schmidt coefficients of every single-party cut ``{k}``, in party order.
+
+    The qubit parties' 2 x 2 factors, from :func:`_two_row_views` and
+    :func:`_two_row_factor`, go through one stacked SVD and one rank
+    count; any other party's cut matrix is gathered and goes to
+    :func:`_singular_values`.  Entry k equals
+    ``schmidt_decompose(state, (k,), tolerance).lambdas`` bit for bit.
+    """
+    n = state.n_parties
+    rows = [k for k in range(n) if _on_two_rows(state.dims, (k,))]
+    lambdas = {}
+    if rows:
+        factors = np.concatenate([_two_row_factor(v) for v in _two_row_views(state.tensor(), rows)])
+        s = np.linalg.svd(factors, compute_uv=False)
+        lambdas = {k: sk[:r] for k, sk, r in zip(rows, s, _ranks(s, tolerance))}
+    for k in range(n):
+        if k not in lambdas:
+            s = _singular_values(_cut_matrix(state, (k,)))
+            lambdas[k] = s[: _ranks(s, tolerance)]
+    return [lambdas[k] for k in range(n)]
 
 
 def _singular_values(m: np.ndarray) -> np.ndarray:
@@ -184,7 +255,8 @@ def _singular_values(m: np.ndarray) -> np.ndarray:
     if m.shape[-2] > m.shape[-1]:
         m = np.swapaxes(m, -1, -2)
     if m.shape[-2] == 2 < m.shape[-1]:
-        m = _two_row_factor(m)
+        lead = m.shape[:-2]
+        m = _two_row_factor(m.reshape(-1, 1, 2, m.shape[-1])).reshape(lead + (2, 2))
     elif m.shape[-2] < m.shape[-1]:
         m = np.linalg.qr(np.swapaxes(m, -1, -2), mode="r")
     return np.linalg.svd(m, compute_uv=False)
@@ -195,51 +267,59 @@ _TINY = 2.0**-600
 
 
 def _two_row_factor(m: np.ndarray) -> np.ndarray:
-    """Upper triangular 2 x 2 factor R of each two-row matrix ``m[..., 2, L]``.
+    """Upper triangular 2 x 2 factor R of each matrix of a stack ``m[S, A, 2, B]``.
 
-    One modified Gram-Schmidt step on the rows x and y:
-    ``R = [[|x|, |c|], [0, |r|]]`` with ``c = q^H y``, ``r = y - c q``
-    and ``q = x / |x|`` (``q = 0`` for ``x = 0``), so that ``m`` is
-    ``R`` times two orthonormal rows up to phases and has its singular
-    values.  The residual is formed as ``y - (c / |x|) x``, which is
-    ``y - c q`` without a pass to form q.  The R factor of
-    modified Gram-Schmidt is backward stable, as Householder's is
-    (Bjorck and Paige 1992).
+    Matrix s has the two rows ``x = m[s, :, 0]`` and ``y = m[s, :, 1]``,
+    each read as one vector of A blocks of B entries; ``m`` may be a
+    strided view, and neither row is copied.  One modified Gram-Schmidt
+    step on them: ``R = [[|x|, |c|], [0, |r|]]`` with ``c = q^H y``,
+    ``r = y - c q`` and ``q = x / |x|`` (``q = 0`` for ``x = 0``), so
+    that the matrix is ``R`` times two orthonormal rows up to phases and
+    has its singular values.  The residual is formed as
+    ``y - (c / |x|) x``, which is ``y - c q`` without a pass to form q.
+    The R factor of modified Gram-Schmidt is backward stable, as
+    Householder's is (Bjorck and Paige 1992).  Every inner product is
+    a blocked sum (Higham 2002, ch. 4): one sum per block of B entries,
+    then a sum over the A blocks, whose error bound grows as B + A at
+    worst rather than as A B.  A = 1 is one plain sum.
     """
-    lead = m.shape[:-2]
-    m = m.reshape(-1, 2, m.shape[-1])
-    x, nx, ex = _scaled_norms(m[:, 0])
-    y = m[:, 1]
+    x, nx, ex = _scaled_norms(m[:, :, 0])
+    y = m[:, :, 1]
     nz = np.where(nx > 0, nx, 1.0)
-    c = np.vecdot(x, y) / nz
-    r = x * (-c / nz)[:, None]
+    c = _blocked_dot(x, y) / nz
+    r = x * (-c / nz)[:, None, None]
     r += y
     _, nr, er = _scaled_norms(r)
     factor = np.zeros((len(m), 2, 2))
     factor[:, 0, 0] = np.ldexp(nx, ex)
     factor[:, 0, 1] = np.abs(c)
     factor[:, 1, 1] = np.ldexp(nr, er)
-    return factor.reshape(lead + (2, 2))
+    return factor
+
+
+def _blocked_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``sum(conj(x) * y)`` over the last two axes: a sum per row, then over the rows."""
+    return np.vecdot(x, y).sum(axis=-1)
 
 
 def _scaled_norms(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows ``w``, norms ``|w|`` and exponents ``e`` with ``v = 2**e w`` row by row.
+    """Vectors ``w``, norms ``|w|`` and exponents ``e`` with ``v = 2**e w``, one per ``v[s]``.
 
-    A row of ``v[S, L]`` whose squared norm is below ``_TINY`` (squares
-    of entries below about 1e-154 vanish) is multiplied by the power of
-    two that brings its largest component into [0.5, 1), which is exact,
-    and its norm is taken from the scaled copy.  Every other row is
-    returned as it is, with ``e = 0``.
+    A vector ``v[s, :, :]`` of a stack ``v[S, A, B]`` whose squared norm
+    is below ``_TINY`` (squares of entries below about 1e-154 vanish) is
+    multiplied by the power of two that brings its largest component
+    into [0.5, 1), which is exact, and its norm is taken from the scaled
+    copy.  Every other vector is returned as it is, with ``e = 0``.
     """
-    n2 = np.vecdot(v, v).real
+    n2 = _blocked_dot(v, v).real
     e = np.zeros(n2.shape, dtype=np.intc)
     low = n2 < _TINY
     if low.any():
         f = v[low].view(np.float64)
-        _, e[low] = np.frexp(np.max(np.abs(f), axis=-1))
+        _, e[low] = np.frexp(np.max(np.abs(f), axis=(-2, -1)))
         v = v.copy()
-        v[low] = np.ldexp(f, -e[low][:, None]).view(np.complex128)
-        n2[low] = np.vecdot(v[low], v[low]).real
+        v[low] = np.ldexp(f, -e[low][:, None, None]).view(np.complex128)
+        n2[low] = _blocked_dot(v[low], v[low]).real
     return v, np.sqrt(n2), e
 
 
@@ -259,7 +339,9 @@ def is_product_multipartite(state: StateVector, tolerance: float = 1e-9) -> bool
     For pure states, Schmidt rank 1 on each cut ``{k}`` is equivalent to
     a full tensor product factorization.
     """
-    if _as_instance(state, StateVector, "the state").n_parties < 2:
+    _as_instance(state, StateVector, "the state")
+    tolerance = _as_tolerance(tolerance)
+    if state.n_parties < 2:
         return True
     return all(
         schmidt_decompose(state, (k,), tolerance).rank == 1

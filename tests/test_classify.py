@@ -3,6 +3,7 @@ import pytest
 from conftest import rand_state
 
 import entkit.classify
+import entkit.schmidt
 
 from entkit import (
     DefinitionCheck,
@@ -134,31 +135,36 @@ def count_calls(monkeypatch, state, targets):
 
 
 class TestOnePass:
-    """Definitions 1-3 share one Schmidt decomposition per single-party cut.
+    """Definitions 1-3 share one factorization of every single-party cut.
 
-    An exactly symmetric state has one decomposition in all: cut 0's.
+    An exactly symmetric state has one decomposition in all, cut 0's;
+    any other state has one call that factors all of its cuts.
     """
 
     @staticmethod
     def count_calls(monkeypatch, state):
-        names = ("schmidt_decompose", "cayley_hyperdeterminant")
+        names = ("schmidt_decompose", "_single_cut_lambdas", "cayley_hyperdeterminant")
         return count_calls(monkeypatch, state, [(entkit.classify, n) for n in names])[0]
 
     def test_ghz3(self, monkeypatch):
         calls = self.count_calls(monkeypatch, ghz_state(3))
-        assert calls == {"schmidt_decompose": 1, "cayley_hyperdeterminant": 1}
+        want = {"schmidt_decompose": 1, "_single_cut_lambdas": 0, "cayley_hyperdeterminant": 1}
+        assert calls == want
 
     def test_product3(self, monkeypatch):
         calls = self.count_calls(monkeypatch, make_state([2, 2, 2], {(0, 0, 0): 1.0}))
-        assert calls == {"schmidt_decompose": 1, "cayley_hyperdeterminant": 1}
+        want = {"schmidt_decompose": 1, "_single_cut_lambdas": 0, "cayley_hyperdeterminant": 1}
+        assert calls == want
 
     def test_non_symmetric3(self, monkeypatch, rng):
         calls = self.count_calls(monkeypatch, rand_state(rng, (2, 2, 2)))
-        assert calls == {"schmidt_decompose": 3, "cayley_hyperdeterminant": 1}
+        want = {"schmidt_decompose": 0, "_single_cut_lambdas": 1, "cayley_hyperdeterminant": 1}
+        assert calls == want
 
     def test_two_qutrit(self, monkeypatch, rng):
         calls = self.count_calls(monkeypatch, rand_state(rng, (3, 3)))
-        assert calls == {"schmidt_decompose": 2, "cayley_hyperdeterminant": 0}
+        want = {"schmidt_decompose": 0, "_single_cut_lambdas": 1, "cayley_hyperdeterminant": 0}
+        assert calls == want
 
 
 def random_dicke(n, seed):
@@ -185,7 +191,11 @@ SYMMETRIC = (
 class TestSymmetricCuts:
     """An exactly symmetric state is factored at cut 0 only; any drift keeps every cut."""
 
-    TARGETS = [(entkit.classify, "schmidt_decompose"), (entkit.majorana, "symmetrize_check")]
+    TARGETS = [
+        (entkit.classify, "schmidt_decompose"),
+        (entkit.classify, "_single_cut_lambdas"),
+        (entkit.majorana, "symmetrize_check"),
+    ]
 
     @staticmethod
     def assert_cuts_match(report, state, tol):
@@ -199,11 +209,13 @@ class TestSymmetricCuts:
     @pytest.mark.parametrize("state", [s for _, s in SYMMETRIC], ids=[i for i, _ in SYMMETRIC])
     def test_cut_zero_stands_for_every_cut(self, monkeypatch, state):
         calls, report = count_calls(monkeypatch, state, self.TARGETS)
-        assert calls == {"schmidt_decompose": 1, "symmetrize_check": 1}
+        assert calls == {"schmidt_decompose": 1, "_single_cut_lambdas": 0, "symmetrize_check": 1}
         # the per-cut factorizations differ among themselves by rounding in
-        # their row products of length L = 2^(n-1): by up to about 0.05 L eps
-        # over 60 seeds per n (1.2e-13 at n = 16).  The bound is 1e-13, or
-        # L eps / 8 where that is larger
+        # their inner products over L = 2^(n-1) entries.  Cuts 0 and n - 1
+        # sum one row of L, the others sum blocks of at least 2^(n // 2):
+        # the spread is up to about 0.005 L eps over 60 seeds per n (1.2e-14
+        # at n = 16, 1.3e-13 at n = 18).  The bound is 1e-13, or L eps / 8
+        # where that is larger
         n = state.n_parties
         self.assert_cuts_match(report, state, max(1e-13, 2.0 ** (n - 1) * EPS / 8))
 
@@ -214,7 +226,7 @@ class TestSymmetricCuts:
         with pytest.raises(NotSymmetricError):
             symmetrize_check(state, 0.0)
         calls, report = count_calls(monkeypatch, state, self.TARGETS)
-        assert calls == {"schmidt_decompose": n, "symmetrize_check": 2}
+        assert calls == {"schmidt_decompose": 0, "_single_cut_lambdas": 1, "symmetrize_check": 2}
         assert by_def(report, 4).verdict.startswith("level-")
         self.assert_cuts_match(report, state, 0.0)
 
@@ -227,11 +239,70 @@ class TestSymmetricCuts:
             pairs = state.amplitudes.reshape(2**k, 2, 2, -1)
             assert np.array_equal(pairs[:, 0, 1], pairs[:, 1, 0]) == (k < n - 2)
         calls, report = count_calls(monkeypatch, state, self.TARGETS)
-        assert calls == {"schmidt_decompose": n, "symmetrize_check": 1}
+        assert calls == {"schmidt_decompose": 0, "_single_cut_lambdas": 1, "symmetrize_check": 1}
         d4 = by_def(report, 4)
         assert d4.verdict == "not-applicable"
         assert f"swap of qubits {n - 2} and {n - 1}" in d4.evidence["note"]
         self.assert_cuts_match(report, state, 0.0)
+
+
+class TestAllCuts:
+    """A state that is not exactly symmetric has all its single-party cuts factored at once.
+
+    Each qubit party's two rows are read in place, from the amplitude
+    tensor for k < n // 2 and from one reversed copy of it otherwise,
+    and one stacked 2 x 2 SVD serves every qubit cut; the coefficients
+    equal ``schmidt_decompose``'s cut by cut, bit for bit.
+    """
+
+    @staticmethod
+    def assert_cuts_equal(state, tolerance=1e-9):
+        d2 = by_def(classify_state(state, tolerance=tolerance), 2).evidence
+        for k in range(state.n_parties):
+            want = schmidt_decompose(state, (k,), tolerance).lambdas
+            assert d2["schmidt_coefficients"][f"cut_{k}"] == want.tolist(), k
+        return d2
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_qubits_match_single_cuts_bit_for_bit(self, n):
+        rng = np.random.default_rng([n, 26])
+        self.assert_cuts_equal(rand_state(rng, (2,) * n))
+
+    @pytest.mark.parametrize("dims", [(2, 3, 2, 2), (3, 2, 2, 2, 2)], ids=str)
+    def test_mixed_dims_match_single_cuts_bit_for_bit(self, rng, dims):
+        self.assert_cuts_equal(rand_state(rng, dims))
+
+    @pytest.mark.parametrize("tiny_first", [False, True])
+    def test_underflowing_rows_are_scaled(self, tiny_first):
+        # the two basis states differ on every qubit, so each cut has one row
+        # holding only the 1e-170 amplitude (squared norm below _TINY), on both
+        # sides of n // 2; the state is not symmetric, so every cut is factored
+        n = 8
+        one_zero, zero_one = (1, 0) * (n // 2), (0, 1) * (n // 2)
+        first, second = (1e-170, 1.0) if tiny_first else (1.0, 1e-170)
+        state = make_state([2] * n, {one_zero: first, zero_one: second})
+        d2 = self.assert_cuts_equal(state, tolerance=1e-300)
+        for k in range(n):
+            assert d2["schmidt_coefficients"][f"cut_{k}"] == [1.0, 1e-170], k
+
+    def test_no_gather_and_one_svd(self, monkeypatch, rng):
+        n = 10
+        state = rand_state(rng, (2,) * n)
+        gathers, shapes = [], []
+        cut_matrix, svd = entkit.schmidt._cut_matrix, np.linalg.svd
+
+        def counted_gather(*args):
+            gathers.append(args[1])
+            return cut_matrix(*args)
+
+        def counted_svd(a, *args, **kw):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kw)
+
+        monkeypatch.setattr(entkit.schmidt, "_cut_matrix", counted_gather)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        classify_state(state)
+        assert gathers == [] and shapes == [(n, 2, 2)]
 
 
 class TestCrossDefinition:

@@ -446,6 +446,11 @@ class TestRealParameters:
         "is_product_multipartite": (
             "tolerance", lambda v: is_product_multipartite(ghz_state(3), tolerance=v)
         ),
+        # a one-party state returned True before the tolerance was read
+        "is_product_multipartite_one_party": (
+            "tolerance",
+            lambda v: is_product_multipartite(make_state([2], {(0,): 1.0}), tolerance=v),
+        ),
         "symmetrize_check": ("tolerance", lambda v: symmetrize_check(ghz_state(3), v)),
         # at -1 the W state fell in the GHZ class; at NaN every state fell outside it
         "classify_three_qubit": ("tolerance", lambda v: classify_three_qubit(w_state(), v)),
@@ -474,3 +479,11 @@ class TestRealParameters:
         with pytest.raises(ValidationError, match=name) as info:
             call(value)
         assert info.type is ValidationError
+
+    @pytest.mark.parametrize("value", ["x", -1.0, math.nan, 2.0], ids=repr)
+    def test_one_party_product_check_uses_schmidt_messages(self, value):
+        with pytest.raises(ValidationError) as want:
+            schmidt_decompose(ghz_state(3), (0,), value)
+        with pytest.raises(ValidationError) as got:
+            is_product_multipartite(make_state([2], {(0,): 1.0}), tolerance=value)
+        assert str(got.value) == str(want.value)
