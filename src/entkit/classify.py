@@ -17,8 +17,9 @@ A qubit state gets one symmetry pass, whose Dicke expansion Definition
 (every adjacent-transposition drift 0.0), every single-party cut matrix
 is an exact column permutation of the cut-0 matrix, so cut 0 is the one
 Schmidt factorization and its coefficients serve all n cuts.  Any other
-state has every single-party cut factored by one call that reads each
-qubit party's rows in place and runs one stacked 2 x 2 SVD.
+state has every single-party cut factored by one call of the kernel
+``schmidt_decompose`` uses, which reads each qubit party's rows in
+place and runs one stacked 2 x 2 SVD.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from . import majorana
 from .hyperdet import _class_of, cayley_hyperdeterminant
 from .majorana import DickeExpansion, NotSymmetricError
-from .schmidt import _as_tolerance, _single_cut_lambdas, bipartite_determinant, schmidt_decompose
+from .schmidt import _as_tolerance, _cut_lambdas, bipartite_determinant, schmidt_decompose
 from .states import StateVector, ValidationError, _as_instance, _as_int
 
 __all__ = ["DefinitionCheck", "ClassificationReport", "classify_state"]
@@ -184,7 +185,7 @@ def classify_state(
     if exact:
         lambdas = [schmidt_decompose(state, (0,), tolerance).lambdas] * state.n_parties
     else:
-        lambdas = _single_cut_lambdas(state, tolerance)
+        lambdas = _cut_lambdas(state, [(k,) for k in range(state.n_parties)], tolerance)
     d3, warnings = _definition_3(state, lambdas, tolerance)
     d1, d4 = _definition_1(lambdas), _definition_4(expansion)
     # for a symmetric state, level-1 (one distinct star) means product

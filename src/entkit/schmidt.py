@@ -20,8 +20,12 @@ depends on the cut:
   of the tall orientation, and a square matrix the SVD directly, since
   its R factor would be as large.
 
-All n single-party cuts at once, as classification reads them, share
-the one reversed copy, one stacked 2 x 2 SVD and one rank count.
+One private kernel factors the cuts of a state, and every caller
+uses it: ``schmidt_decompose`` passes its one cut,
+``is_product_multipartite`` cut 0 and then every single-party cut, and
+classification every single-party cut.  The cuts of one call share the
+one reversed copy, one stacked 2 x 2 SVD and one rank count, so a cut's
+coefficients are the same bits whichever of them asks.
 
 The Schmidt rank uses a relative singular value cutoff
 ``sigma > tolerance * sigma_max``.
@@ -125,7 +129,7 @@ def _normalize_cut(state: StateVector, cut) -> tuple[int, ...]:
 
 def bipartition_matrix(state: StateVector, cut) -> tuple[np.ndarray, tuple[int, ...]]:
     """Amplitudes as a read-only matrix with the cut parties flattened on the left."""
-    cut = _normalize_cut(state, cut)
+    cut = _normalize_cut(_as_instance(state, StateVector, "the state"), cut)
     return _cut_matrix(state, cut), cut
 
 
@@ -180,65 +184,46 @@ def schmidt_decompose(
         raise ValidationError("schmidt_decompose needs at least two parties")
     tolerance = _as_tolerance(tolerance)
     cut = _normalize_cut(state, cut)
-    if _on_two_rows(state.dims, cut):
-        # the factor and view classification uses, so the two agree bit for bit
-        view = next(_two_row_views(state.tensor(), cut))
-        s = np.linalg.svd(_two_row_factor(view), compute_uv=False)[0]
-    else:
-        s = _singular_values(_cut_matrix(state, cut))
     return SchmidtDecomposition(
-        lambdas=s[: int(_ranks(s, tolerance))].copy(),
+        lambdas=_cut_lambdas(state, [cut], tolerance)[0],
         cut=cut,
         tolerance_used=tolerance,
         _state=state,
     )
 
 
-def _on_two_rows(dims: tuple[int, ...], cut: tuple[int, ...]) -> bool:
-    """True iff ``cut`` is one qubit party whose other side is longer than 2."""
-    return len(cut) == 1 and dims[cut[0]] == 2 < math.prod(dims) // 2
+def _cut_lambdas(state: StateVector, cuts, tolerance: float) -> list[np.ndarray]:
+    """Schmidt coefficients above ``tolerance`` of each normalized cut, in order.
 
-
-def _two_row_views(t: np.ndarray, parties):
-    """Each qubit party's cut matrix as a one-matrix stack ``(1, A, 2, B)``, read in place.
-
-    Party k of n is read from the amplitude tensor ``t`` when
-    k < n // 2, and otherwise from one copy of ``t`` with its axes
-    reversed, made at the first such party, where it sits at n - 1 - k.
-    Either way the B entries of a row block are contiguous, and for n
-    qubits B >= 2**(n // 2).
+    The one place that picks a cut's factor, as the module docstring
+    sets out.  A qubit party k against a longer side is read in place,
+    from the tensor when k < n // 2 and otherwise from one copy with its
+    axes reversed, made once per call; the 2 x 2 factors of all such
+    cuts, from :func:`_two_row_factor`, go through one stacked SVD and
+    one rank count.  Any other cut is gathered and goes to
+    :func:`_singular_values`.
     """
-    n, rev = t.ndim, None
-    for k in parties:
-        if k >= n // 2:
-            if rev is None:
-                rev = t.T.copy()
-            yield rev.reshape(1, math.prod(rev.shape[: n - 1 - k]), 2, -1)
+    t, n, dims = state.tensor(), state.n_parties, state.dims
+    rev, rows, factors, lambdas = None, [], [], [None] * len(cuts)
+    for i, cut in enumerate(cuts):
+        if len(cut) == 1 and dims[cut[0]] == 2 < math.prod(dims) // 2:
+            k = cut[0]
+            if k >= n // 2:
+                if rev is None:
+                    rev = t.T.copy()
+                view = rev.reshape(1, math.prod(rev.shape[: n - 1 - k]), 2, -1)
+            else:
+                view = t.reshape(1, math.prod(t.shape[:k]), 2, -1)
+            factors.append(_two_row_factor(view))
+            rows.append(i)
         else:
-            yield t.reshape(1, math.prod(t.shape[:k]), 2, -1)
-
-
-def _single_cut_lambdas(state: StateVector, tolerance: float) -> list[np.ndarray]:
-    """Schmidt coefficients of every single-party cut ``{k}``, in party order.
-
-    The qubit parties' 2 x 2 factors, from :func:`_two_row_views` and
-    :func:`_two_row_factor`, go through one stacked SVD and one rank
-    count; any other party's cut matrix is gathered and goes to
-    :func:`_singular_values`.  Entry k equals
-    ``schmidt_decompose(state, (k,), tolerance).lambdas`` bit for bit.
-    """
-    n = state.n_parties
-    rows = [k for k in range(n) if _on_two_rows(state.dims, (k,))]
-    lambdas = {}
-    if rows:
-        factors = np.concatenate([_two_row_factor(v) for v in _two_row_views(state.tensor(), rows)])
-        s = np.linalg.svd(factors, compute_uv=False)
-        lambdas = {k: sk[:r] for k, sk, r in zip(rows, s, _ranks(s, tolerance))}
-    for k in range(n):
-        if k not in lambdas:
-            s = _singular_values(_cut_matrix(state, (k,)))
-            lambdas[k] = s[: _ranks(s, tolerance)]
-    return [lambdas[k] for k in range(n)]
+            s = _singular_values(_cut_matrix(state, cut))
+            lambdas[i] = s[: _ranks(s, tolerance)]
+    if factors:
+        s = np.linalg.svd(np.concatenate(factors), compute_uv=False)
+        for i, si, r in zip(rows, s, _ranks(s, tolerance)):
+            lambdas[i] = si[:r]
+    return lambdas
 
 
 def _singular_values(m: np.ndarray) -> np.ndarray:
@@ -343,10 +328,11 @@ def is_product_multipartite(state: StateVector, tolerance: float = 1e-9) -> bool
     tolerance = _as_tolerance(tolerance)
     if state.n_parties < 2:
         return True
-    return all(
-        schmidt_decompose(state, (k,), tolerance).rank == 1
-        for k in range(state.n_parties)
-    )
+    cuts = [(k,) for k in range(state.n_parties)]
+    # cut 0 alone first, read in place: an entangled state usually stops there
+    if _cut_lambdas(state, cuts[:1], tolerance)[0].size > 1:
+        return False
+    return all(lam.size == 1 for lam in _cut_lambdas(state, cuts, tolerance))
 
 
 def bipartite_determinant(state: StateVector, rescale: bool = False) -> complex:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import entkit.schmidt
 from entkit import StateVector
 
 
@@ -26,3 +27,22 @@ def rand_product_state(rng: np.random.Generator, dims) -> StateVector:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """``(gathers, shapes)``: each cut whose matrix is gathered, each shape the SVD is given."""
+    gathers, shapes = [], []
+    cut_matrix, svd = entkit.schmidt._cut_matrix, np.linalg.svd
+
+    def counted_gather(*args):
+        gathers.append(args[1])
+        return cut_matrix(*args)
+
+    def counted_svd(a, *args, **kw):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kw)
+
+    monkeypatch.setattr(entkit.schmidt, "_cut_matrix", counted_gather)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    return gathers, shapes

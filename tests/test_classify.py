@@ -3,7 +3,6 @@ import pytest
 from conftest import rand_state
 
 import entkit.classify
-import entkit.schmidt
 
 from entkit import (
     DefinitionCheck,
@@ -12,8 +11,12 @@ from entkit import (
     StateVector,
     ValidationError,
     bell_state,
+    binary_discriminant,
+    bipartite_determinant,
+    cayley_hyperdeterminant,
     classify_state,
     ghz_state,
+    majorana_polynomial,
     make_state,
     schmidt_decompose,
     symmetrize_check,
@@ -143,34 +146,39 @@ class TestOnePass:
 
     @staticmethod
     def count_calls(monkeypatch, state):
-        names = ("schmidt_decompose", "_single_cut_lambdas", "cayley_hyperdeterminant")
+        names = ("schmidt_decompose", "_cut_lambdas", "cayley_hyperdeterminant")
         return count_calls(monkeypatch, state, [(entkit.classify, n) for n in names])[0]
 
     def test_ghz3(self, monkeypatch):
         calls = self.count_calls(monkeypatch, ghz_state(3))
-        want = {"schmidt_decompose": 1, "_single_cut_lambdas": 0, "cayley_hyperdeterminant": 1}
+        want = {"schmidt_decompose": 1, "_cut_lambdas": 0, "cayley_hyperdeterminant": 1}
         assert calls == want
 
     def test_product3(self, monkeypatch):
         calls = self.count_calls(monkeypatch, make_state([2, 2, 2], {(0, 0, 0): 1.0}))
-        want = {"schmidt_decompose": 1, "_single_cut_lambdas": 0, "cayley_hyperdeterminant": 1}
+        want = {"schmidt_decompose": 1, "_cut_lambdas": 0, "cayley_hyperdeterminant": 1}
         assert calls == want
 
     def test_non_symmetric3(self, monkeypatch, rng):
         calls = self.count_calls(monkeypatch, rand_state(rng, (2, 2, 2)))
-        want = {"schmidt_decompose": 0, "_single_cut_lambdas": 1, "cayley_hyperdeterminant": 1}
+        want = {"schmidt_decompose": 0, "_cut_lambdas": 1, "cayley_hyperdeterminant": 1}
         assert calls == want
 
     def test_two_qutrit(self, monkeypatch, rng):
         calls = self.count_calls(monkeypatch, rand_state(rng, (3, 3)))
-        want = {"schmidt_decompose": 0, "_single_cut_lambdas": 1, "cayley_hyperdeterminant": 0}
+        want = {"schmidt_decompose": 0, "_cut_lambdas": 1, "cayley_hyperdeterminant": 0}
         assert calls == want
 
 
-def random_dicke(n, seed):
+def random_expansion(n, seed):
+    """Dicke expansion with seeded complex-Gaussian coefficients, normalized."""
     rng = np.random.default_rng([seed, n])
     c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
-    return dicke_state(DickeExpansion(n, c / np.linalg.norm(c)))
+    return DickeExpansion(n, c / np.linalg.norm(c))
+
+
+def random_dicke(n, seed):
+    return dicke_state(random_expansion(n, seed))
 
 
 def moved(state, index, delta):
@@ -193,7 +201,7 @@ class TestSymmetricCuts:
 
     TARGETS = [
         (entkit.classify, "schmidt_decompose"),
-        (entkit.classify, "_single_cut_lambdas"),
+        (entkit.classify, "_cut_lambdas"),
         (entkit.majorana, "symmetrize_check"),
     ]
 
@@ -209,7 +217,7 @@ class TestSymmetricCuts:
     @pytest.mark.parametrize("state", [s for _, s in SYMMETRIC], ids=[i for i, _ in SYMMETRIC])
     def test_cut_zero_stands_for_every_cut(self, monkeypatch, state):
         calls, report = count_calls(monkeypatch, state, self.TARGETS)
-        assert calls == {"schmidt_decompose": 1, "_single_cut_lambdas": 0, "symmetrize_check": 1}
+        assert calls == {"schmidt_decompose": 1, "_cut_lambdas": 0, "symmetrize_check": 1}
         # the per-cut factorizations differ among themselves by rounding in
         # their inner products over L = 2^(n-1) entries.  Cuts 0 and n - 1
         # sum one row of L, the others sum blocks of at least 2^(n // 2):
@@ -226,7 +234,7 @@ class TestSymmetricCuts:
         with pytest.raises(NotSymmetricError):
             symmetrize_check(state, 0.0)
         calls, report = count_calls(monkeypatch, state, self.TARGETS)
-        assert calls == {"schmidt_decompose": 0, "_single_cut_lambdas": 1, "symmetrize_check": 2}
+        assert calls == {"schmidt_decompose": 0, "_cut_lambdas": 1, "symmetrize_check": 2}
         assert by_def(report, 4).verdict.startswith("level-")
         self.assert_cuts_match(report, state, 0.0)
 
@@ -239,7 +247,7 @@ class TestSymmetricCuts:
             pairs = state.amplitudes.reshape(2**k, 2, 2, -1)
             assert np.array_equal(pairs[:, 0, 1], pairs[:, 1, 0]) == (k < n - 2)
         calls, report = count_calls(monkeypatch, state, self.TARGETS)
-        assert calls == {"schmidt_decompose": 0, "_single_cut_lambdas": 1, "symmetrize_check": 1}
+        assert calls == {"schmidt_decompose": 0, "_cut_lambdas": 1, "symmetrize_check": 1}
         d4 = by_def(report, 4)
         assert d4.verdict == "not-applicable"
         assert f"swap of qubits {n - 2} and {n - 1}" in d4.evidence["note"]
@@ -285,22 +293,10 @@ class TestAllCuts:
         for k in range(n):
             assert d2["schmidt_coefficients"][f"cut_{k}"] == [1.0, 1e-170], k
 
-    def test_no_gather_and_one_svd(self, monkeypatch, rng):
+    def test_no_gather_and_one_svd(self, factor_calls, rng):
         n = 10
         state = rand_state(rng, (2,) * n)
-        gathers, shapes = [], []
-        cut_matrix, svd = entkit.schmidt._cut_matrix, np.linalg.svd
-
-        def counted_gather(*args):
-            gathers.append(args[1])
-            return cut_matrix(*args)
-
-        def counted_svd(a, *args, **kw):
-            shapes.append(np.shape(a))
-            return svd(a, *args, **kw)
-
-        monkeypatch.setattr(entkit.schmidt, "_cut_matrix", counted_gather)
-        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        gathers, shapes = factor_calls
         classify_state(state)
         assert gathers == [] and shapes == [(n, 2, 2)]
 
@@ -317,6 +313,32 @@ class TestCrossDefinition:
         monkeypatch.setattr(entkit.classify, "_definition_4", lambda expansion: check)
         rep = classify_state(state)
         assert sum("definitions disagree" in w for w in rep.warnings) == 1
+
+
+class TestIdentities:
+    """For symmetric n = 2 and 3, Definition 3's invariant is Definition 4's discriminant.
+
+    With ``a = majorana_polynomial(e)`` and ``Disc = binary_discriminant(a, n)
+    |a|^(2n - 2)``, which undoes its unit-norm scaling, a symmetric state
+    has ``det = -Disc / 4`` for n = 2 and ``Det = -Disc / 27`` for n = 3.
+    The Sylvester determinant of ``binary_discriminant`` shares no code
+    with ``_det2`` or ``_cayley``, so each side checks the other.
+    """
+
+    @pytest.mark.parametrize(
+        "n,invariant,factor",
+        [(2, bipartite_determinant, -1 / 4), (3, cayley_hyperdeterminant, -1 / 27)],
+        ids=["det", "hyperdet"],
+    )
+    def test_invariant_is_scaled_discriminant(self, n, invariant, factor):
+        worst = 0.0
+        for seed in range(200):
+            e = random_expansion(n, seed)
+            a = majorana_polynomial(e)
+            want = factor * binary_discriminant(a, n) * np.linalg.norm(a) ** (2 * n - 2)
+            worst = max(worst, abs(invariant(dicke_state(e)) - want) / abs(want))
+        # measured: 2.4e-15 for n = 2, 3.0e-15 for n = 3
+        assert worst <= 1e-12
 
 
 class TestCheckType:

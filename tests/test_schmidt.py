@@ -282,6 +282,17 @@ class TestPredicates:
         s = make_state([2, 2, 2], {(0, 0, 0): 1.0, (1, 1, 0): 1.0})
         assert not is_product_multipartite(s)
 
+    @pytest.mark.parametrize(
+        "product,shapes", [(True, [(1, 2, 2), (10, 2, 2)]), (False, [(1, 2, 2)])],
+        ids=["product", "haar"],
+    )
+    def test_product_check_reads_cuts_in_place(self, factor_calls, rng, product, shapes):
+        # cut 0 alone, then every cut by one stacked SVD that shares one
+        # reversed copy; no cut matrix is gathered
+        state = (rand_product_state if product else rand_state)(rng, (2,) * 10)
+        assert is_product_multipartite(state) == product
+        assert factor_calls == ([], shapes)
+
 
 class TestDeterminant:
     def test_phi_plus(self):

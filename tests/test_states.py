@@ -54,6 +54,7 @@ from entkit.majorana import (
     find_stars,
     majorana_polynomial,
 )
+from entkit.schmidt import bipartition_matrix
 from entkit.states import make_state_raw
 
 R2 = 1.0 / math.sqrt(2.0)
@@ -330,6 +331,7 @@ def test_non_numbers_raise_validation_error(call):
 # expansion); a value of another kind raised a bare AttributeError
 STATE_ARGUMENTS = {
     "schmidt_decompose": lambda v: schmidt_decompose(v, (0,)),
+    "bipartition_matrix": lambda v: bipartition_matrix(v, (0,)),
     "is_entangled_bipartite": lambda v: is_entangled_bipartite(v, (0,)),
     "is_product_multipartite": is_product_multipartite,
     "bipartite_determinant": bipartite_determinant,
