@@ -335,13 +335,18 @@ def coherent_state(direction, n: int) -> DickeExpansion:
 
 
 def _padded(poly, n: int) -> np.ndarray:
-    """Ascending 1-D coefficients of degree at most n >= 1, zero-padded to length n + 1."""
+    """Ascending 1-D finite coefficients of degree at most n >= 1, zero-padded to length n + 1.
+
+    Coefficients that are not finite raise ``NumericError``.
+    """
     n = _as_int(n, "the qubit count n", lo=1)
     a = _complex_array(poly, "the polynomial coefficients")
     if a.ndim != 1:
         raise ValidationError(f"the polynomial coefficients must be 1-D, got shape {a.shape}")
     if a.size > n + 1:
         raise ValidationError(f"polynomial degree {a.size - 1} exceeds qubit count {n}")
+    if not np.all(np.isfinite(a)):
+        raise NumericError("polynomial coefficients are not finite")
     return np.concatenate([a, np.zeros(n + 1 - a.size, dtype=np.complex128)])
 
 
@@ -565,12 +570,11 @@ def find_stars(poly, n: int, cluster_tol: float = 1e-6) -> MajoranaConstellation
         If ``cluster_tol`` is not a real, finite number >= 0 (bools
         are rejected), before the coefficients are read.
     NumericError
-        If every coefficient is below 1e-14 in magnitude.
+        If a coefficient is not finite, or every coefficient is below
+        1e-14 in magnitude.
     """
     cluster_tol = _as_real(cluster_tol, "cluster_tol", lo=0)
     a = _padded(poly, n)
-    if not np.all(np.isfinite(a.view(np.float64))):
-        raise NumericError("polynomial coefficients are not finite")
     if float(np.max(np.abs(a))) < 1e-14:
         raise NumericError("degenerate polynomial: all coefficients below 1e-14")
 
@@ -615,11 +619,22 @@ def binary_discriminant(poly, n: int) -> complex:
     The normalized value shrinks fast with n and underflows: generic
     states with distinct stars give about 1e-107 at n = 40 and exactly
     0 at n = 100.  For large n a value of 0 therefore does not mean a
-    repeated star.
+    repeated star.  The coefficients are scaled by a power of two before
+    the norm is taken, so forms with coefficients near 1e300 or 1e-300
+    give the value of the same form rescaled.
+
+    Raises
+    ------
+    NumericError
+        If a coefficient is not finite, or every coefficient is zero.
     """
     a = _padded(poly, n)
     if n == 1:
         return 1.0 + 0j
+    # an exact power of two brings the peak part into [0.5, 1) first, so the
+    # norm neither overflows nor underflows and a normal-range norm keeps its bits
+    parts = a.view(np.float64)
+    a = np.ldexp(parts, -math.frexp(float(np.max(np.abs(parts))))[1]).view(np.complex128)
     norm = float(np.linalg.norm(a))
     if norm == 0.0:
         raise NumericError("zero polynomial has no discriminant")

@@ -77,6 +77,11 @@ __all__ = [
 #: so a replayed one-trial stack runs the same body as the engine
 _SMALL_D = 4
 
+#: largest local dimension d whose d x d factor fits the dense storage cap,
+#: d * d <= ``states.MAX_ENTRIES``; the samplers and the suite check it
+#: before drawing, so a wide party raises instead of allocating
+_MAX_D = int(states.MAX_ENTRIES**0.5)
+
 #: amplitudes held by one stacked block of trials, so memory stays bounded
 #: for any trial count; a block holds at least one trial
 _BLOCK_ENTRIES = 2**13
@@ -216,10 +221,10 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     Raises
     ------
     ValidationError
-        If ``d`` is not an integer >= 1 (bools are rejected), or
-        ``rng`` is not a numpy ``Generator``.
+        If ``d`` is not an integer in [1, 4096] (bools are rejected),
+        or ``rng`` is not a numpy ``Generator``.
     """
-    d = _as_int(d, "the dimension d", lo=1)
+    d = _as_int(d, "the dimension d", lo=1, hi=_MAX_D)
     rng = _as_instance(rng, np.random.Generator, "the generator")
     return _haar(rng.standard_normal((1, 2 * d * d)), d)[0]
 
@@ -234,10 +239,10 @@ def random_sud(d: int, rng: np.random.Generator) -> np.ndarray:
     Raises
     ------
     ValidationError
-        If ``d`` is not an integer >= 2 (bools are rejected), or
-        ``rng`` is not a numpy ``Generator``.
+        If ``d`` is not an integer in [2, 4096] (bools are rejected),
+        or ``rng`` is not a numpy ``Generator``.
     """
-    d = _as_int(d, "the dimension d", lo=2)
+    d = _as_int(d, "the dimension d", lo=2, hi=_MAX_D)
     rng = _as_instance(rng, np.random.Generator, "the generator")
     return _sud(rng.standard_normal((1, 2 * d * d)), d)[0]
 
@@ -379,17 +384,19 @@ def _group_maps(state: StateVector, group):
             f"group descriptor has {len(tokens)} factors for {len(dims)} parties"
         )
     maps = []
-    for tok, d in zip(tokens, dims):
+    for k, (tok, d) in enumerate(zip(tokens, dims)):
         base = tok.lower().strip()
         kind = base.rstrip("0123456789")
         if kind not in ("su", "u"):
             raise ValidationError(f"unknown group token {tok!r}")
-        dim = int(base[len(kind):] or d)
-        if dim != d:
+        # compared as text: int() of a long digit string passes Python's digit limit
+        digits = base[len(kind):]
+        if digits and digits.lstrip("0") != str(d):
             raise ValidationError(
                 f"group token {tok!r} does not match party dimension {d}"
             )
-        if kind == "su" and dim == 2:
+        _as_int(d, f"the dimension of party {k}", hi=_MAX_D)
+        if kind == "su" and d == 2:
             maps.append((4, _su2))
         elif kind == "su":
             maps.append((2 * d * d, lambda g, d=d: _sud(g, d)))
@@ -517,7 +524,9 @@ def invariance_suite(
         See :func:`named_invariant`.
     group : str or sequence of str, optional
         "su" (default) or "u" for every party, or per-party tokens
-        like ("su2", "su2") / ("u3", "u3").
+        like ("su2", "su2") / ("u3", "u3").  Each party's dimension d
+        must be at most 4096, so that a d x d factor fits the dense
+        storage cap; this is checked before anything is drawn.
     trials : int, optional
         At least 1 and at most ``states.MAX_ENTRIES``.
     seed : int, optional

@@ -7,7 +7,9 @@ The on-disk format is a JSON document
 
 with 0-based indices.  Omitted entries are zero.  The reader normalizes
 and reports the pre-normalization norm, so files may store unnormalized
-coefficients.
+coefficients.  It checks only the document's structure and the ``re``
+and ``im`` numbers itself; ``dims`` and the indices are checked by the
+rules that :func:`~entkit.states.make_state` applies to its entries.
 """
 
 from __future__ import annotations
@@ -55,48 +57,35 @@ def state_to_json(state: StateVector, threshold: float = 0.0) -> dict:
     return {"dims": list(state.dims), "amplitudes": entries}
 
 
-def _integer(value, what: str) -> int:
-    """A JSON integer; floats, bools and strings raise instead of truncating."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{what} must be a JSON integer, got {value!r}")
-    return value
-
-
-def _number(value, what: str) -> float:
-    """A JSON number as a float; bools and strings raise."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{what} must be a JSON number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise TypeError(f"{what} lies outside the float range") from None
-
-
 def state_from_json(doc: dict) -> LoadedState:
     """Parse the state document; normalizes and records the input norm.
 
-    ``dims`` and ``index`` entries must be JSON integers and ``re``/``im``
-    JSON numbers; anything else raises :class:`ValidationError`.
+    The reader checks the document's structure: an object with ``dims``
+    and an ``amplitudes`` list whose items hold ``index`` and ``re``.
+    ``re`` and ``im`` must be finite JSON numbers, not booleans or
+    strings.  ``dims`` and each ``index`` are then checked once, by the
+    rules of :func:`~entkit.states.make_state`: JSON integers, not
+    booleans, floats or strings, each index in range and listed once.
+    Any fault raises :class:`ValidationError`.
     """
     if not isinstance(doc, dict):
         raise ValidationError("state document must be a JSON object")
     try:
-        dims = [_integer(d, "dims entry") for d in doc["dims"]]
-        raw_entries = doc["amplitudes"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed state document: {exc}") from None
+        dims, raw_entries = doc["dims"], doc["amplitudes"]
+    except KeyError as exc:
+        raise ValidationError(f"malformed state document: missing key {exc}") from None
     if not isinstance(raw_entries, list):
         raise ValidationError("'amplitudes' must be a list")
     entries = []
     for item in raw_entries:
         try:
-            index = tuple(_integer(i, "index entry") for i in item["index"])
-            value = complex(_number(item["re"], "re"), _number(item.get("im", 0.0), "im"))
-        except (KeyError, TypeError) as exc:
+            index, re, im = item["index"], item["re"], item.get("im", 0.0)
+            entries.append((index, complex(_as_real(re, "re"), _as_real(im, "im"))))
+        except (KeyError, TypeError, ValidationError) as exc:
             raise ValidationError(f"malformed amplitude entry {item!r}: {exc}") from None
-        entries.append((index, value))
-    amps, norm = _normalized(_dense(dims, entries))
-    return LoadedState(StateVector(tuple(dims), amps), norm)
+    arr = _dense(dims, entries)
+    amps, norm = _normalized(arr)
+    return LoadedState(StateVector(arr.shape, amps), norm)
 
 
 def _as_path(path):

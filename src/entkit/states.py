@@ -262,12 +262,14 @@ class StateVector:
 
 
 def _dense(dims, entries) -> np.ndarray:
-    """Flat amplitude array from sparse ``(multi-index, amplitude)`` pairs, in one pass.
+    """Amplitude array shaped ``dims`` from sparse ``(multi-index, amplitude)`` pairs, in one pass.
 
     Rejects an empty dims list, a local dimension that is not an integer
     or is below 2, entries that are not a mapping or a sequence of pairs,
     an index that :func:`_as_index` rejects or that repeats, a value
-    that :func:`_as_complex` rejects, and an empty entry list.
+    that :func:`_as_complex` rejects, and an empty entry list.  It is
+    the one check of ``dims`` and of each index for its callers, which
+    read the checked dims from the array's shape.
     """
     dims = _as_dims(dims)
     arr = np.zeros(dims, dtype=np.complex128)
@@ -287,7 +289,7 @@ def _dense(dims, entries) -> np.ndarray:
             raise ValidationError(f"{exc} at index {index}") from None
     if not seen:
         raise ValidationError("no amplitude entries given")
-    return arr.reshape(-1)
+    return arr
 
 
 def make_state_raw(dims, entries) -> tuple[np.ndarray, float]:
@@ -296,7 +298,7 @@ def make_state_raw(dims, entries) -> tuple[np.ndarray, float]:
     Returns the dense array together with its Euclidean norm.  Most
     callers want :func:`make_state`, which normalizes.
     """
-    arr = _dense(dims, entries)
+    arr = _dense(dims, entries).reshape(-1)
     return arr, _normalized(arr)[1]
 
 
@@ -340,8 +342,8 @@ def make_state(dims, entries) -> StateVector:
     >>> make_state([2, 2], {(0, 0): 1, (1, 1): 1}).amplitude((0, 0))
     (0.7071067811865475+0j)
     """
-    dims = _as_dims(dims)
-    return StateVector(dims, _normalized(_dense(dims, entries))[0])
+    arr = _dense(dims, entries)
+    return StateVector(arr.shape, _normalized(arr)[0])
 
 
 def bell_state(which: str) -> StateVector:

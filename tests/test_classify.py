@@ -15,6 +15,7 @@ from entkit import (
     bipartite_determinant,
     cayley_hyperdeterminant,
     classify_state,
+    classify_symmetric,
     ghz_state,
     majorana_polynomial,
     make_state,
@@ -339,6 +340,64 @@ class TestIdentities:
             worst = max(worst, abs(invariant(dicke_state(e)) - want) / abs(want))
         # measured: 2.4e-15 for n = 2, 3.0e-15 for n = 3
         assert worst <= 1e-12
+
+
+def dicke(n, k):
+    """The Dicke state D(n, k), built exactly from one unit coefficient."""
+    coeffs = np.zeros(n + 1)
+    coeffs[k] = 1.0
+    return dicke_state(DickeExpansion(n, coeffs))
+
+
+class TestHilbertCriterion:
+    """A symmetric state is in the null cone iff some star has multiplicity above n/2.
+
+    Hilbert's criterion (Mumford-Fogarty-Kirwan, GIT ch. 4) on exactly
+    built inputs: D(n, k) has stars of multiplicities k and n - k at the
+    poles, so it is null iff k != n/2.  For n = 2 and 3 the null cone is
+    where ``bipartite_determinant`` and ``cayley_hyperdeterminant``
+    vanish.
+    """
+
+    @staticmethod
+    def is_null(state, n):
+        stars = classify_symmetric(state).constellation.stars
+        return max(s.multiplicity for s in stars) > n / 2
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_dicke_null_iff_unbalanced(self, n):
+        for k in range(n + 1):
+            assert self.is_null(dicke(n, k), n) == (2 * k != n), (n, k)
+
+    def test_w_is_d31(self):
+        # so D(n, 1), null for n >= 3 above, is W_n
+        assert np.array_equal(dicke(3, 1).amplitudes, w_state().amplitudes)
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_ghz_has_n_distinct_stars(self, n):
+        constellation = classify_symmetric(ghz_state(n)).constellation
+        assert constellation.partition == (1,) * n
+        assert not self.is_null(ghz_state(n), n)
+
+    @pytest.mark.parametrize(
+        "invariant,state,null",
+        [
+            (bipartite_determinant, dicke(2, 0), True),
+            (bipartite_determinant, dicke(2, 2), True),
+            (bipartite_determinant, dicke(2, 1), False),
+            (bipartite_determinant, ghz_state(2), False),
+            (cayley_hyperdeterminant, dicke(3, 0), True),
+            (cayley_hyperdeterminant, dicke(3, 1), True),
+            (cayley_hyperdeterminant, dicke(3, 2), True),
+            (cayley_hyperdeterminant, dicke(3, 3), True),
+            (cayley_hyperdeterminant, w_state(), True),
+            (cayley_hyperdeterminant, ghz_state(3), False),
+        ],
+        ids=["D20", "D22", "D21", "ghz2", "D30", "D31", "D32", "D33", "w", "ghz3"],
+    )
+    def test_invariant_vanishes_exactly_on_null_inputs(self, invariant, state, null):
+        assert (invariant(state) == 0) == null
+        assert self.is_null(state, state.n_parties) == null
 
 
 class TestCheckType:

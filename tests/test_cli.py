@@ -427,7 +427,10 @@ class TestExitCodes:
         code, _, _ = run(capsys, "check-invariance", str(path), "--invariant", "entropy")
         assert code == 2
 
-    @pytest.mark.parametrize("group", ["sux", "u3x", "su2,sux"])
+    @pytest.mark.parametrize(
+        "group",
+        ["sux", "u3x", "su2,sux", pytest.param("su" + "9" * 5000, id="su-5000-nines")],
+    )
     def test_malformed_group_is_validation(self, tmp_path, capsys, group):
         path = tmp_path / "bell.json"
         run(capsys, "gen", "bell", "--out", str(path))
@@ -436,6 +439,18 @@ class TestExitCodes:
         assert code == 2
         assert "group token" in err
         assert "Traceback" not in err
+
+    def test_wide_party_is_validation(self, tmp_path, capsys):
+        # 2**21 amplitudes read within the cap, but a 2**20 x 2**20 factor would not fit it
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(
+            {"dims": [2, 1048576], "amplitudes": [{"index": [0, 0], "re": 1.0}]}
+        ))
+        code, out, err = run(capsys, "check-invariance", str(path), "--invariant", "norm",
+                             "--trials", "2")
+        assert code == 2
+        assert out == ""
+        assert "the dimension of party 1 must be <= 4096, got 1048576" in err
 
     def test_negative_seed_is_validation(self, tmp_path, capsys):
         path = tmp_path / "bell.json"
@@ -486,7 +501,7 @@ class TestExitCodes:
         ))
         code, _, err = run(capsys, "schmidt", str(path))
         assert code == 2
-        assert "index entry must be a JSON integer, got 0.5" in err
+        assert "index [0.5, 0] is not a sequence of integers" in err
 
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

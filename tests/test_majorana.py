@@ -624,6 +624,29 @@ class TestDiscriminant:
         with pytest.raises(NumericError):
             binary_discriminant(np.zeros(3), 2)
 
+    def test_extreme_scales_match_rescaled_form(self):
+        # np.linalg.norm of these coefficients alone overflows at 1e300 and
+        # underflows at 1e-300
+        assert find_stars([1e300, 1e300, 1], 2).discriminant == pytest.approx(0.5, rel=1e-12)
+        assert find_stars([1, 1, 1e-300], 2).discriminant == pytest.approx(0.5, rel=1e-12)
+        tiny = binary_discriminant([1e-300, 1e-300, 1e-310], 2)
+        assert tiny == pytest.approx(binary_discriminant([1, 1, 1e-10], 2), rel=1e-12)
+
+    def test_power_of_two_scale_keeps_bits(self, rng):
+        for n in (2, 3, 7, 20):
+            a = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+            want = binary_discriminant(a, n)
+            for k in (-1000, -1, 1, 1000):
+                assert binary_discriminant(a * 2.0**k, n) == want
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.inf)])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_non_finite_coefficients_raise(self, bad, n):
+        with pytest.raises(NumericError, match="not finite"):
+            binary_discriminant([1.0, bad], n)
+        with pytest.raises(NumericError, match="not finite"):
+            find_stars([1.0, bad], n)
+
 
 class TestClassification:
     def test_onion_levels(self):

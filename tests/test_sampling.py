@@ -19,6 +19,7 @@ from entkit import (
     ghz_state,
     haar_unitary,
     invariance_suite,
+    make_state,
     random_su2,
     random_sud,
     schmidt_decompose,
@@ -160,6 +161,13 @@ class TestRandomSud:
         with pytest.raises(ValidationError):
             random_sud(1, trial_rng(0, 0))
 
+    @pytest.mark.parametrize("sampler", [haar_unitary, random_sud])
+    @pytest.mark.parametrize("d", [4097, 10**6])
+    def test_d_beyond_dense_cap_rejected(self, sampler, d):
+        # a d x d factor with d > 4096 has more than 2**24 entries; raised before any draw
+        with pytest.raises(ValidationError, match=f"the dimension d must be <= 4096, got {d}"):
+            sampler(d, trial_rng(0, 0))
+
 
 class TestInvarianceSuite:
     def test_norm_invariant_trivially(self, rng):
@@ -195,7 +203,7 @@ class TestInvarianceSuite:
 
     def test_group_token_forms(self):
         s = bell_state("phi+")
-        for group in ["su", "u", ("su2", "su2"), ("u2", "u2")]:
+        for group in ["su", "u", ("su2", "su2"), ("u2", "u2"), "su02", " U ", ("SU2", "u02")]:
             rep = invariance_suite(s, "norm", group, trials=5, seed=0)
             assert rep.trials == 5
 
@@ -206,6 +214,19 @@ class TestInvarianceSuite:
             invariance_suite(bell_state("phi+"), "norm", ("su2",), trials=5)
         with pytest.raises(ValidationError):
             invariance_suite(bell_state("phi+"), "norm", "sp2", trials=5)
+
+    @pytest.mark.parametrize("digits", ["0", "9" * 5000], ids=["0", "9x5000"])
+    def test_group_token_digits_compared_as_text(self, digits):
+        # 5000 digits pass Python's int() limit of 4300
+        with pytest.raises(ValidationError, match="does not match party dimension 2"):
+            invariance_suite(bell_state("phi+"), "det", "su" + digits, trials=3)
+
+    @pytest.mark.parametrize("group", ["su", ("su2", "u4097")])
+    def test_party_beyond_dense_cap_rejected(self, group):
+        # a 4097 x 4097 factor has more than 2**24 entries; raised before any draw
+        state = make_state((2, 4097), {(0, 0): 1.0})
+        with pytest.raises(ValidationError, match="dimension of party 1 must be <= 4096, got 4097"):
+            invariance_suite(state, "norm", group, trials=3)
 
     def test_unknown_invariant_rejected(self):
         with pytest.raises(ValidationError):

@@ -118,19 +118,33 @@ class TestReader:
     @pytest.mark.parametrize(
         "message,dims,entry",
         [
-            ("index entry must be a JSON integer", [2, 2], {"index": [0.5, 0], "re": 1.0}),
-            ("index entry must be a JSON integer", [2, 2], {"index": [True, 0], "re": 1.0}),
-            ("index entry must be a JSON integer", [2, 2], {"index": ["1", 0], "re": 1.0}),
-            ("dims entry must be a JSON integer", [2.7, 2], {"index": [0, 0], "re": 1.0}),
-            ("dims entry must be a JSON integer", [2.0, 2], {"index": [0, 0], "re": 1.0}),
-            ("dims entry must be a JSON integer", [2, True], {"index": [0, 0], "re": 1.0}),
-            ("dims entry must be a JSON integer", ["2", 2], {"index": [0, 0], "re": 1.0}),
-            ("re must be a JSON number", [2, 2], {"index": [0, 0], "re": True}),
-            ("re must be a JSON number", [2, 2], {"index": [0, 0], "re": "0.5"}),
-            ("re must be a JSON number", [2, 2], {"index": [0, 0], "re": None}),
-            ("im must be a JSON number", [2, 2], {"index": [0, 0], "re": 1.0, "im": "1"}),
-            ("im must be a JSON number", [2, 2], {"index": [0, 0], "re": 1.0, "im": False}),
-            ("re lies outside the float range", [2, 2], {"index": [0, 0], "re": 10**400}),
+            (r"index \[0.5, 0\] is not a sequence of integers", [2, 2],
+             {"index": [0.5, 0], "re": 1.0}),
+            (r"index \[True, 0\] is not a sequence of integers", [2, 2],
+             {"index": [True, 0], "re": 1.0}),
+            (r"index \['1', 0\] is not a sequence of integers", [2, 2],
+             {"index": ["1", 0], "re": 1.0}),
+            ("a local dimension must be an integer, got 2.7", [2.7, 2],
+             {"index": [0, 0], "re": 1.0}),
+            ("a local dimension must be an integer, got 2.0", [2.0, 2],
+             {"index": [0, 0], "re": 1.0}),
+            ("a local dimension must be an integer, got True", [2, True],
+             {"index": [0, 0], "re": 1.0}),
+            ("a local dimension must be an integer, got '2'", ["2", 2],
+             {"index": [0, 0], "re": 1.0}),
+            (r"malformed amplitude entry \{'index': \[0, 0\], 're': True\}: "
+             "re must be a finite real number, got True", [2, 2],
+             {"index": [0, 0], "re": True}),
+            (r"malformed amplitude entry \{.*\}: re must be a finite real number, got '0.5'",
+             [2, 2], {"index": [0, 0], "re": "0.5"}),
+            (r"malformed amplitude entry \{.*\}: re must be a finite real number, got None",
+             [2, 2], {"index": [0, 0], "re": None}),
+            (r"malformed amplitude entry \{.*\}: im must be a finite real number, got '1'",
+             [2, 2], {"index": [0, 0], "re": 1.0, "im": "1"}),
+            (r"malformed amplitude entry \{.*\}: im must be a finite real number, got False",
+             [2, 2], {"index": [0, 0], "re": 1.0, "im": False}),
+            (r"malformed amplitude entry \{.*\}: re must be a finite real number, got 10{400}$",
+             [2, 2], {"index": [0, 0], "re": 10**400}),
         ],
     )
     def test_entry_types_are_strict(self, message, dims, entry):
