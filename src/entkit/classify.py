@@ -13,13 +13,22 @@ Each check carries the numbers its verdict rests on, and checks that
 do not apply to the given shape say so instead of guessing.
 
 A qubit state gets one symmetry pass, whose Dicke expansion Definition
-4 reuses.  When that pass finds the state exactly permutation-symmetric
-(every adjacent-transposition drift 0.0), every single-party cut matrix
-is an exact column permutation of the cut-0 matrix, so cut 0 is the one
-Schmidt factorization and its coefficients serve all n cuts.  Any other
-state has every single-party cut factored by one call of the kernel
+4 reuses.  The pass first compares every amplitude with the one at its
+Hamming weight's representative index, block by block, and checks the
+adjacent transpositions only when that exact test fails; so an exactly
+symmetric state costs one read of its amplitudes.  When the pass finds
+the state exactly permutation-symmetric (every adjacent-transposition
+drift 0.0), every single-party cut matrix is an exact column
+permutation of the cut-0 matrix, so cut 0 is the one Schmidt
+factorization and its coefficients serve all n cuts.  Any other state
+has every single-party cut factored by one call of the kernel
 ``schmidt_decompose`` uses, which reads each qubit party's rows in
 place and runs one stacked 2 x 2 SVD.
+
+For a symmetric state the report warns when the definitions contradict
+each other: stellar level 1 means product (Definition 1), and for dims
+(2, 2) and (2, 2, 2) the top level means Definition 3's entangled and
+GHZClass verdicts.
 """
 
 from __future__ import annotations
@@ -151,6 +160,28 @@ def _definition_4(expansion: DickeExpansion | str) -> DefinitionCheck:
     )
 
 
+def _stellar_disagreement(dims, d1, d3, d4) -> list[str]:
+    """A warning if Definition 1 or 3 contradicts Definition 4 on a symmetric state.
+
+    Stellar level 1 (one distinct star) means product.  For dims (2, 2)
+    Definition 3 entangled means level 2, and for (2, 2, 2) GHZClass
+    means level 3 (no repeated star): there the determinant and the
+    hyperdeterminant are multiples of the binary-form discriminant.
+    """
+    clashes = []
+    if (d1.verdict == "product") != (d4.verdict == "level-1"):
+        clashes.append(f"Definition 1 finds the state {d1.verdict}")
+    top = {(2, 2): "entangled", (2, 2, 2): "GHZClass"}.get(dims)
+    if top is not None and (d3.verdict == top) != (d4.verdict == f"level-{len(dims)}"):
+        clashes.append(f"Definition 3 finds the state {d3.verdict}")
+    if not clashes:
+        return []
+    return [
+        f"definitions disagree: {' and '.join(clashes)} but Definition 4 gives "
+        f"{d4.verdict}; the stellar decomposition may have merged or split stars"
+    ]
+
+
 def classify_state(
     state: StateVector, state_id: str = "state", tolerance: float = 1e-9
 ) -> ClassificationReport:
@@ -188,13 +219,8 @@ def classify_state(
         lambdas = _cut_lambdas(state, [(k,) for k in range(state.n_parties)], tolerance)
     d3, warnings = _definition_3(state, lambdas, tolerance)
     d1, d4 = _definition_1(lambdas), _definition_4(expansion)
-    # for a symmetric state, level-1 (one distinct star) means product
-    if d4.verdict.startswith("level-") and (d4.verdict == "level-1") != (d1.verdict == "product"):
-        warnings.append(
-            f"definitions disagree: Definition 1 finds the state {d1.verdict} but "
-            f"Definition 4 gives {d4.verdict}; the stellar decomposition may have "
-            "merged or split stars"
-        )
+    if d4.verdict.startswith("level-"):
+        warnings += _stellar_disagreement(state.dims, d1, d3, d4)
     checks = (d1, _definition_2(lambdas), d3, d4)
     return ClassificationReport(
         state_id=state_id, checks=checks, warnings=tuple(warnings)

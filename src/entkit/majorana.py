@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import NumericError, StateVector, ValidationError, _check_qubit_count, _normalized
+from .states import MAX_ENTRIES, NumericError, StateVector, ValidationError, _check_qubit_count
+from .states import _normalized, _shown
 from .states import _as_complex, _as_instance, _as_int, _as_real, _complex_array, _unit_vector
 
 __all__ = [
@@ -78,6 +79,10 @@ def _wrap_phi(x: float, n: int) -> float:
 _GAMMA = 4.0
 # scale of the polynomial evaluation noise floor
 _FLOOR_C = 4.0
+# the exact symmetry test reads the amplitudes in blocks of 2**_BLOCK_BITS
+_BLOCK_BITS = 12
+# largest degree n of a polynomial: its (2n - 2) x (2n - 2) Sylvester matrix fits MAX_ENTRIES
+_MAX_DEGREE = (math.isqrt(MAX_ENTRIES) + 2) // 2
 
 
 class NotSymmetricError(ValidationError):
@@ -172,7 +177,7 @@ class MajoranaConstellation:
         try:
             stars = tuple(_as_instance(s, SpherePoint, "a star") for s in self.stars)
         except TypeError:
-            raise ValidationError(f"stars must be a sequence, got {self.stars!r}") from None
+            raise ValidationError(f"stars must be a sequence, got {_shown(self.stars)}") from None
         if not stars:
             raise ValidationError("a constellation needs at least one star")
         _as_complex(self.discriminant, "the discriminant")
@@ -217,7 +222,37 @@ def _dicke_weights(n: int) -> np.ndarray:
     try:
         return np.array([math.sqrt(math.comb(n, k)) for k in range(n + 1)])
     except OverflowError:
-        raise NumericError(f"binomial C({n}, k) exceeds the float range") from None
+        raise NumericError(f"binomial C({_shown(n)}, k) exceeds the float range") from None
+
+
+def _popcount(bits: int) -> np.ndarray:
+    """Hamming weights of the indices 0 .. 2**bits - 1, as uint8."""
+    return np.bitwise_count(np.arange(2**bits, dtype=np.uint32))
+
+
+def _exactly_symmetric(flat: np.ndarray, n: int) -> bool:
+    """Whether every amplitude equals the one at 2^k - 1, k its index's Hamming weight.
+
+    Indices 1 and 2, the first two of one weight, are compared as
+    scalars before any array is built, so a state that is not symmetric
+    usually fails at the cost of one comparison.  Then the amplitudes
+    are read in blocks of
+    ``2**_BLOCK_BITS``: a block's indices share their high bits, so the
+    amplitudes it must hold are one row, picked by the weight of those
+    bits, of a table built from the low bits' popcounts.  No temporary
+    has 2^n entries.
+    """
+    if n > 1 and flat[1] != flat[2]:
+        return False
+    rep = flat[(1 << np.arange(n + 1)) - 1]
+    b = min(n, _BLOCK_BITS)
+    low = _popcount(b)
+    # row w: the block whose high bits weigh w
+    table = rep[np.arange(n - b + 1)[:, None] + low]
+    for w, block in zip(_popcount(n - b), flat.reshape(-1, low.size)):
+        if not (block == table[w]).all():
+            return False
+    return True
 
 
 def symmetrize_check(state: StateVector, tolerance: float = 1e-9) -> DickeExpansion:
@@ -235,6 +270,16 @@ def symmetrize_check(state: StateVector, tolerance: float = 1e-9) -> DickeExpans
     (0, ..., 0, 1, ..., 1) with k trailing ones, scaled by
     sqrt(C(n, k)), then the vector is renormalized.
 
+    One exact test runs before the transpositions: whether every
+    amplitude equals the one at its Hamming weight's representative
+    index.  When it holds, the transposition loop is skipped.  The
+    orbits of the symmetric group on bit strings are the Hamming-weight
+    classes, and a - b is exactly 0 for finite floats iff a == b (0.0
+    and -0.0 included), so the test holds exactly when every
+    transposition drift is 0.0.  Every result, drift and message is
+    therefore the loop's own; the test only spares an exactly
+    symmetric state the n - 1 passes.
+
     Raises
     ------
     ValidationError
@@ -249,13 +294,14 @@ def symmetrize_check(state: StateVector, tolerance: float = 1e-9) -> DickeExpans
         raise ValidationError(f"symmetrize_check needs qubits, got dims {state.dims}")
     n = state.n_parties
     flat = state.amplitudes
-    for k in range(n - 1):
-        p = flat.reshape(2**k, 2, 2, -1)
-        drift = float(np.max(np.abs(p[:, 0, 1] - p[:, 1, 0])))
-        if drift > tolerance:
-            raise NotSymmetricError(
-                f"swap of qubits {k} and {k + 1} moves amplitudes by {drift:.3e}", drift
-            )
+    if not _exactly_symmetric(flat, n):
+        for k in range(n - 1):
+            p = flat.reshape(2**k, 2, 2, -1)
+            drift = float(np.max(np.abs(p[:, 0, 1] - p[:, 1, 0])))
+            if drift > tolerance:
+                raise NotSymmetricError(
+                    f"swap of qubits {k} and {k + 1} moves amplitudes by {drift:.3e}", drift
+                )
     coeffs = np.array([w * flat[2**k - 1] for k, w in enumerate(_dicke_weights(n))])
     norm = np.linalg.norm(coeffs)
     if norm == 0.0:
@@ -271,12 +317,7 @@ def dicke_state(expansion: DickeExpansion) -> StateVector:
     n = _as_instance(expansion, DickeExpansion, "the expansion").n
     _check_qubit_count(n)
     weights = expansion.coeffs / _dicke_weights(n)
-    # popcount of 0 .. 2**n - 1: setting the next high bit adds one to every count
-    popcount = np.zeros(1, dtype=np.uint8)
-    for _ in range(n):
-        popcount = np.concatenate((popcount, popcount + 1))
-    amps = weights[popcount]
-    return StateVector((2,) * n, _normalized(amps)[0])
+    return StateVector((2,) * n, _normalized(weights[_popcount(n)])[0])
 
 
 def majorana_polynomial(expansion: DickeExpansion) -> np.ndarray:
@@ -312,13 +353,13 @@ def coherent_state(direction, n: int) -> DickeExpansion:
             theta, phi = direction
         except (TypeError, ValueError):
             raise ValidationError(
-                f"direction must be a SpherePoint or a (theta, phi) pair, got {direction!r}"
+                f"direction must be a SpherePoint or a (theta, phi) pair, got {_shown(direction)}"
             ) from None
     try:
         theta, phi = _as_real(theta, "theta"), _as_real(phi, "phi")
     except ValidationError:
         raise ValidationError(
-            f"coherent_state needs finite angles, got ({theta!r}, {phi!r})"
+            f"coherent_state needs finite angles, got ({_shown(theta)}, {_shown(phi)})"
         ) from None
     half = theta / 2.0
     # one power per k: an array power rounds differently at large n
@@ -335,11 +376,12 @@ def coherent_state(direction, n: int) -> DickeExpansion:
 
 
 def _padded(poly, n: int) -> np.ndarray:
-    """Ascending 1-D finite coefficients of degree at most n >= 1, zero-padded to length n + 1.
+    """Ascending 1-D finite coefficients of degree at most n, zero-padded to length n + 1.
 
-    Coefficients that are not finite raise ``NumericError``.
+    n lies in [1, ``_MAX_DEGREE``] = [1, 2049], checked before anything
+    is allocated.  Coefficients that are not finite raise ``NumericError``.
     """
-    n = _as_int(n, "the qubit count n", lo=1)
+    n = _as_int(n, "the qubit count n", lo=1, hi=_MAX_DEGREE)
     a = _complex_array(poly, "the polynomial coefficients")
     if a.ndim != 1:
         raise ValidationError(f"the polynomial coefficients must be 1-D, got shape {a.shape}")
@@ -552,7 +594,9 @@ def find_stars(poly, n: int, cluster_tol: float = 1e-6) -> MajoranaConstellation
         Ascending coefficients from :func:`majorana_polynomial`; may be
         shorter than n + 1, the deficit counting as stars at infinity.
     n : int
-        Qubit count; star multiplicities sum to n.
+        Qubit count; star multiplicities sum to n.  At most 2049, the
+        largest n whose (2n - 2) x (2n - 2) Sylvester matrix in
+        :func:`binary_discriminant` fits ``states.MAX_ENTRIES``.
     cluster_tol : float, optional
         Chordal floor below which roots always merge.  The effective
         merge radius additionally adapts to the local multiplicity, so
@@ -568,7 +612,9 @@ def find_stars(poly, n: int, cluster_tol: float = 1e-6) -> MajoranaConstellation
     ------
     ValidationError
         If ``cluster_tol`` is not a real, finite number >= 0 (bools
-        are rejected), before the coefficients are read.
+        are rejected), before the coefficients are read; if ``n`` is
+        not an integer in [1, 2049]; or if a coefficient is an int
+        beyond the float range.
     NumericError
         If a coefficient is not finite, or every coefficient is below
         1e-14 in magnitude.
@@ -623,8 +669,15 @@ def binary_discriminant(poly, n: int) -> complex:
     the norm is taken, so forms with coefficients near 1e300 or 1e-300
     give the value of the same form rescaled.
 
+    ``n`` is an integer in [1, 2049], as in :func:`find_stars`: the
+    Sylvester matrix has (2n - 2)^2 entries, which must fit
+    ``states.MAX_ENTRIES``.
+
     Raises
     ------
+    ValidationError
+        If ``n`` is out of that range, or a coefficient is an int
+        beyond the float range.
     NumericError
         If a coefficient is not finite, or every coefficient is zero.
     """

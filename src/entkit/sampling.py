@@ -56,6 +56,7 @@ from .states import (
     _as_instance,
     _as_int,
     _check_unit_norm,
+    _shown,
 )
 
 __all__ = [
@@ -114,7 +115,9 @@ class InvarianceReport:
         if not all(  # NaN fails the comparison too
             isinstance(v, numbers.Real) and not isinstance(v, bool) and v >= 0.0 for v in drifts
         ):
-            raise ValidationError(f"drift statistics must be non-negative numbers, got {drifts}")
+            raise ValidationError(
+                f"drift statistics must be non-negative numbers, got {_shown(drifts)}"
+            )
 
 
 def _philox_key(seed: int, counter: int) -> tuple[int, int]:
@@ -125,11 +128,11 @@ def _philox_key(seed: int, counter: int) -> tuple[int, int]:
         seed, counter = operator.index(seed), operator.index(counter)
     except TypeError:
         raise ValidationError(
-            f"seed and counter must be integers, got {seed!r} and {counter!r}"
+            f"seed and counter must be integers, got {_shown(seed)} and {_shown(counter)}"
         ) from None
     if not (0 <= seed < 2**64 and 0 <= counter < 2**64):
         raise ValidationError(
-            f"seed and counter must lie in [0, 2**64), got {seed} and {counter}"
+            f"seed and counter must lie in [0, 2**64), got {_shown(seed)} and {_shown(counter)}"
         )
     return seed, counter
 
@@ -283,7 +286,7 @@ class LocalUnitary:
             factors = tuple(self.factors)
         except TypeError:
             raise ValidationError(
-                f"factors must be a sequence of square arrays, got {self.factors!r}"
+                f"factors must be a sequence of square arrays, got {_shown(self.factors)}"
             ) from None
         checked = []
         for k, f in enumerate(factors):
@@ -374,10 +377,10 @@ def _group_maps(state: StateVector, group):
         tokens = [group] * len(dims)
     else:
         try:
-            tokens = [str(t) for t in group]
+            tokens = [t if isinstance(t, str) else _shown(t) for t in group]
         except TypeError:
             raise ValidationError(
-                f"group must be a string or a sequence of tokens, got {group!r}"
+                f"group must be a string or a sequence of tokens, got {_shown(group)}"
             ) from None
     if len(tokens) != len(dims):
         raise ValidationError(
@@ -388,12 +391,12 @@ def _group_maps(state: StateVector, group):
         base = tok.lower().strip()
         kind = base.rstrip("0123456789")
         if kind not in ("su", "u"):
-            raise ValidationError(f"unknown group token {tok!r}")
+            raise ValidationError(f"unknown group token {_shown(tok)}")
         # compared as text: int() of a long digit string passes Python's digit limit
         digits = base[len(kind):]
         if digits and digits.lstrip("0") != str(d):
             raise ValidationError(
-                f"group token {tok!r} does not match party dimension {d}"
+                f"group token {_shown(tok)} does not match party dimension {d}"
             )
         _as_int(d, f"the dimension of party {k}", hi=_MAX_D)
         if kind == "su" and d == 2:
@@ -468,7 +471,7 @@ def named_invariant(invariant):
         key = invariant.lower()
         if key not in _REGISTRY:
             raise ValidationError(
-                f"unknown invariant {invariant!r}; known: {sorted(_REGISTRY)}"
+                f"unknown invariant {_shown(invariant)}; known: {sorted(_REGISTRY)}"
             )
         stacked = _REGISTRY[key]
         return key, _PUBLIC.get(key) or (lambda s: stacked(s.tensor()[None])[0].item())
@@ -481,9 +484,9 @@ def named_invariant(invariant):
     if not callable(fn):
         raise ValidationError(
             "invariant must be a registry name, a callable or a (label, callable)"
-            f" pair, got {invariant!r}"
+            f" pair, got {_shown(invariant)}"
         )
-    return str(label), fn
+    return (label if isinstance(label, str) else _shown(label)), fn
 
 
 def _per_row(fn, dims):
@@ -538,7 +541,7 @@ def invariance_suite(
     """
     trials = _as_int(trials, "trials", lo=1)
     if trials > states.MAX_ENTRIES:
-        raise ValidationError(f"trials {trials} exceeds the cap {states.MAX_ENTRIES}")
+        raise ValidationError(f"trials {_shown(trials)} exceeds the cap {states.MAX_ENTRIES}")
     state = _as_instance(state, StateVector, "the state")
     label, fn = named_invariant(invariant)
     stacked = _REGISTRY[label] if isinstance(invariant, str) else _per_row(fn, state.dims)

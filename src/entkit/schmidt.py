@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .states import StateVector, ValidationError, _as_instance, _as_int, _as_real
+from .states import StateVector, ValidationError, _as_instance, _as_int, _as_real, _shown
 
 __all__ = [
     "SchmidtDecomposition",
@@ -117,7 +117,9 @@ def _normalize_cut(state: StateVector, cut) -> tuple[int, ...]:
     try:
         entries = tuple(cut)
     except TypeError:
-        raise ValidationError(f"cut must be a collection of party indices, got {cut!r}") from None
+        raise ValidationError(
+            f"cut must be a collection of party indices, got {_shown(cut)}"
+        ) from None
     last = state.n_parties - 1
     cut = tuple(sorted(_as_int(p, "a party index", lo=0, hi=last) for p in entries))
     if len(set(cut)) != len(cut):

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import StateVector, ValidationError, _as_instance, _as_real, _dense, _normalized
+from .states import _shown
 
 __all__ = ["LoadedState", "read_state", "write_state", "state_to_json", "state_from_json"]
 
@@ -82,7 +83,7 @@ def state_from_json(doc: dict) -> LoadedState:
             index, re, im = item["index"], item["re"], item.get("im", 0.0)
             entries.append((index, complex(_as_real(re, "re"), _as_real(im, "im"))))
         except (KeyError, TypeError, ValidationError) as exc:
-            raise ValidationError(f"malformed amplitude entry {item!r}: {exc}") from None
+            raise ValidationError(f"malformed amplitude entry {_shown(item)}: {exc}") from None
     arr = _dense(dims, entries)
     amps, norm = _normalized(arr)
     return LoadedState(StateVector(arr.shape, amps), norm)
@@ -93,13 +94,14 @@ def _as_path(path):
     try:
         return os.fspath(path)
     except TypeError:
-        raise ValidationError(f"path must be a str or os.PathLike, got {path!r}") from None
+        raise ValidationError(f"path must be a str or os.PathLike, got {_shown(path)}") from None
 
 
 def read_state(path) -> LoadedState:
     """Read a state file from ``path``."""
+    name = _as_path(path)  # before the try: its ValidationError is a ValueError
     try:
-        with open(_as_path(path), "r", encoding="utf-8") as fh:
+        with open(name, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None

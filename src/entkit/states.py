@@ -39,6 +39,9 @@ ATOL = 1e-9
 #: soft cap on dense amplitude storage
 MAX_ENTRIES = 2**24
 
+#: longest text an error message shows for one value
+_SHOWN_CHARS = 500
+
 BELL_KINDS = ("phi+", "psi+", "phi-", "psi-")
 
 
@@ -49,6 +52,30 @@ class ValidationError(ValueError):
 class NumericError(ArithmeticError):
     """Raised when a computation fails numerically (non-finite data, no
     usable result at working precision)."""
+
+
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, at most ``_SHOWN_CHARS`` characters long.
+
+    An int of more than ``3 * _SHOWN_CHARS`` bits (at most 0.91
+    ``_SHOWN_CHARS`` digits) is shown by its bit length, the way
+    :func:`_check_size` shows a count: Python refuses to turn an int of
+    more than 4300 digits into text at all.  A value whose repr fails
+    that way, such as a list holding such an int, is shown by its type;
+    any other repr past the bound is cut.
+
+    >>> _shown(10**5000)
+    'an int of 16610 bits'
+    >>> _shown([10**5000])
+    'a list holding an int too long to print'
+    """
+    if isinstance(value, int) and value.bit_length() > 3 * _SHOWN_CHARS:
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+    try:
+        text = repr(value)
+    except ValueError:
+        return f"a {type(value).__name__} holding an int too long to print"
+    return text if len(text) <= _SHOWN_CHARS else text[: _SHOWN_CHARS - 3] + "..."
 
 
 def _check_size(size: int) -> None:
@@ -68,16 +95,16 @@ def _check_qubit_count(n: int) -> None:
     """Reject n qubits whose 2**n amplitudes exceed ``MAX_ENTRIES``, without forming 2**n."""
     if n >= MAX_ENTRIES.bit_length():
         raise ValidationError(
-            f"{n} qubits need 2**{n} amplitudes, above the dense storage cap {MAX_ENTRIES}"
+            f"{_shown(n)} qubits need 2**n amplitudes, above the dense storage cap {MAX_ENTRIES}"
         )
 
 
 def _bounded(value, what: str, lo, hi):
     """``value`` unless it lies outside ``[lo, hi]``; a bound of None is open."""
     if lo is not None and value < lo:
-        raise ValidationError(f"{what} must be >= {lo}, got {value!r}")
+        raise ValidationError(f"{what} must be >= {lo}, got {_shown(value)}")
     if hi is not None and value > hi:
-        raise ValidationError(f"{what} must be <= {hi}, got {value!r}")
+        raise ValidationError(f"{what} must be <= {hi}, got {_shown(value)}")
     return value
 
 
@@ -93,7 +120,7 @@ def _as_int(value, what: str, lo: int | None = None, hi: int | None = None) -> i
             raise TypeError
         value = operator.index(value)
     except TypeError:
-        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+        raise ValidationError(f"{what} must be an integer, got {_shown(value)}") from None
     return _bounded(value, what, lo, hi)
 
 
@@ -112,7 +139,7 @@ def _as_real(value, what: str, lo: float | None = None, hi: float | None = None)
             real = math.inf
         if math.isfinite(real):
             return _bounded(real, what, lo, hi)
-    raise ValidationError(f"{what} must be a finite real number, got {value!r}")
+    raise ValidationError(f"{what} must be a finite real number, got {_shown(value)}")
 
 
 def _as_complex(value, what: str) -> complex:
@@ -129,7 +156,7 @@ def _as_complex(value, what: str) -> complex:
     except OverflowError:  # an int beyond the float range
         z = complex(math.inf)
     except (TypeError, ValueError):  # ValueError: Decimal("sNaN") has no complex value
-        raise ValidationError(f"{what} must be a number, got {value!r}") from None
+        raise ValidationError(f"{what} must be a number, got {_shown(value)}") from None
     if not cmath.isfinite(z):
         raise ValidationError(f"{what} is not finite")
     return z
@@ -147,9 +174,9 @@ def _as_index(index, dims: tuple[int, ...]) -> tuple[int, ...]:
             raise TypeError
         index = tuple(map(operator.index, index))
     except TypeError:
-        raise ValidationError(f"index {index!r} is not a sequence of integers") from None
+        raise ValidationError(f"index {_shown(index)} is not a sequence of integers") from None
     if len(index) != len(dims) or min(index) < 0 or not all(map(operator.lt, index, dims)):
-        raise ValidationError(f"index {index} out of range for dims {dims}")
+        raise ValidationError(f"index {_shown(index)} out of range for dims {dims}")
     return index
 
 
@@ -158,7 +185,7 @@ def _as_dims(dims) -> tuple[int, ...]:
     try:
         dims = tuple(_as_int(d, "a local dimension", lo=2) for d in dims)
     except TypeError:
-        raise ValidationError(f"dims must be a sequence of integers, got {dims!r}") from None
+        raise ValidationError(f"dims must be a sequence of integers, got {_shown(dims)}") from None
     if not dims:
         raise ValidationError("a state needs at least one party")
     _check_size(math.prod(dims))
@@ -174,16 +201,22 @@ def _as_instance(value, kind, what: str):
     """
     kind = getattr(kind, "__wrapped__", kind)
     if not isinstance(value, kind):
-        raise ValidationError(f"{what} must be a {kind.__name__}, got {value!r}")
+        raise ValidationError(f"{what} must be a {kind.__name__}, got {_shown(value)}")
     return value
 
 
 def _complex_array(values, what: str) -> np.ndarray:
-    """``values`` as a complex array; a value that is not an array of numbers raises."""
+    """``values`` as a complex array; a value that is not an array of numbers raises.
+
+    An int beyond the float range raises too, where numpy would raise
+    ``OverflowError``.
+    """
     try:
         return np.asarray(values, dtype=np.complex128)
     except (TypeError, ValueError):
         raise ValidationError(f"{what} must be an array of numbers") from None
+    except OverflowError:
+        raise ValidationError(f"an int in {what} is beyond the float range") from None
 
 
 def _as_complex_array(values, what: str) -> np.ndarray:
@@ -210,7 +243,7 @@ def _unit_vector(values, size: int, what: str) -> np.ndarray:
     """``values`` as a read-only flat complex copy of length ``size``, finite and of norm 1."""
     v = _as_complex_array(values, what).reshape(-1)
     if v.size != size:
-        raise ValidationError(f"{what} have {v.size} entries, not {size}")
+        raise ValidationError(f"{what} have {v.size} entries, not {_shown(size)}")
     v = v.copy()
     _check_unit_norm(v, what)
     v.setflags(write=False)
@@ -276,7 +309,9 @@ def _dense(dims, entries) -> np.ndarray:
     try:
         items = [(i, v) for i, v in (entries.items() if hasattr(entries, "items") else entries)]
     except (TypeError, ValueError):
-        raise ValidationError(f"entries must be (index, value) pairs, got {entries!r}") from None
+        raise ValidationError(
+            f"entries must be (index, value) pairs, got {_shown(entries)}"
+        ) from None
     seen = set()
     for index, value in items:
         index = _as_index(index, dims)
@@ -364,7 +399,7 @@ def bell_state(which: str) -> StateVector:
     }
     key = which.lower() if isinstance(which, str) else None
     if key not in table:
-        raise ValidationError(f"unknown Bell state {which!r}; expected one of {BELL_KINDS}")
+        raise ValidationError(f"unknown Bell state {_shown(which)}; expected one of {BELL_KINDS}")
     return make_state((2, 2), table[key])
 
 
@@ -403,5 +438,5 @@ def pauli(name: str) -> np.ndarray:
     }
     key = name.upper() if isinstance(name, str) else None
     if key not in table:
-        raise ValidationError(f"unknown Pauli {name!r}")
+        raise ValidationError(f"unknown Pauli {_shown(name)}")
     return table[key]

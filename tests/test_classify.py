@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import rand_state
@@ -315,6 +317,36 @@ class TestCrossDefinition:
         rep = classify_state(state)
         assert sum("definitions disagree" in w for w in rep.warnings) == 1
 
+    @staticmethod
+    def probe(n, e):
+        """sqrt(1 - e^2) |0...0> + e |1...1>: GHZ-like, with product as e -> 0."""
+        return make_state([2] * n, {(0,) * n: math.sqrt(1.0 - e * e), (1,) * n: e})
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("e", [10.0**-j for j in range(2, 15)], ids=lambda e: f"{e:g}")
+    def test_no_silent_contradiction(self, n, e):
+        # for symmetric n = 2 and 3, TestIdentities makes Definition 3's
+        # invariant a multiple of the discriminant: entangled (n = 2) and
+        # GHZClass (n = 3) mean no repeated star, which is level n
+        rep = classify_state(self.probe(n, e))
+        d1, d3, d4 = (by_def(rep, k).verdict for k in (1, 3, 4))
+        top = "entangled" if n == 2 else "GHZClass"
+        contradiction = (d1 == "product") != (d4 == "level-1")
+        contradiction |= (d3 == top) != (d4 == f"level-{n}")
+        warned = [w for w in rep.warnings if "definitions disagree" in w]
+        assert len(warned) == int(contradiction)
+
+    def test_definition_3_contradiction_warns(self):
+        rep = classify_state(self.probe(3, 1e-6))
+        assert [by_def(rep, k).verdict for k in (1, 3, 4)] == [
+            "entangled", "DegenerateClass", "level-3"
+        ]
+        (warning,) = [w for w in rep.warnings if "definitions disagree" in w]
+        assert warning.startswith(
+            "definitions disagree: Definition 3 finds the state DegenerateClass but "
+            "Definition 4 gives level-3"
+        )
+
 
 class TestIdentities:
     """For symmetric n = 2 and 3, Definition 3's invariant is Definition 4's discriminant.
@@ -347,6 +379,44 @@ def dicke(n, k):
     coeffs = np.zeros(n + 1)
     coeffs[k] = 1.0
     return dicke_state(DickeExpansion(n, coeffs))
+
+
+def product_state(n, seed):
+    """A product of n seeded random qubit states, no two alike."""
+    rng = np.random.default_rng(seed)
+    amps = np.ones(1, dtype=complex)
+    for _ in range(n):
+        q = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        amps = np.kron(amps, q / np.linalg.norm(q))
+    return StateVector((2,) * n, amps)
+
+
+class TestSymmetricLadder:
+    """All four verdicts on exactly built states up to n = 22, whose answers are known.
+
+    GHZ_n has n distinct stars and rank 2 at every cut; D(n, k) has
+    stars of multiplicities n - k and k at the poles; a product of
+    distinct qubit states is not symmetric.
+    """
+
+    @pytest.mark.parametrize("n", [8, 16, 20, 22])
+    def test_ghz(self, n):
+        rep = classify_state(ghz_state(n))
+        assert by_def(rep, 1).evidence["single_cut_ranks"] == [2] * n
+        assert by_def(rep, 4).verdict == f"level-{n}"
+
+    @pytest.mark.parametrize("n", [8, 16, 20, 22])
+    @pytest.mark.parametrize("k", ["1", "n/2"])
+    def test_dicke(self, n, k):
+        k = 1 if k == "1" else n // 2
+        d4 = by_def(classify_state(dicke(n, k)), 4)
+        assert d4.evidence["partition"] == sorted([n - k, k], reverse=True)
+
+    @pytest.mark.parametrize("n", [8, 16, 20])
+    def test_product(self, n):
+        rep = classify_state(product_state(n, 1700 + n))
+        assert by_def(rep, 1).verdict == "product"
+        assert by_def(rep, 4).verdict == "not-applicable"
 
 
 class TestHilbertCriterion:

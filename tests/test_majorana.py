@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,8 @@ from entkit import (
     symmetrize_check,
     w_state,
 )
-from entkit.majorana import _ClusterGeometry, _padded, _scaled_core, _single_linkage_clusters
+from entkit.majorana import _ClusterGeometry, _exactly_symmetric, _padded, _scaled_core
+from entkit.majorana import _single_linkage_clusters
 from entkit.sampling import random_su2, trial_rng
 
 R2 = 1.0 / math.sqrt(2.0)
@@ -73,6 +75,40 @@ def poly_from_stars(stars, n):
             continue
         roots.extend([math.tan(theta / 2.0) * np.exp(1j * phi)] * mult)
     return np.polynomial.polynomial.polyfromroots(roots) if roots else np.array([1.0])
+
+
+def corpus_state(n, change, eps):
+    """A seeded n-qubit Dicke state, with one amplitude changed as ``change`` names.
+
+    "first", "middle" and "last" add ``eps`` to an amplitude in that
+    2**12-amplitude block of the exact test (one block up to n = 12);
+    "signed-zero" gives one amplitude of an empty weight class the parts
+    -0.0, beside the class's 0.0.
+    """
+    rng = np.random.default_rng(3100 + n)
+    c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    c[rng.integers(n + 1)] = 0
+    amps = dicke_state(DickeExpansion(n=n, coeffs=c / np.linalg.norm(c))).amplitudes.copy()
+    size = 2**n
+    if change == "signed-zero":
+        amps[np.flatnonzero(amps == 0)[-1]] = complex(-0.0, -0.0)
+    elif change is not None:
+        index = {"first": 2, "middle": size // 2 + 5, "last": size - 2}[change]
+        amps[min(index, size - 1)] += eps * (1 - 0.5j)
+    return StateVector((2,) * n, amps / np.linalg.norm(amps))
+
+
+EXACT_SYMMETRY_CASES = (
+    [(n, None, 0.0) for n in [*range(1, 17), 20]]
+    + [(n, "signed-zero", 0.0) for n in [*range(1, 17), 20]]
+    + [
+        (n, change, eps)
+        for n in (2, 5, 12, 13, 16)
+        for change in ("first", "middle", "last")
+        for eps in (1e-13, 1e-10, 1e-7)
+    ]
+    + [(20, "last", 1e-10)]
+)
 
 
 class TestSymmetrizeCheck:
@@ -169,6 +205,38 @@ class TestSymmetrizeCheck:
                     assert got == want
                 else:
                     assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "n,change,eps",
+        EXACT_SYMMETRY_CASES,
+        ids=[f"{n}-{c}-{e:g}" for n, c, e in EXACT_SYMMETRY_CASES],
+    )
+    def test_exact_class_test_keeps_every_outcome(self, n, change, eps):
+        # the Hamming-class test holds iff every transposition drift is 0.0,
+        # and symmetrize_check's result, message and drift stay the loop's
+        state = corpus_state(n, change, eps)
+        drifts = self.full_swap_drifts(state)
+        assert _exactly_symmetric(state.amplitudes, n) == (max(drifts, default=0.0) == 0.0)
+        for tol in (0.0, 1e-12, 1e-9, 1e-6):
+            want = self.full_swap_outcome(state, drifts, tol)
+            try:
+                got = symmetrize_check(state, tol).coeffs
+            except NotSymmetricError as exc:
+                assert str(exc) == want
+                assert exc.drift == next(d for d in drifts if d > tol)
+            else:
+                assert not isinstance(want, str) and np.array_equal(got, want)
+
+    def test_exact_class_test_peak_memory(self):
+        state = ghz_state(20)
+        tracemalloc.start()
+        try:
+            symmetrize_check(state, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the state holds 16 MiB; the transposition loop alone peaked at 4 MiB
+        assert peak <= 2**21
 
     @staticmethod
     def dicke_reference(d: DickeExpansion) -> np.ndarray:

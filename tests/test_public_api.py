@@ -228,3 +228,37 @@ def test_required_arguments_reject_wrong_kinds(tmp_path):
                 else:
                     failures.append(f"{name}({p.name}={bad!r}) returned")
     assert not failures, "\n".join(failures)
+
+
+#: ints that no message may print whole: past Python's 4300-digit
+#: integer-to-string limit, and one past every size and seed bound
+HOSTILE_INTS = {
+    "10**5000": 10**5000,
+    "-10**5000": -(10**5000),
+    "[10**5000]": [10**5000],
+    "(10**5000, 1)": (10**5000, 1),
+    "2**64": 2**64,
+}
+
+
+def test_hostile_ints_at_every_parameter(tmp_path):
+    """Every parameter, required or not, of every walked name takes the hostile ints.
+
+    Each call returns, or raises ``ValidationError`` or ``NumericError``
+    with a message of at most 300 characters.
+    """
+    failures = []
+    for name, kwargs in valid_calls(tmp_path).items():
+        fn = getattr(entkit, name)
+        for p in inspect.signature(fn).parameters.values():
+            if p.kind in (p.VAR_POSITIONAL, p.VAR_KEYWORD):
+                continue
+            for label, bad in HOSTILE_INTS.items():
+                try:
+                    fn(**{**kwargs, p.name: bad})
+                except (entkit.ValidationError, entkit.NumericError) as exc:
+                    if len(str(exc)) > 300:
+                        failures.append(f"{name}({p.name}={label}): {len(str(exc))} characters")
+                except Exception as exc:
+                    failures.append(f"{name}({p.name}={label}): {type(exc).__name__}")
+    assert not failures, "\n".join(failures)

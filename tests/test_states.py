@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -11,6 +12,7 @@ from entkit import (
     LocalUnitary,
     MajoranaConstellation,
     NormalFormCoefficients,
+    NumericError,
     QutritInvariantReport,
     SpherePoint,
     StateVector,
@@ -39,6 +41,7 @@ from entkit import (
     random_su2,
     random_sud,
     schmidt_decompose,
+    state_from_json,
     state_to_json,
     symmetrize_check,
     w_state,
@@ -489,3 +492,64 @@ class TestRealParameters:
         with pytest.raises(ValidationError) as got:
             is_product_multipartite(make_state([2], {(0,): 1.0}), tolerance=value)
         assert str(got.value) == str(want.value)
+
+
+class TestHostileInts:
+    """An int too long to print is rejected with a message of bounded length.
+
+    Python refuses to turn an int of more than 4300 digits into text, so
+    a message that formatted 10**5000 raised that ``ValueError`` instead
+    of the ``ValidationError`` it was building; an int beyond the float
+    range raised numpy's ``OverflowError``, and a degree n of 2**64 a
+    numpy ``ValueError``.
+    """
+
+    BOUND = 300
+    BIG = 10**5000
+    REPROS = {
+        "make_state index": lambda: make_state([2], {(TestHostileInts.BIG,): 1.0}),
+        "state_from_json re": lambda: state_from_json(
+            {"dims": [2], "amplitudes": [{"index": [0], "re": TestHostileInts.BIG}]}
+        ),
+        "invariance_suite group": lambda: invariance_suite(
+            bell_state("phi+"), "norm", [TestHostileInts.BIG, "su2"]
+        ),
+        "haar_unitary d": lambda: haar_unitary(TestHostileInts.BIG, np.random.default_rng(0)),
+        "StateVector amplitudes": lambda: StateVector((2,), [TestHostileInts.BIG, 0]),
+        "DickeExpansion coeffs": lambda: DickeExpansion(1, [TestHostileInts.BIG, 0]),
+        "find_stars poly": lambda: find_stars([TestHostileInts.BIG, 1], 1),
+        "binary_discriminant poly": lambda: binary_discriminant([TestHostileInts.BIG, 1], 1),
+        "find_stars n": lambda: find_stars([1, 1], 2**64),
+        "binary_discriminant n": lambda: binary_discriminant([1, 1], 2**64),
+        "ghz_state n": lambda: ghz_state(TestHostileInts.BIG),
+    }
+
+    @pytest.mark.parametrize("call", REPROS.values(), ids=REPROS.keys())
+    def test_rejected_with_bounded_message(self, call):
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert len(str(info.value)) <= self.BOUND
+
+    def test_shown_values(self):
+        shown = entkit.states._shown
+        assert shown(self.BIG) == "an int of 16610 bits"
+        assert shown(-self.BIG) == "a negative int of 16610 bits"
+        assert shown([self.BIG]) == "a list holding an int too long to print"
+        assert shown(10**400) == repr(10**400)  # 1329 bits: printed whole
+        assert shown("x" * 1000) == "'" + "x" * 496 + "..."
+        assert shown(2.5) == "2.5"
+
+    @pytest.mark.parametrize("fn", [find_stars, binary_discriminant])
+    def test_degree_bound_allocates_nothing(self, fn):
+        # (2n - 2)^2 <= MAX_ENTRIES up to n = 2049: there n passes and the
+        # non-finite coefficient is what fails; one past it, n fails
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericError, match="not finite"):
+                fn([math.nan], 2049)
+            with pytest.raises(ValidationError, match="must be <= 2049, got 2050"):
+                fn([1.0], 2050)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
