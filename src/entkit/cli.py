@@ -342,8 +342,8 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:  # the --svg file; its own text repeats the name whole
+        print(f"error: {stateio._os_failure(exc, 'write', exc.filename)}", file=sys.stderr)
         return 2
 
 

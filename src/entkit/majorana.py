@@ -123,7 +123,9 @@ class SpherePoint:
     ValidationError
         If ``theta`` or ``phi`` is not a finite real number or lies
         outside its range, or ``multiplicity`` is not an integer >= 1
-        (bools are rejected).
+        (bools are rejected).  ``theta`` and ``multiplicity`` are checked
+        by the rules of ``states`` ("theta must be <= 3.141592653589793,
+        got 4.0"); the half-open range of ``phi`` has its own message.
     """
 
     theta: float
@@ -131,9 +133,8 @@ class SpherePoint:
     multiplicity: int = 1
 
     def __post_init__(self) -> None:
-        theta, phi = _as_real(self.theta, "theta"), _as_real(self.phi, "phi")
-        if not 0.0 <= theta <= math.pi:
-            raise ValidationError(f"theta {theta} outside [0, pi]")
+        theta = _as_real(self.theta, "theta", lo=0.0, hi=math.pi)
+        phi = _as_real(self.phi, "phi")
         if not 0.0 <= phi < _TWO_PI:
             raise ValidationError(f"phi {phi} outside [0, 2 pi)")
         object.__setattr__(self, "theta", theta)
@@ -230,21 +231,21 @@ def _popcount(bits: int) -> np.ndarray:
     return np.bitwise_count(np.arange(2**bits, dtype=np.uint32))
 
 
-def _exactly_symmetric(flat: np.ndarray, n: int) -> bool:
-    """Whether every amplitude equals the one at 2^k - 1, k its index's Hamming weight.
+def _exactly_symmetric(flat: np.ndarray, rep: np.ndarray) -> bool:
+    """Whether every amplitude equals ``rep[k]``, k its index's Hamming weight.
 
+    ``rep`` holds the amplitudes at the representative indices 2^k - 1.
     Indices 1 and 2, the first two of one weight, are compared as
-    scalars before any array is built, so a state that is not symmetric
-    usually fails at the cost of one comparison.  Then the amplitudes
-    are read in blocks of
-    ``2**_BLOCK_BITS``: a block's indices share their high bits, so the
-    amplitudes it must hold are one row, picked by the weight of those
-    bits, of a table built from the low bits' popcounts.  No temporary
-    has 2^n entries.
+    scalars first, so a state that is not symmetric usually fails at
+    the cost of one comparison.  Then the amplitudes are read in blocks
+    of ``2**_BLOCK_BITS``: a block's indices share their high bits, so
+    the amplitudes it must hold are one row, picked by the weight of
+    those bits, of a table built from the low bits' popcounts.  No
+    temporary has 2^n entries.
     """
+    n = len(rep) - 1
     if n > 1 and flat[1] != flat[2]:
         return False
-    rep = flat[(1 << np.arange(n + 1)) - 1]
     b = min(n, _BLOCK_BITS)
     low = _popcount(b)
     # row w: the block whose high bits weigh w
@@ -267,10 +268,11 @@ def symmetrize_check(state: StateVector, tolerance: float = 1e-9) -> DickeExpans
     exact negatives, so the reported drift equals max |swap(t) - t|
     exactly.  The
     coefficient c_k is read from the representative index
-    (0, ..., 0, 1, ..., 1) with k trailing ones, scaled by
+    (0, ..., 0, 1, ..., 1) = 2^k - 1 with k trailing ones, scaled by
     sqrt(C(n, k)), then the vector is renormalized.
 
-    One exact test runs before the transpositions: whether every
+    The n + 1 representative amplitudes are gathered once.  One exact
+    test runs on them before the transpositions: whether every
     amplitude equals the one at its Hamming weight's representative
     index.  When it holds, the transposition loop is skipped.  The
     orbits of the symmetric group on bit strings are the Hamming-weight
@@ -294,7 +296,8 @@ def symmetrize_check(state: StateVector, tolerance: float = 1e-9) -> DickeExpans
         raise ValidationError(f"symmetrize_check needs qubits, got dims {state.dims}")
     n = state.n_parties
     flat = state.amplitudes
-    if not _exactly_symmetric(flat, n):
+    rep = flat[(1 << np.arange(n + 1)) - 1]
+    if not _exactly_symmetric(flat, rep):
         for k in range(n - 1):
             p = flat.reshape(2**k, 2, 2, -1)
             drift = float(np.max(np.abs(p[:, 0, 1] - p[:, 1, 0])))
@@ -302,7 +305,7 @@ def symmetrize_check(state: StateVector, tolerance: float = 1e-9) -> DickeExpans
                 raise NotSymmetricError(
                     f"swap of qubits {k} and {k + 1} moves amplitudes by {drift:.3e}", drift
                 )
-    coeffs = np.array([w * flat[2**k - 1] for k, w in enumerate(_dicke_weights(n))])
+    coeffs = _dicke_weights(n) * rep
     norm = np.linalg.norm(coeffs)
     if norm == 0.0:
         raise NumericError("symmetric projection vanished")
@@ -326,10 +329,8 @@ def majorana_polynomial(expansion: DickeExpansion) -> np.ndarray:
     Index j of the output is the coefficient of z^j.
     """
     n = _as_instance(expansion, DickeExpansion, "the expansion").n
-    a = np.zeros(n + 1, dtype=np.complex128)
-    for k, w in enumerate(_dicke_weights(n)):
-        a[n - k] = (-1) ** k * w * expansion.coeffs[k]
-    return a
+    k = np.arange(n, -1, -1)  # the exponent of z is n - k
+    return (-1.0) ** k * _dicke_weights(n)[k] * expansion.coeffs[k]
 
 
 def coherent_state(direction, n: int) -> DickeExpansion:
@@ -341,7 +342,9 @@ def coherent_state(direction, n: int) -> DickeExpansion:
     Parameters
     ----------
     direction : SpherePoint or (theta, phi) pair
-        Finite angles in radians.
+        Angles in radians.  A pair's angles may be any finite real
+        numbers, theta checked before phi ("theta must be a finite real
+        number, got nan").
     n : int
         Qubit count, at least 1.
     """
@@ -355,12 +358,7 @@ def coherent_state(direction, n: int) -> DickeExpansion:
             raise ValidationError(
                 f"direction must be a SpherePoint or a (theta, phi) pair, got {_shown(direction)}"
             ) from None
-    try:
-        theta, phi = _as_real(theta, "theta"), _as_real(phi, "phi")
-    except ValidationError:
-        raise ValidationError(
-            f"coherent_state needs finite angles, got ({_shown(theta)}, {_shown(phi)})"
-        ) from None
+    theta, phi = _as_real(theta, "theta"), _as_real(phi, "phi")
     half = theta / 2.0
     # one power per k: an array power rounds differently at large n
     c = np.array(
@@ -422,125 +420,118 @@ def _scaled_core(a: np.ndarray) -> tuple[np.ndarray, float, int, int]:
     return b[kept[0] : kept[-1] + 1], math.exp(logs), len(a) - 1 - kept[-1], kept[0]
 
 
-def _polish(u_roots: np.ndarray, geom: _ClusterGeometry) -> np.ndarray:
+def _floor(coeffs: np.ndarray, c, n: int):
+    """Rounding floor of evaluating the chart polynomial at c (elementwise)."""
+    abs_value = np.polynomial.polynomial.polyval(np.abs(c), np.abs(coeffs))
+    return _FLOOR_C * n * _EPS * abs_value
+
+
+def _taylor(coeffs: np.ndarray, c, m: int):
+    """T_m(c) / C(d, m) for the m-th Taylor coefficient at c (elementwise).
+
+    T_m(c) = sum_j C(j, m) b_j c^(j - m) = p^(m)(c) / m!.  The weights
+    C(j, m) / C(d, m), a descending product of (j - m) / j, lie in
+    (0, 1], so no degree overflows them.
+    """
+    j = np.arange(len(coeffs) - 1, m, -1.0)
+    w = np.cumprod(np.concatenate(([1.0], (j - m) / j)))[::-1]
+    return np.polynomial.polynomial.polyval(c, w * coeffs[m:])
+
+
+def _polish(u_roots: np.ndarray, bb: np.ndarray, n: int) -> np.ndarray:
     """Newton-correct roots whose residual clearly exceeds rounding noise.
 
-    Works in the geometry's u chart.  The residual check runs on all
-    roots at once, and only the roots that fail it take Newton steps.
-    A non-finite root is a star at infinity and comes back as ``inf``.
+    Works in the u chart of the scaled coefficients ``bb``.  The
+    residual check runs on all roots at once, and only the roots that
+    fail it take Newton steps.  A non-finite root is a star at infinity
+    and comes back as ``inf``.
     """
-    bb, _ = geom.u
     d = len(bb) - 1
     # a far root overflows p(z); the finiteness checks stop its step
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.where(np.isfinite(np.abs(u_roots)), u_roots, np.inf)
-        residual = np.abs(geom.taylor(bb, out, 0))
-        noisy = np.isfinite(residual) & (residual > 8.0 * geom.floor(bb, out))
+        residual = np.abs(_taylor(bb, out, 0))
+        noisy = np.isfinite(residual) & (residual > 8.0 * _floor(bb, out, n))
         for i in np.flatnonzero(noisy):
             z = complex(out[i])
             for _ in range(3):
-                pz = complex(geom.taylor(bb, z, 0))
-                if not np.isfinite(abs(pz)) or abs(pz) <= 8.0 * geom.floor(bb, z):
+                pz = complex(_taylor(bb, z, 0))
+                if not np.isfinite(abs(pz)) or abs(pz) <= 8.0 * _floor(bb, z, n):
                     break
-                dpz = d * complex(geom.taylor(bb, z, 1))
+                dpz = d * complex(_taylor(bb, z, 1))
                 if dpz == 0:
                     break
                 znew = z - pz / dpz
-                if not np.isfinite(abs(znew)) or abs(geom.taylor(bb, znew, 0)) >= abs(pz):
+                if not np.isfinite(abs(znew)) or abs(_taylor(bb, znew, 0)) >= abs(pz):
                     break
                 z = znew
             out[i] = z
     return out
 
 
-class _ClusterGeometry:
-    """Noise radii and representatives for clusters of stars.
+# A cluster of stars is given by the u-chart values of its members (z = s u):
+# a root, ``inf`` for a star at the south pole or ``0`` for one at the north
+# pole.  It is read in the u chart (bb, s) or in the v chart (bb[::-1], 1/s)
+# of v = 1/u, the u chart mirrored through the equator (theta -> pi - theta,
+# phi -> -phi).  A degree-0 ``bb`` serves polynomials whose stars all sit at
+# the poles.
 
-    A cluster is given by the u-chart values of its members (z = s u):
-    a root, ``inf`` for a star at the south pole or ``0`` for one at
-    the north pole.  It is read in one of two charts, each a pair
-    (coefficients, scale): the u chart (bb, s) or the v chart
-    (bb[::-1], 1/s) of v = 1/u.  The v chart is the u chart mirrored
-    through the equator, theta -> pi - theta and phi -> -phi.  A
-    degree-0 ``bb`` serves polynomials whose stars all sit at the poles.
+
+def _chart(u: np.ndarray, bb: np.ndarray, s: float):
+    """(coeffs, scale, mirrored, chart values, root count) of a cluster's chart.
+
+    South-pole members pick the v chart and north-pole members the u
+    chart; otherwise the chart is the one where the roots' mean modulus
+    is at most 1.  The chart values are the roots in member order, then
+    a 0 for each star at the near pole; the far pole is dropped.
     """
+    south, north = np.isinf(u), u == 0
+    roots = u[~(south | north)]
+    mirrored = south.any() or (not north.any() and np.mean(np.abs(roots)) > 1.0)
+    coeffs, scale = (bb[::-1], 1.0 / s) if mirrored else (bb, s)
+    near_pole = np.zeros(np.count_nonzero(south if mirrored else north))
+    values = np.concatenate((1.0 / roots if mirrored else roots, near_pole))
+    return coeffs, scale, mirrored, values, len(roots)
 
-    def __init__(self, bb: np.ndarray, s: float, n: int):
-        self.n = n
-        self.u = (bb, s)
-        self.v = (bb[::-1], 1.0 / s)
 
-    def floor(self, coeffs: np.ndarray, c):
-        """Rounding floor of evaluating the chart polynomial at c (elementwise)."""
-        abs_value = np.polynomial.polynomial.polyval(np.abs(c), np.abs(coeffs))
-        return _FLOOR_C * self.n * _EPS * abs_value
+def _noise_radius(u: np.ndarray, bb: np.ndarray, s: float, n: int) -> float:
+    """Chordal radius a cluster of this size could owe to rounding.
 
-    @staticmethod
-    def taylor(coeffs: np.ndarray, c, m: int):
-        """T_m(c) / C(d, m) for the m-th Taylor coefficient at c (elementwise).
+    For a candidate m-fold root near c the perturbation delta moves
+    roots by about (delta / |T_m(c)|)^(1/m); evaluating that at the
+    polynomial's rounding floor bounds the ring a true multiplet can
+    spread into.  The m-th root makes the bound insensitive to the
+    floor estimate.  Here m counts the cluster's roots; a cluster with
+    no root, or with stars at both poles, gets radius 0.
+    """
+    coeffs, scale, _, values, m = _chart(u, bb, s)
+    if m == 0 or len(values) < len(u):  # fewer values: the far pole was dropped
+        return 0.0
+    c = complex(np.mean(values))
+    t = complex(_taylor(coeffs, c, m))
+    if t == 0:
+        return math.inf
+    # (floor / |T_m|)^(1/m), with T_m = C(d, m) t taken apart so it cannot overflow
+    log_binom = math.log(math.comb(len(coeffs) - 1, m))
+    r_plane = (_floor(coeffs, c, n) / abs(t)) ** (1.0 / m) * math.exp(-log_binom / m)
+    x = scale * abs(c)
+    return 2.0 * scale * r_plane / (1.0 + x * x)
 
-        T_m(c) = sum_j C(j, m) b_j c^(j - m) = p^(m)(c) / m!.  The weights
-        C(j, m) / C(d, m), a descending product of (j - m) / j, lie in
-        (0, 1], so no degree overflows them.
-        """
-        j = np.arange(len(coeffs) - 1, m, -1.0)
-        w = np.cumprod(np.concatenate(([1.0], (j - m) / j)))[::-1]
-        return np.polynomial.polynomial.polyval(c, w * coeffs[m:])
 
-    def _chart(self, u: np.ndarray):
-        """(coeffs, scale, mirrored, chart values, root count) of a cluster's chart.
+def _representative(u: np.ndarray, bb: np.ndarray, s: float, n: int) -> tuple[float, float]:
+    """(theta, phi) of a cluster, averaged in its chart.
 
-        South-pole members pick the v chart and north-pole members the u
-        chart; otherwise the chart is the one where the roots' mean
-        modulus is at most 1.  The chart values are the roots in member
-        order, then a 0 for each star at the near pole; the far pole is
-        dropped.
-        """
-        south, north = np.isinf(u), u == 0
-        roots = u[~(south | north)]
-        mirrored = south.any() or (not north.any() and np.mean(np.abs(roots)) > 1.0)
-        coeffs, scale = self.v if mirrored else self.u
-        near_pole = np.zeros(np.count_nonzero(south if mirrored else north))
-        values = np.concatenate((1.0 / roots if mirrored else roots, near_pole))
-        return coeffs, scale, mirrored, values, len(roots)
-
-    def noise_radius(self, u: np.ndarray) -> float:
-        """Chordal radius a cluster of this size could owe to rounding.
-
-        For a candidate m-fold root near c the perturbation delta moves
-        roots by about (delta / |T_m(c)|)^(1/m); evaluating that at the
-        polynomial's rounding floor bounds the ring a true multiplet can
-        spread into.  The m-th root makes the bound insensitive to the
-        floor estimate.  Here m counts the cluster's roots; a cluster
-        with no root, or with stars at both poles, gets radius 0.
-        """
-        coeffs, scale, _, values, m = self._chart(u)
-        if m == 0 or len(values) < len(u):  # fewer values: the far pole was dropped
-            return 0.0
-        c = complex(np.mean(values))
-        t = complex(self.taylor(coeffs, c, m))
-        if t == 0:
-            return math.inf
-        # (floor / |T_m|)^(1/m), with T_m = C(d, m) t taken apart so it cannot overflow
-        log_binom = math.log(math.comb(len(coeffs) - 1, m))
-        r_plane = (self.floor(coeffs, c) / abs(t)) ** (1.0 / m) * math.exp(-log_binom / m)
-        x = scale * abs(c)
-        return 2.0 * scale * r_plane / (1.0 + x * x)
-
-    def representative(self, u: np.ndarray) -> tuple[float, float]:
-        """(theta, phi) of a cluster, averaged in its chart.
-
-        Averaging the full multiplet cancels the symmetric part of the
-        root perturbation, so repeated stars come back far more
-        accurately than any single root.
-        """
-        _, scale, mirrored, values, _ = self._chart(u)
-        c = complex(np.mean(values))
-        theta = 2.0 * math.atan(scale * abs(c))
-        phi = float(np.angle(c))
-        if mirrored:
-            theta, phi = math.pi - theta, -phi
-        return theta, _wrap_phi(phi, self.n)
+    Averaging the full multiplet cancels the symmetric part of the root
+    perturbation, so repeated stars come back far more accurately than
+    any single root.
+    """
+    _, scale, mirrored, values, _ = _chart(u, bb, s)
+    c = complex(np.mean(values))
+    theta = 2.0 * math.atan(scale * abs(c))
+    phi = float(np.angle(c))
+    if mirrored:
+        theta, phi = math.pi - theta, -phi
+    return theta, _wrap_phi(phi, n)
 
 
 def _single_linkage_clusters(dist: np.ndarray, accept) -> list[list[int]]:
@@ -625,9 +616,8 @@ def find_stars(poly, n: int, cluster_tol: float = 1e-6) -> MajoranaConstellation
         raise NumericError("degenerate polynomial: all coefficients below 1e-14")
 
     bb, s, south, north = _scaled_core(a)
-    geom = _ClusterGeometry(bb, s, n)
     # members: the roots in the u chart, then the stars at the south and north poles
-    roots = _polish(np.polynomial.polynomial.polyroots(bb), geom)
+    roots = _polish(np.polynomial.polynomial.polyroots(bb), bb, n)
     u = np.concatenate((roots, np.full(south, np.inf), np.zeros(north)))
     with np.errstate(over="ignore"):
         theta = 2.0 * np.arctan(s * np.abs(u))
@@ -639,10 +629,10 @@ def find_stars(poly, n: int, cluster_tol: float = 1e-6) -> MajoranaConstellation
 
     def accept(mem: list[int]) -> bool:
         diam = float(dist[np.ix_(mem, mem)].max())
-        return diam <= max(cluster_tol, _GAMMA * geom.noise_radius(u[mem]))
+        return diam <= max(cluster_tol, _GAMMA * _noise_radius(u[mem], bb, s, n))
 
     stars = [
-        SpherePoint(*geom.representative(u[mem]), multiplicity=len(mem))
+        SpherePoint(*_representative(u[mem], bb, s, n), multiplicity=len(mem))
         for mem in _single_linkage_clusters(dist, accept)
     ]
     stars.sort(key=lambda sp: (-sp.multiplicity, sp.theta, sp.phi))

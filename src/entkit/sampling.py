@@ -31,7 +31,6 @@ which is faster there.
 from __future__ import annotations
 
 import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,32 +119,17 @@ class InvarianceReport:
             )
 
 
-def _philox_key(seed: int, counter: int) -> tuple[int, int]:
-    """``(seed, counter)`` as ints; bools, floats and values outside [0, 2**64) raise."""
-    try:
-        if isinstance(seed, bool) or isinstance(counter, bool):
-            raise TypeError
-        seed, counter = operator.index(seed), operator.index(counter)
-    except TypeError:
-        raise ValidationError(
-            f"seed and counter must be integers, got {_shown(seed)} and {_shown(counter)}"
-        ) from None
-    if not (0 <= seed < 2**64 and 0 <= counter < 2**64):
-        raise ValidationError(
-            f"seed and counter must lie in [0, 2**64), got {_shown(seed)} and {_shown(counter)}"
-        )
-    return seed, counter
-
-
 def trial_rng(seed: int, counter: int = 0) -> np.random.Generator:
     """Counter-based generator; identical (seed, counter) → identical stream.
 
     The 128-bit Philox key holds the seed in the high word and the
     counter in the low word, so trials drawn from distinct counters are
-    independent and any single trial can be replayed alone.  Both must
-    be integers in [0, 2**64); bools are rejected.
+    independent and any single trial can be replayed alone.  Each must
+    be an integer in [0, 2**64) (bools are rejected), checked by
+    ``states._as_int``, the seed first.
     """
-    seed, counter = _philox_key(seed, counter)
+    seed = _as_int(seed, "seed", lo=0, hi=2**64 - 1)
+    counter = _as_int(counter, "counter", lo=0, hi=2**64 - 1)
     return np.random.Generator(np.random.Philox(key=(seed << 64) | counter))
 
 
@@ -531,23 +515,23 @@ def invariance_suite(
         must be at most 4096, so that a d x d factor fits the dense
         storage cap; this is checked before anything is drawn.
     trials : int, optional
-        At least 1 and at most ``states.MAX_ENTRIES``.
+        An integer in [1, ``states.MAX_ENTRIES``] (the cap is read at
+        call time), checked before any other argument.
     seed : int, optional
-        An integer in [0, 2**64).
+        An integer in [0, 2**64), checked once the baseline value is
+        known; bools are rejected for both.
 
     Returns
     -------
     InvarianceReport
     """
-    trials = _as_int(trials, "trials", lo=1)
-    if trials > states.MAX_ENTRIES:
-        raise ValidationError(f"trials {_shown(trials)} exceeds the cap {states.MAX_ENTRIES}")
+    trials = _as_int(trials, "trials", lo=1, hi=states.MAX_ENTRIES)
     state = _as_instance(state, StateVector, "the state")
     label, fn = named_invariant(invariant)
     stacked = _REGISTRY[label] if isinstance(invariant, str) else _per_row(fn, state.dims)
     maps = _group_maps(state, group)
     baseline = fn(state)
-    seed = _philox_key(seed, trials - 1)[0]
+    seed = _as_int(seed, "seed", lo=0, hi=2**64 - 1)
     tensor = state.tensor()
     block = max(1, _BLOCK_ENTRIES // tensor.size)
     drifts = np.empty(trials)

@@ -97,23 +97,40 @@ def _as_path(path):
         raise ValidationError(f"path must be a str or os.PathLike, got {_shown(path)}") from None
 
 
+def _os_failure(exc: OSError, verb: str, name) -> ValidationError:
+    """``ValidationError`` for a failed file operation, the name at bounded length.
+
+    The error is shown by its ``strerror``: its own text repeats the
+    name whole.
+    """
+    return ValidationError(f"cannot {verb} {_shown(name)}: {exc.strerror}")
+
+
 def read_state(path) -> LoadedState:
-    """Read a state file from ``path``."""
+    """Read a state file from ``path``; a file that cannot be read raises ``ValidationError``."""
     name = _as_path(path)  # before the try: its ValidationError is a ValueError
     try:
         with open(name, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from None
+        raise _os_failure(exc, "read", name) from None
     except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
-        raise ValidationError(f"{path} is not valid JSON: {exc}") from None
+        raise ValidationError(f"{_shown(name)} is not valid JSON: {exc}") from None
     return state_from_json(doc)
 
 
 def write_state(state: StateVector, path) -> None:
-    """Write a state file to ``path`` as one line of compact JSON."""
+    """Write a state file to ``path`` as one line of compact JSON.
+
+    A file that cannot be written raises ``ValidationError``, as in
+    :func:`read_state`.
+    """
     # json.dumps without indent runs the C encoder; json.dump to a file
     # and any indent fall back to the pure-Python one
     text = json.dumps(state_to_json(state))
-    with open(_as_path(path), "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    name = _as_path(path)
+    try:
+        with open(name, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise _os_failure(exc, "write", name) from None

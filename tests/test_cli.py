@@ -345,6 +345,17 @@ class TestExitCodes:
         code, _, _ = run(capsys, "schmidt", "no-such-file.json")
         assert code == 2
 
+    # 200055, 100041 and 100041 bytes of stderr: the path was printed whole
+    def test_long_paths_give_bounded_errors(self, tmp_path, capsys):
+        path = tmp_path / "w.json"
+        run(capsys, "gen", "w", "--out", str(path))
+        long = "x" * 100000
+        for argv in (["classify", long], ["gen", "bell", "--out", long],
+                     ["majorana", str(path), "--svg", long]):
+            code, _, err = run(capsys, *argv)
+            assert code == 2, argv[0]
+            assert err.startswith("error: cannot ") and len(err) <= 600, argv[0]
+
     def test_malformed_file_is_validation(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{oops")
@@ -481,7 +492,7 @@ class TestExitCodes:
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 2
-        assert "finite angles" in proc.stderr
+        assert "must be a finite real number" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
         assert not (tmp_path / "c.json").exists()
@@ -492,7 +503,7 @@ class TestExitCodes:
         code, _, err = run(capsys, "check-invariance", str(path), "--invariant", "norm",
                            "--trials", "10000000000000")
         assert code == 2
-        assert "exceeds the cap" in err
+        assert "trials must be <= 16777216, got 10000000000000" in err
 
     def test_non_integer_index_is_validation(self, tmp_path, capsys):
         path = tmp_path / "f.json"

@@ -2,8 +2,10 @@
 
 ``entkit/__init__.py`` re-exports each library module's ``__all__``, so
 this list is where a name dropped from a module, or one exported twice,
-shows up.  The walk at the end calls every public function and class
-with an argument of the wrong kind in each required place.
+shows up.  The walks at the end call every public function and class
+with an argument of the wrong kind in each required place, and with
+hostile values (huge ints, non-finite floats, a 100000-character string,
+...) at every parameter.
 """
 
 import inspect
@@ -241,24 +243,60 @@ HOSTILE_INTS = {
 }
 
 
-def test_hostile_ints_at_every_parameter(tmp_path):
-    """Every parameter, required or not, of every walked name takes the hostile ints.
+def walk_hostile(files, values: dict, bound: int) -> list:
+    """Every parameter, required or not, of every walked name, given each of ``values``.
 
-    Each call returns, or raises ``ValidationError`` or ``NumericError``
-    with a message of at most 300 characters.
+    Returns a line for each call that raises anything but
+    ``ValidationError`` or ``NumericError``, or one of those with a
+    message longer than ``bound`` characters.
     """
     failures = []
-    for name, kwargs in valid_calls(tmp_path).items():
+    for name, kwargs in valid_calls(files).items():
         fn = getattr(entkit, name)
         for p in inspect.signature(fn).parameters.values():
             if p.kind in (p.VAR_POSITIONAL, p.VAR_KEYWORD):
                 continue
-            for label, bad in HOSTILE_INTS.items():
+            for label, bad in values.items():
                 try:
                     fn(**{**kwargs, p.name: bad})
                 except (entkit.ValidationError, entkit.NumericError) as exc:
-                    if len(str(exc)) > 300:
+                    if len(str(exc)) > bound:
                         failures.append(f"{name}({p.name}={label}): {len(str(exc))} characters")
                 except Exception as exc:
                     failures.append(f"{name}({p.name}={label}): {type(exc).__name__}")
+    return failures
+
+
+def test_hostile_ints_at_every_parameter(tmp_path):
+    """Each call returns, or raises with a message of at most 300 characters."""
+    failures = walk_hostile(tmp_path, HOSTILE_INTS, 300)
+    assert not failures, "\n".join(failures)
+
+
+#: other values no parameter may turn into a raw exception or an unbounded
+#: message: non-finite and extreme floats, the wrong kinds, and a string
+#: longer than any message may be (as a path it is past every OS's name limit)
+HOSTILE_VALUES = {
+    "nan": float("nan"),
+    "inf": float("inf"),
+    "-inf": float("-inf"),
+    "np.float64(nan)": np.float64("nan"),
+    'b"x"': b"x",
+    "1+1j": 1 + 1j,
+    "True": True,
+    "[]": [],
+    "-1": -1,
+    "1e308": 1e308,
+    "'x' * 100000": "x" * 100000,
+}
+
+
+def test_hostile_values_at_every_parameter(tmp_path, monkeypatch):
+    """Each call returns, or raises with a message of at most 600 characters.
+
+    The working directory is the temporary one: ``write_state`` given
+    ``b"x"`` writes a file named x there.
+    """
+    monkeypatch.chdir(tmp_path)
+    failures = walk_hostile(tmp_path, HOSTILE_VALUES, 600)
     assert not failures, "\n".join(failures)

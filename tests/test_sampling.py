@@ -107,7 +107,7 @@ class TestTrialRng:
         "seed,counter", [(1.7, 0), (2.0, 0), (0, 1.0), (np.float64(3.0), 0)]
     )
     def test_float_rejected_not_truncated(self, seed, counter):
-        with pytest.raises(ValidationError, match="must be integers"):
+        with pytest.raises(ValidationError, match="must be an integer"):
             trial_rng(seed, counter)
 
     @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(7), np.uint8(7)])
@@ -117,7 +117,7 @@ class TestTrialRng:
 
     @pytest.mark.parametrize("seed,counter", [(True, 0), (0, False)])
     def test_bool_rejected(self, seed, counter):
-        with pytest.raises(ValidationError, match="must be integers"):
+        with pytest.raises(ValidationError, match="must be an integer"):
             trial_rng(seed, counter)
 
 
@@ -234,7 +234,7 @@ class TestInvarianceSuite:
 
     @pytest.mark.parametrize("seed", [1.7, 2.0])
     def test_float_seed_rejected(self, seed):
-        with pytest.raises(ValidationError, match="must be integers"):
+        with pytest.raises(ValidationError, match="must be an integer"):
             invariance_suite(bell_state("phi+"), "norm", trials=3, seed=seed)
 
     def test_numpy_integer_seed_accepted(self):
@@ -275,7 +275,7 @@ class TestInvarianceSuite:
 
     def test_trials_capped_before_allocation(self, monkeypatch):
         monkeypatch.setattr(entkit.states, "MAX_ENTRIES", 8)
-        with pytest.raises(ValidationError, match="exceeds the cap 8"):
+        with pytest.raises(ValidationError, match="trials must be <= 8, got 9"):
             invariance_suite(bell_state("phi+"), "norm", "su", trials=9)
         assert invariance_suite(bell_state("phi+"), "norm", "su", trials=8).trials == 8
 

@@ -186,6 +186,11 @@ class TestReader:
         with pytest.raises(ValidationError, match="not valid JSON"):
             read_state(path)
 
+    # the OSError went out raw; a long name is in test_public_api's hostile walk
+    def test_unwritable_path_is_validation(self, tmp_path):
+        with pytest.raises(ValidationError, match="cannot write .*: No such file or directory"):
+            write_state(ghz_state(3), tmp_path / "missing" / "s.json")
+
     def test_written_file_is_plain_json(self, tmp_path, rng):
         for k, s in enumerate([ghz_state(3), rand_state(rng, (2, 3, 4))]):
             path = tmp_path / f"w{k}.json"
