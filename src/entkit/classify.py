@@ -122,23 +122,24 @@ def _definition_3(state: StateVector, lambdas: list[np.ndarray], tolerance: floa
 def _symmetry(state: StateVector, tolerance: float) -> tuple[DickeExpansion | str, bool]:
     """One symmetry pass: ``(expansion, exact)``, a note in place of a missing expansion.
 
-    The pass runs at tolerance 0, so it returns an expansion only when
-    every transposition drift is 0.0.  Where it stops at a drift above
-    ``tolerance``, every earlier drift was 0, so a pass at ``tolerance``
-    would stop there with the same error; only a first drift in
-    (0, tolerance] needs that second pass.
+    :func:`~entkit.majorana.symmetrize_check` runs at the tolerances 0
+    and then ``tolerance``.  The pass at 0 returns an expansion only when
+    every transposition drift is 0.0 (``exact``).  Where it stops at a
+    drift above ``tolerance``, every earlier drift was 0, so a pass at
+    ``tolerance`` would stop there with the same error; only a first
+    drift in (0, tolerance] takes the second pass.  A pass that stops
+    above ``tolerance`` gives the note.
     """
     if any(d != 2 for d in state.dims):
         return "stellar classification needs qubit parties", False
-    try:
-        return majorana.symmetrize_check(state, 0.0), True
-    except NotSymmetricError as exc:
-        if exc.drift > tolerance:
-            return f"not permutation-symmetric: {exc}", False
-    try:
-        return majorana.symmetrize_check(state, tolerance), False
-    except NotSymmetricError as exc:
-        return f"not permutation-symmetric: {exc}", False
+    for tol in (0.0, tolerance):
+        try:
+            return majorana.symmetrize_check(state, tol), tol == 0.0
+        except NotSymmetricError as exc:
+            note = f"not permutation-symmetric: {exc}"
+            if exc.drift > tolerance:
+                break
+    return note, False
 
 
 def _definition_4(expansion: DickeExpansion | str) -> DefinitionCheck:
@@ -146,11 +147,10 @@ def _definition_4(expansion: DickeExpansion | str) -> DefinitionCheck:
         return DefinitionCheck(
             definition=4, verdict="not-applicable", evidence={"note": expansion}
         )
-    cls = majorana._classify_expansion(expansion)
-    con = cls.constellation
+    con = majorana.find_stars(majorana.majorana_polynomial(expansion), expansion.n)
     return DefinitionCheck(
         definition=4,
-        verdict=f"level-{cls.onion_level}",
+        verdict=f"level-{con.distinct_count}",
         evidence={
             "distinct_stars": con.distinct_count,
             "partition": list(con.partition),

@@ -17,8 +17,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import stateio
 from .classify import classify_state
 from .hyperdet import _class_of, cayley_hyperdeterminant
@@ -54,17 +52,20 @@ def _fmt(x) -> str:
     """12 significant digits for floats; complex as a re/im pair."""
     if isinstance(x, complex):
         return f"{x.real:.11e}{x.imag:+.11e}j"
-    if isinstance(x, (float, np.floating)):
-        return f"{float(x):.11e}"
+    if isinstance(x, float):
+        return f"{x:.11e}"
     return str(x)
 
 
 def _json_default(obj):
-    """``json.dumps`` hook: complex as a re/im pair, numpy scalars as Python values."""
+    """``json.dumps`` hook: complex as a re/im pair.
+
+    Every document holds only Python values (a ``numpy.float64`` is a
+    float and a ``numpy.complex128`` a complex); any other type raises,
+    where ``json.dumps`` would otherwise write ``null``.
+    """
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, np.generic):
-        return obj.item()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 

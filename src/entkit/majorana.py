@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .states import MAX_ENTRIES, NumericError, StateVector, ValidationError, _check_qubit_count
-from .states import _normalized, _shown
+from .states import _as_tuple, _normalized, _shown
 from .states import _as_complex, _as_instance, _as_int, _as_real, _complex_array, _unit_vector
 
 __all__ = [
@@ -97,9 +97,13 @@ class NotSymmetricError(ValidationError):
         self.drift = drift
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DickeExpansion:
-    """Symmetric-basis coefficients c_0 ... c_n of an n-qubit state."""
+    """Symmetric-basis coefficients c_0 ... c_n of an n-qubit state.
+
+    Compared and hashed by identity, like any object; compare content
+    with ``np.array_equal`` on ``coeffs``.
+    """
 
     n: int
     coeffs: np.ndarray
@@ -175,10 +179,8 @@ class MajoranaConstellation:
     discriminant: complex
 
     def __post_init__(self) -> None:
-        try:
-            stars = tuple(_as_instance(s, SpherePoint, "a star") for s in self.stars)
-        except TypeError:
-            raise ValidationError(f"stars must be a sequence, got {_shown(self.stars)}") from None
+        what = "stars must be a sequence"
+        stars = _as_tuple(self.stars, what, lambda s: _as_instance(s, SpherePoint, "a star"))
         if not stars:
             raise ValidationError("a constellation needs at least one star")
         _as_complex(self.discriminant, "the discriminant")
@@ -708,16 +710,12 @@ def classify_symmetric(
     coherent (product) extreme, level n the fully non-degenerate top.
     Use :meth:`SymmetricClassification.precedes` to compare two states
     of the same qubit count.  ``cluster_tol`` is checked as in
-    :func:`find_stars` before the state is read.
+    :func:`find_stars` before the state is read; then the state's
+    :func:`symmetrize_check` expansion goes through
+    :func:`majorana_polynomial` to :func:`find_stars`, the path
+    Definition 4 of ``classify_state`` takes at ``cluster_tol = 1e-6``.
     """
     _as_real(cluster_tol, "cluster_tol", lo=0)
-    return _classify_expansion(symmetrize_check(state, tolerance), cluster_tol)
-
-
-def _classify_expansion(
-    expansion: DickeExpansion, cluster_tol: float = 1e-6
-) -> SymmetricClassification:
-    """:func:`classify_symmetric` from the state's checked Dicke expansion."""
-    return SymmetricClassification(
-        find_stars(majorana_polynomial(expansion), expansion.n, cluster_tol)
-    )
+    expansion = symmetrize_check(state, tolerance)
+    con = find_stars(majorana_polynomial(expansion), expansion.n, cluster_tol)
+    return SymmetricClassification(con)

@@ -51,9 +51,11 @@ from .states import (
     ATOL,
     StateVector,
     ValidationError,
+    _as_complex,
     _as_complex_array,
     _as_instance,
     _as_int,
+    _as_tuple,
     _check_unit_norm,
     _shown,
 )
@@ -255,23 +257,20 @@ def _check_unitary(m: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} is not unitary: max |U*U - I| = {resid:.3e}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalUnitary:
     """One unitary factor per party, applied as U_1 x U_2 x ... x U_N.
 
     Each factor k must be square and nonempty, of size ``dims[k]``,
-    and satisfy U U^dagger = I entrywise within 1e-9.
+    and satisfy U U^dagger = I entrywise within 1e-9.  Compared and
+    hashed by identity, like any object; compare content with
+    ``np.array_equal`` on each factor.
     """
 
     factors: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        try:
-            factors = tuple(self.factors)
-        except TypeError:
-            raise ValidationError(
-                f"factors must be a sequence of square arrays, got {_shown(self.factors)}"
-            ) from None
+        factors = _as_tuple(self.factors, "factors must be a sequence of square arrays")
         checked = []
         for k, f in enumerate(factors):
             m = _as_complex_array(f, f"factor {k}")
@@ -360,12 +359,8 @@ def _group_maps(state: StateVector, group):
     if isinstance(group, str):
         tokens = [group] * len(dims)
     else:
-        try:
-            tokens = [t if isinstance(t, str) else _shown(t) for t in group]
-        except TypeError:
-            raise ValidationError(
-                f"group must be a string or a sequence of tokens, got {_shown(group)}"
-            ) from None
+        tokens = _as_tuple(group, "group must be a string or a sequence of tokens")
+        tokens = [t if isinstance(t, str) else _shown(t) for t in tokens]
     if len(tokens) != len(dims):
         raise ValidationError(
             f"group descriptor has {len(tokens)} factors for {len(dims)} parties"
@@ -473,9 +468,19 @@ def named_invariant(invariant):
     return (label if isinstance(label, str) else _shown(label)), fn
 
 
-def _per_row(fn, dims):
-    """A functional of one state, applied to each tensor of a stack as a StateVector."""
-    return lambda t: np.array([fn(StateVector(dims, row)) for row in t])
+def _custom_invariant(fn, dims, label: str):
+    """A custom functional as ``(value of one state, values of a stack of tensors)``.
+
+    Each tensor of a stack is seen as a StateVector, and every value
+    must be a finite number (``states._as_complex``), so a value such as
+    None, a string, an array or inf raises before any drift is formed.
+    """
+    what = f"the value of invariant {label}"
+
+    def one(state):
+        return _as_complex(fn(state), what)
+
+    return one, lambda t: np.array([one(StateVector(dims, row)) for row in t])
 
 
 def invariance_suite(
@@ -502,7 +507,9 @@ def invariance_suite(
     its transformed states the norm check of
     :class:`~entkit.states.StateVector`, which rejects non-finite rows.
     Registry functionals are evaluated on the whole block; a custom
-    callable sees each trial as a :class:`~entkit.states.StateVector`.
+    callable sees each trial as a :class:`~entkit.states.StateVector`,
+    and its value on the state and on each trial must be a finite
+    number (``states._as_complex``), checked before any drift is formed.
 
     Parameters
     ----------
@@ -528,7 +535,10 @@ def invariance_suite(
     trials = _as_int(trials, "trials", lo=1, hi=states.MAX_ENTRIES)
     state = _as_instance(state, StateVector, "the state")
     label, fn = named_invariant(invariant)
-    stacked = _REGISTRY[label] if isinstance(invariant, str) else _per_row(fn, state.dims)
+    if isinstance(invariant, str):
+        stacked = _REGISTRY[label]
+    else:
+        fn, stacked = _custom_invariant(fn, state.dims, label)
     maps = _group_maps(state, group)
     baseline = fn(state)
     seed = _as_int(seed, "seed", lo=0, hi=2**64 - 1)

@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .states import StateVector, ValidationError, _as_instance, _as_int, _as_real, _shown
+from .states import StateVector, ValidationError, _as_instance, _as_int, _as_real, _as_tuple
 
 __all__ = [
     "SchmidtDecomposition",
@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtDecomposition:
     """Result of a Schmidt decomposition across one bipartition.
 
@@ -60,7 +60,9 @@ class SchmidtDecomposition:
     by gathering the cut matrix (the amplitudes with the cut parties
     flattened on the left) and a thin SVD of it, and cached.  Reading
     them costs a gather and a second factorization, which callers that
-    need only the coefficients never pay.
+    need only the coefficients never pay.  Compared and hashed by
+    identity, like any object; compare content with ``np.array_equal``
+    on ``lambdas``.
 
     Attributes
     ----------
@@ -114,12 +116,13 @@ class SchmidtDecomposition:
 
 
 def _normalize_cut(state: StateVector, cut) -> tuple[int, ...]:
-    try:
-        entries = tuple(cut)
-    except TypeError:
-        raise ValidationError(
-            f"cut must be a collection of party indices, got {_shown(cut)}"
-        ) from None
+    """``cut`` as a sorted tuple of distinct party indices, a nonempty proper subset.
+
+    A value that is not a collection (:func:`~entkit.states._as_tuple`),
+    an entry that is not an integer in ``[0, n_parties)``, a repeated
+    entry and an empty or full cut raise ``ValidationError``.
+    """
+    entries = _as_tuple(cut, "cut must be a collection of party indices")
     last = state.n_parties - 1
     cut = tuple(sorted(_as_int(p, "a party index", lo=0, hi=last) for p in entries))
     if len(set(cut)) != len(cut):

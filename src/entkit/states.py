@@ -180,12 +180,29 @@ def _as_index(index, dims: tuple[int, ...]) -> tuple[int, ...]:
     return index
 
 
-def _as_dims(dims) -> tuple[int, ...]:
-    """Local dimensions as a nonempty tuple of ints >= 2 whose product is within the cap."""
+def _as_tuple(value, what: str, each=None) -> tuple:
+    """``tuple(value)``, each item mapped through ``each`` if given, as it is read.
+
+    A value that is not iterable raises ``ValidationError`` with the
+    message ``f"{what}, got {_shown(value)}"`` ("stars must be a
+    sequence, got 5").  Checking items with ``each`` as they are read
+    stops an iterator at its first bad item.
+    """
     try:
-        dims = tuple(_as_int(d, "a local dimension", lo=2) for d in dims)
+        return tuple(value) if each is None else tuple(map(each, value))
     except TypeError:
-        raise ValidationError(f"dims must be a sequence of integers, got {_shown(dims)}") from None
+        raise ValidationError(f"{what}, got {_shown(value)}") from None
+
+
+def _as_dims(dims) -> tuple[int, ...]:
+    """Local dimensions as a nonempty tuple of ints >= 2 whose product is within the cap.
+
+    A value that is not a sequence, an entry that :func:`_as_int` rejects,
+    an empty sequence and a product above ``MAX_ENTRIES`` raise
+    ``ValidationError``; entries are checked as they are read.
+    """
+    what = "dims must be a sequence of integers"
+    dims = _as_tuple(dims, what, lambda d: _as_int(d, "a local dimension", lo=2))
     if not dims:
         raise ValidationError("a state needs at least one party")
     _check_size(math.prod(dims))
@@ -250,7 +267,7 @@ def _unit_vector(values, size: int, what: str) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized pure state of one or more parties.
 
@@ -267,6 +284,9 @@ class StateVector:
     -----
     Use :func:`make_state` or the named constructors instead of calling
     this class directly; they validate, normalize and freeze the array.
+    States compare and hash by identity, like any object, so ``==``,
+    ``in`` and sets never compare amplitudes; compare content with
+    :func:`fidelity` or ``np.array_equal`` on the amplitudes.
     """
 
     dims: tuple[int, ...]

@@ -256,6 +256,25 @@ class TestSymmetricCuts:
         assert f"swap of qubits {n - 2} and {n - 1}" in d4.evidence["note"]
         self.assert_cuts_match(report, state, 0.0)
 
+    def test_second_pass_stops_at_last_transposition(self, monkeypatch):
+        n = 7
+        # only the last transposition moves index 1, by 0.1, and the first
+        # moves index 2^(n-2) by 1e-12: the pass at 0 stops at that first
+        # drift, within the tolerance, and the pass at the tolerance stops
+        # at the last transposition
+        state = moved(moved(random_dicke(n, 9), 1, 0.1), 2 ** (n - 2), 1e-12)
+        check, tolerances = entkit.majorana.symmetrize_check, []
+
+        def recorded(s, tolerance):
+            tolerances.append(tolerance)
+            return check(s, tolerance)
+
+        monkeypatch.setattr(entkit.majorana, "symmetrize_check", recorded)
+        d4 = by_def(classify_state(state), 4)
+        assert tolerances == [0.0, 1e-9]
+        assert d4.verdict == "not-applicable"
+        assert f"swap of qubits {n - 2} and {n - 1}" in d4.evidence["note"]
+
 
 class TestAllCuts:
     """A state that is not exactly symmetric has all its single-party cuts factored at once.

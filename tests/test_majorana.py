@@ -32,7 +32,7 @@ from entkit import (
     w_state,
 )
 from entkit.majorana import _exactly_symmetric, _noise_radius, _padded, _representative
-from entkit.majorana import _scaled_core, _taylor
+from entkit.majorana import _floor, _polish, _scaled_core, _taylor
 from entkit.majorana import _single_linkage_clusters
 from entkit.sampling import random_su2, trial_rng
 
@@ -120,6 +120,12 @@ class TestSymmetrizeCheck:
     def test_w_coefficients(self):
         d = symmetrize_check(w_state())
         np.testing.assert_allclose(d.coeffs, [0, 1, 0, 0], atol=1e-12)
+
+    def test_projection_vanishes(self):
+        # |10> passes at tolerance 2 (its one transposition moves it by 1),
+        # but its representative amplitudes at 00, 01 and 11 are all 0
+        with pytest.raises(NumericError, match="symmetric projection vanished"):
+            symmetrize_check(make_state((2, 2), {(1, 0): 1}), 2.0)
 
     def test_asymmetric_rejected(self):
         s = make_state([2, 2], {(0, 1): 1.0})
@@ -508,6 +514,26 @@ class TestStarOracle:
     @pytest.mark.parametrize("seed", range(16))
     def test_wide_range(self, seed):
         self.check(_wide_range_polynomial(seed))
+
+    @pytest.mark.parametrize("seed", [23, 74])
+    def test_newton_step_that_raises_the_residual_is_not_taken(self, seed):
+        # at these seeds one noisy root's Newton step would raise |p| (at
+        # seed 23 its second step, at seed 74 its first): _polish keeps the
+        # root it has, so no root leaves with a larger residual than the
+        # companion matrix gave it, and the stars still meet the oracle
+        a = _wide_range_polynomial(seed)
+        n = len(a) - 1
+        bb = _scaled_core(_padded(a, n))[0]
+        roots = np.polynomial.polynomial.polyroots(bb)
+        polished = _polish(roots, bb, n)
+        residual = np.abs(_taylor(bb, polished, 0))
+        assert np.all(residual <= np.abs(_taylor(bb, roots, 0)))
+        step = polished - _taylor(bb, polished, 0) / ((len(bb) - 1) * _taylor(bb, polished, 1))
+        rejected = (residual > 8.0 * _floor(bb, polished, n)) & (
+            np.abs(_taylor(bb, step, 0)) >= residual
+        )
+        assert rejected.any()
+        self.check(a)
 
 
 class TestClusterMachinery:

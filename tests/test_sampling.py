@@ -243,8 +243,28 @@ class TestInvarianceSuite:
         assert type(report.seed) is int
 
     def test_nan_drift_rejected(self):
-        with pytest.raises(ValidationError, match="non-negative"):
+        with pytest.raises(ValidationError, match="not finite"):
             invariance_suite(bell_state("phi+"), ("bad", lambda s: float("nan")), trials=3)
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [
+            (None, "must be a number, got None"),
+            ("x", "must be a number, got 'x'"),
+            (np.ones(3), "must be a number, got array"),
+            (float("inf"), "is not finite"),
+        ],
+        ids=["none", "str", "array", "inf"],
+    )
+    def test_custom_value_must_be_a_finite_number(self, value, message):
+        # checked on the baseline, before any drift is formed
+        with pytest.raises(ValidationError, match=f"the value of invariant f {message}"):
+            invariance_suite(bell_state("phi+"), ("f", lambda s: value), trials=3)
+
+    def test_custom_trial_value_checked(self):
+        values = iter([0.5, 0.5, None])
+        with pytest.raises(ValidationError, match="invariant f must be a number, got None"):
+            invariance_suite(bell_state("phi+"), ("f", lambda s: next(values)), trials=3)
 
     @pytest.mark.parametrize(
         "loose,named",

@@ -277,6 +277,13 @@ class TestPredicates:
         for _ in range(10):
             assert is_product_multipartite(rand_product_state(rng, (2, 3, 2)))
 
+    def test_one_party(self):
+        # a single party has no cut to decompose, and is trivially a product
+        one = make_state([3], {(1,): 1.0})
+        with pytest.raises(ValidationError, match="at least two parties"):
+            schmidt_decompose(one, (0,))
+        assert is_product_multipartite(one) is True
+
     def test_partially_product(self):
         # Bell pair on parties 0,1 with a spectator qubit
         s = make_state([2, 2, 2], {(0, 0, 0): 1.0, (1, 1, 0): 1.0})

@@ -377,6 +377,37 @@ def test_other_arguments_reject_other_kinds(kind, call, bad):
         call(bad)
 
 
+def _two_states():
+    return ghz_state(3), ghz_state(3)
+
+
+def _two_expansions():
+    return symmetrize_check(ghz_state(3)), symmetrize_check(ghz_state(3))
+
+
+def _two_decompositions():
+    return schmidt_decompose(ghz_state(3), (0,)), schmidt_decompose(ghz_state(3), (0,))
+
+
+def _two_unitaries():
+    return LocalUnitary((pauli("X"), pauli("I"))), LocalUnitary((pauli("X"), pauli("I")))
+
+
+@pytest.mark.parametrize(
+    "two",
+    [_two_states, _two_expansions, _two_decompositions, _two_unitaries],
+    ids=["StateVector", "DickeExpansion", "SchmidtDecomposition", "LocalUnitary"],
+)
+def test_array_records_compare_by_identity(two):
+    # equal content, two objects: ==, in, hash and sets see two objects and
+    # never compare the arrays, which would raise numpy's ambiguity error
+    a, b = two()
+    assert a == a and not (a == b) and a != b
+    assert a in [b, a] and b not in [a]
+    assert hash(a) == hash(a) and hash(a) != hash(b)
+    assert len({a, b, a}) == 2
+
+
 class TestLocalUnitary:
     def test_pauli_x_on_phi_plus_gives_psi_plus(self):
         u = LocalUnitary(factors=(pauli("X"), np.eye(2)))
