@@ -86,8 +86,7 @@ def _listing(doc: dict) -> list[str]:
     return [f"{key}: {_fmt(val)}" for key, val in doc.items()]
 
 
-def _cmd_schmidt(args):
-    loaded = _load(args.file)
+def _cmd_schmidt(args, loaded):
     dec = schmidt_decompose(loaded.state, tuple(args.cut), args.tolerance)
     lambdas = [float(v) for v in dec.lambdas]
     doc = {
@@ -101,16 +100,14 @@ def _cmd_schmidt(args):
     return doc, text + [f"lambda_{k}: {_fmt(v)}" for k, v in enumerate(lambdas)]
 
 
-def _cmd_det(args):
-    loaded = _load(args.file)
+def _cmd_det(args, loaded):
     det = bipartite_determinant(loaded.state)
     two, sq = 2.0 * det, det**2
     doc = {"det": det, "two_det": two, "det_squared": sq}
     return doc, [f"det: {_fmt(det)}", f"2*det: {_fmt(two)}", f"det^2: {_fmt(sq)}"]
 
 
-def _cmd_hyperdet3q(args):
-    loaded = _load(args.file)
+def _cmd_hyperdet3q(args, loaded):
     det = cayley_hyperdeterminant(loaded.state)
     cls = _class_of(det).value
     doc = {"hyperdeterminant": det, "abs": abs(det), "class": cls}
@@ -186,20 +183,18 @@ def _constellation_svg(con: MajoranaConstellation) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _cmd_majorana(args):
-    loaded = _load(args.file)
+def _cmd_majorana(args, loaded):
     cls = classify_symmetric(loaded.state, cluster_tol=args.cluster_tol)
     con = cls.constellation
     if args.svg:
-        Path(args.svg).write_text(_constellation_svg(con), encoding="utf-8")
+        stateio._write_text(args.svg, _constellation_svg(con))
         print(f"note: wrote {args.svg}", file=sys.stderr)
     text = ["theta,phi,multiplicity"]
     text += [f"{s.theta:.11e},{s.phi:.11e},{s.multiplicity}" for s in con.stars]
     return {**asdict(con), "onion_level": cls.onion_level}, text
 
 
-def _cmd_check_invariance(args):
-    loaded = _load(args.file)
+def _cmd_check_invariance(args, loaded):
     group = args.group.split(",") if "," in args.group else args.group
     report = invariance_suite(
         loaded.state, args.invariant, group=group, trials=args.trials, seed=args.seed
@@ -226,8 +221,7 @@ def _evidence_brief(check) -> str:
     return ev.get("note", "")
 
 
-def _cmd_classify(args):
-    loaded = _load(args.file)
+def _cmd_classify(args, loaded):
     report = classify_state(loaded.state, state_id=Path(args.file).stem)
     text = [f"state: {report.state_id}"]
     text += [f"Def {c.definition}: {c.verdict}  [{_evidence_brief(c)}]"
@@ -260,10 +254,11 @@ def _build_parser() -> argparse.ArgumentParser:
     commands, generators = [], []
 
     def command(name, func, summary, file=True):
+        """A subcommand; with ``file``, ``func(args, loaded)`` gets the state file read once."""
         p = sub.add_parser(name, help=summary)
         if file:
             p.add_argument("file")
-        p.set_defaults(func=func)
+        p.set_defaults(func=(lambda args: func(args, _load(args.file))) if file else func)
         commands.append(p)
         return p
 
@@ -343,9 +338,6 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:  # the --svg file; its own text repeats the name whole
-        print(f"error: {stateio._os_failure(exc, 'write', exc.filename)}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -164,34 +164,23 @@ class _Exact:
         return out
 
 
-def _rounded(x: _Exact, what: str, den: int = 1) -> complex:
+def _invariant(x: _Exact, den: int = 1, what: str = "invariants") -> complex:
     """``x / den`` for a positive integer ``den``, each part rounded once to the nearest float.
 
     Raises
     ------
     NumericError
-        If a part overflows.
+        If a part overflows, or a nonzero ``x`` lands below the smallest
+        normal float; the message names ``what``.
     """
     # Python's int / int true division is correctly rounded
     up, down = max(x.exp, 0), max(-x.exp, 0)
     try:
-        return complex(*((n << up) / (den << down) for n in (x.re, x.im)))
+        out = complex(*((n << up) / (den << down) for n in (x.re, x.im)))
     except OverflowError as exc:
         raise NumericError(f"{what} overflowed; rescale the coefficients ({exc})") from None
-
-
-def _invariant(x: _Exact, den: int = 1) -> complex:
-    """An invariant ``x / den``, rounded once.
-
-    Raises
-    ------
-    NumericError
-        If it overflows, or a nonzero one lands below the smallest
-        normal float.
-    """
-    out = _rounded(x, "invariants", den)
     if (x.re or x.im) and max(abs(out.real), abs(out.imag)) < sys.float_info.min:
-        raise NumericError("invariants underflowed; rescale the coefficients")
+        raise NumericError(f"{what} underflowed; rescale the coefficients")
     return out
 
 
@@ -258,7 +247,8 @@ def hyperdeterminant_333(report: QutritInvariantReport) -> complex:
         If ``report`` is not a :class:`QutritInvariantReport`, or it
         violates -I12 - I6^2 = 24 J12 beyond relative 1e-9.
     NumericError
-        If that check or the rounded combination overflows.
+        If that check or the rounded combination overflows, or a
+        nonzero combination underflows below the smallest normal float.
     """
     report = _as_instance(report, QutritInvariantReport, "the report")
     try:
@@ -274,7 +264,7 @@ def hyperdeterminant_333(report: QutritInvariantReport) -> complex:
             f"exceeds relative 1e-9"
         )
     values = (_Exact.of(v) for v in (report.i6, report.i9, report.j12))
-    return _rounded(_combination(*values), "the Delta combination")
+    return _invariant(_combination(*values), what="the Delta combination")
 
 
 def _phi_state(alpha: complex, beta: complex) -> StateVector:

@@ -30,7 +30,7 @@ which is faster there.
 
 from __future__ import annotations
 
-import numbers
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,12 +49,14 @@ from .schmidt import (  # noqa: F401
 )
 from .states import (
     ATOL,
+    NumericError,
     StateVector,
     ValidationError,
     _as_complex,
     _as_complex_array,
     _as_instance,
     _as_int,
+    _as_real,
     _as_tuple,
     _check_unit_norm,
     _shown,
@@ -98,8 +100,8 @@ class InvarianceReport:
     ValidationError
         If ``invariant_name`` is not a string, ``trials`` not an integer
         >= 1, ``seed`` not an integer in [0, 2**64) (bools are rejected
-        for both), or a drift statistic not a real number >= 0 (NaN is
-        rejected).
+        for both), or a drift statistic not a finite real number >= 0
+        (``states._as_real``).
     """
 
     invariant_name: str
@@ -112,13 +114,8 @@ class InvarianceReport:
         _as_instance(self.invariant_name, str, "the invariant name")
         object.__setattr__(self, "trials", _as_int(self.trials, "trials", lo=1))
         object.__setattr__(self, "seed", _as_int(self.seed, "seed", lo=0, hi=2**64 - 1))
-        drifts = (self.max_abs_drift, self.mean_abs_drift)
-        if not all(  # NaN fails the comparison too
-            isinstance(v, numbers.Real) and not isinstance(v, bool) and v >= 0.0 for v in drifts
-        ):
-            raise ValidationError(
-                f"drift statistics must be non-negative numbers, got {_shown(drifts)}"
-            )
+        for name in ("max_abs_drift", "mean_abs_drift"):
+            object.__setattr__(self, name, _as_real(getattr(self, name), name, lo=0))
 
 
 def trial_rng(seed: int, counter: int = 0) -> np.random.Generator:
@@ -191,10 +188,30 @@ def _sud(g: np.ndarray, d: int) -> np.ndarray:
     return u / np.exp(np.log(np.linalg.det(u)) / d)[..., None, None]
 
 
+def _sampler(kind: str, d: int):
+    """``(normals per draw, map from rows of normals to (draws, d, d))`` of a group token.
+
+    The one rule from a token to its unitary draw, read by the suite and
+    by the single-draw functions alike: "su" at d = 2 is the unit
+    quaternion, "su" above 2 the Haar draw divided by a root of its
+    determinant, and "u" the Haar draw.
+    """
+    if kind == "su" and d == 2:
+        return 4, _su2
+    to_unitary = _sud if kind == "su" else _haar
+    return 2 * d * d, lambda g: to_unitary(g, d)
+
+
+def _one_draw(rng: np.random.Generator, kind: str, d: int) -> np.ndarray:
+    """One matrix of :func:`_sampler` ``(kind, d)``, drawn from ``rng``."""
+    rng = _as_instance(rng, np.random.Generator, "the generator")
+    n, to_unitary = _sampler(kind, d)
+    return to_unitary(rng.standard_normal((1, n)))[0]
+
+
 def random_su2(rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed SU(2) matrix from a uniform unit quaternion."""
-    rng = _as_instance(rng, np.random.Generator, "the generator")
-    return _su2(rng.standard_normal((1, 4)))[0]
+    return _one_draw(rng, "su", 2)
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -213,15 +230,14 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
         If ``d`` is not an integer in [1, 4096] (bools are rejected),
         or ``rng`` is not a numpy ``Generator``.
     """
-    d = _as_int(d, "the dimension d", lo=1, hi=_MAX_D)
-    rng = _as_instance(rng, np.random.Generator, "the generator")
-    return _haar(rng.standard_normal((1, 2 * d * d)), d)[0]
+    return _one_draw(rng, "u", _as_int(d, "the dimension d", lo=1, hi=_MAX_D))
 
 
 def random_sud(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed SU(d) matrix for d >= 2.
+    """Haar-distributed SU(d) matrix for d >= 2, the suite's "su" draw.
 
-    A Haar U(d) sample divided by the principal d-th root of its
+    At d = 2 it is :func:`random_su2`'s unit quaternion.  Above 2 it is
+    a Haar U(d) sample divided by the principal d-th root of its
     determinant; the principal branch keeps the construction
     deterministic.
 
@@ -231,9 +247,7 @@ def random_sud(d: int, rng: np.random.Generator) -> np.ndarray:
         If ``d`` is not an integer in [2, 4096] (bools are rejected),
         or ``rng`` is not a numpy ``Generator``.
     """
-    d = _as_int(d, "the dimension d", lo=2, hi=_MAX_D)
-    rng = _as_instance(rng, np.random.Generator, "the generator")
-    return _sud(rng.standard_normal((1, 2 * d * d)), d)[0]
+    return _one_draw(rng, "su", _as_int(d, "the dimension d", lo=2, hi=_MAX_D))
 
 
 def _check_unitary(m: np.ndarray, what: str) -> None:
@@ -271,6 +285,8 @@ class LocalUnitary:
 
     def __post_init__(self) -> None:
         factors = _as_tuple(self.factors, "factors must be a sequence of square arrays")
+        if not factors:
+            raise ValidationError("a local unitary needs at least one factor")
         checked = []
         for k, f in enumerate(factors):
             m = _as_complex_array(f, f"factor {k}")
@@ -378,12 +394,7 @@ def _group_maps(state: StateVector, group):
                 f"group token {_shown(tok)} does not match party dimension {d}"
             )
         _as_int(d, f"the dimension of party {k}", hi=_MAX_D)
-        if kind == "su" and d == 2:
-            maps.append((4, _su2))
-        elif kind == "su":
-            maps.append((2 * d * d, lambda g, d=d: _sud(g, d)))
-        else:
-            maps.append((2 * d * d, lambda g, d=d: _haar(g, d)))
+        maps.append(_sampler(kind, d))
     return maps
 
 
@@ -510,6 +521,8 @@ def invariance_suite(
     callable sees each trial as a :class:`~entkit.states.StateVector`,
     and its value on the state and on each trial must be a finite
     number (``states._as_complex``), checked before any drift is formed.
+    A drift, or a mean of drifts, beyond the float range raises
+    :class:`~entkit.states.NumericError` naming the invariant.
 
     Parameters
     ----------
@@ -552,11 +565,17 @@ def invariance_suite(
             _check_unitary(u, f"factor {k}")
         out = _apply_block(tensor, factors)
         _check_unit_norm(out.reshape(len(out), -1))
-        drifts[start:stop] = np.abs(stacked(out) - baseline)
+        values = stacked(out)
+        with np.errstate(over="ignore"):
+            drifts[start:stop] = np.abs(values - baseline)
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(drifts))
+    if not math.isfinite(mean):  # an infinite drift makes the mean infinite too
+        raise NumericError(f"the drift of invariant {label} overflowed")
     return InvarianceReport(
         invariant_name=label,
         trials=trials,
         max_abs_drift=float(np.max(drifts)),
-        mean_abs_drift=float(np.mean(drifts)),
+        mean_abs_drift=mean,
         seed=seed,
     )

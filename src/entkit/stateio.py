@@ -127,10 +127,14 @@ def write_state(state: StateVector, path) -> None:
     """
     # json.dumps without indent runs the C encoder; json.dump to a file
     # and any indent fall back to the pure-Python one
-    text = json.dumps(state_to_json(state))
+    _write_text(path, json.dumps(state_to_json(state)) + "\n")
+
+
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` in UTF-8; a failed write raises ``ValidationError``."""
     name = _as_path(path)
     try:
         with open(name, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     except OSError as exc:
         raise _os_failure(exc, "write", name) from None

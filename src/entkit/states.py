@@ -14,6 +14,7 @@ import cmath
 import math
 import numbers
 import operator
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,11 +198,14 @@ def _as_tuple(value, what: str, each=None) -> tuple:
 def _as_dims(dims) -> tuple[int, ...]:
     """Local dimensions as a nonempty tuple of ints >= 2 whose product is within the cap.
 
-    A value that is not a sequence, an entry that :func:`_as_int` rejects,
+    A value that is not a sequence (bytes, a mapping and a set are
+    iterable but are not taken), an entry that :func:`_as_int` rejects,
     an empty sequence and a product above ``MAX_ENTRIES`` raise
     ``ValidationError``; entries are checked as they are read.
     """
     what = "dims must be a sequence of integers"
+    if isinstance(dims, (bytes, bytearray, Mapping, Set)):
+        raise ValidationError(f"{what}, got {_shown(dims)}")
     dims = _as_tuple(dims, what, lambda d: _as_int(d, "a local dimension", lo=2))
     if not dims:
         raise ValidationError("a state needs at least one party")

@@ -187,6 +187,15 @@ class TestCombination:
         r = fundamental_invariants(NormalFormCoefficients(2, 1, 1))
         assert hyperdeterminant_333(r) == pytest.approx(-15420489728.0, rel=1e-12)
 
+    # the exact combinations, about 1.08e-358 and 1.08e-318, were returned
+    # as 0j and as a subnormal
+    @pytest.mark.parametrize(
+        "fields", [(1e-80, 1e-90, -1e-160, 0, 0), (1e-70, 1e-80, -1e-140, 0, 0)], ids=str
+    )
+    def test_combination_underflow_raises_numeric(self, fields):
+        with pytest.raises(NumericError, match="the Delta combination underflowed"):
+            hyperdeterminant_333(QutritInvariantReport(*fields))
+
     def test_residual_overflow_is_numeric(self):
         # I6^2 = 1e400 overflows while the J12 relation is checked
         with pytest.raises(NumericError, match="J12 relation"):

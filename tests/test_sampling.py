@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import rand_product_state, rand_state
@@ -10,6 +12,7 @@ from entkit import (
     InvarianceReport,
     LocalUnitary,
     NormalFormCoefficients,
+    NumericError,
     StateVector,
     ValidationError,
     apply_local_unitary,
@@ -68,10 +71,13 @@ CUSTOM_CASES = [((2, 2), g, "det", bipartite_determinant) for g in ("su", "u", "
 
 
 def single_draw(token: str, d: int, rng) -> np.ndarray:
-    """The public one-trial sampler a group token stands for."""
-    if token.startswith("su"):
-        return random_su2(rng) if d == 2 else random_sud(d, rng)
-    return haar_unitary(d, rng)
+    """The public one-trial sampler a group token stands for, chosen by the token alone."""
+    return random_sud(d, rng) if token.startswith("su") else haar_unitary(d, rng)
+
+
+#: dims whose trials are replayed alone; each holds a qubit party, whose
+#: "su" draw is the unit quaternion
+REPLAY_DIMS = [(2, 2), (2, 3), (2, 3, 4), (5, 2), (2, 2, 2)]
 
 
 class TestTrialRng:
@@ -261,6 +267,19 @@ class TestInvarianceSuite:
         with pytest.raises(ValidationError, match=f"the value of invariant f {message}"):
             invariance_suite(bell_state("phi+"), ("f", lambda s: value), trials=3)
 
+    @pytest.mark.parametrize(
+        "f",
+        [
+            lambda s: math.copysign(1e308, s.amplitudes[0].real),  # the difference overflows
+            lambda s: 1e308 * s.amplitudes[0].real,  # each drift is finite, their mean is not
+        ],
+        ids=["drift", "mean"],
+    )
+    def test_overflowing_drift_is_numeric(self, f):
+        # raised a bare RuntimeWarning, or without the warning filter gave inf
+        with pytest.raises(NumericError, match="the drift of invariant h overflowed"):
+            invariance_suite(bell_state("phi+"), ("h", f), trials=20, seed=1)
+
     def test_custom_trial_value_checked(self):
         values = iter([0.5, 0.5, None])
         with pytest.raises(ValidationError, match="invariant f must be a number, got None"):
@@ -376,6 +395,25 @@ class TestStackedTrials:
         assert rep.max_abs_drift == np.max(drifts)
         assert rep.mean_abs_drift == np.mean(drifts)
 
+    @pytest.mark.parametrize("dims", REPLAY_DIMS, ids=str)
+    @pytest.mark.parametrize("group", ["su", "u", "per-party"])
+    def test_trials_replay_alone_by_token(self, dims, group):
+        # trial t replayed as README describes: trial_rng(seed, t), then one
+        # random_sud per "su" party and one haar_unitary per "u" party
+        tokens = [("su", "u")[k % 2] + str(d) for k, d in enumerate(dims)]
+        if group != "per-party":
+            tokens = [group] * len(dims)
+        state = rand_state(np.random.default_rng(11), dims)
+        _, amp00 = named_invariant("amp00")
+        values = []
+        for t in range(30):
+            g = trial_rng(11, t)
+            lu = LocalUnitary([single_draw(tok, d, g) for tok, d in zip(tokens, dims)])
+            values.append(amp00(apply_local_unitary(state, lu)))
+        drifts = np.abs(np.array(values) - amp00(state))
+        rep = invariance_suite(state, "amp00", tokens, trials=30, seed=11)
+        assert (rep.max_abs_drift, rep.mean_abs_drift) == (np.max(drifts), np.mean(drifts))
+
     @pytest.mark.parametrize("state,invariant,group", REFERENCE_CASES + ABOVE_CUT_CASES)
     def test_report_independent_of_block_size(self, monkeypatch, state, invariant, group):
         size = state.amplitudes.size
@@ -450,7 +488,10 @@ class TestReportType:
                 invariant_name="x", trials=1, max_abs_drift=-1.0, mean_abs_drift=0.0, seed=0
             )
 
-    @pytest.mark.parametrize("max_drift,mean_drift", [(float("nan"), 0.0), (0.0, float("nan"))])
+    @pytest.mark.parametrize(
+        "max_drift,mean_drift",
+        [(float("nan"), 0.0), (0.0, float("nan")), (float("inf"), 0.0), (0.0, 10**400)],
+    )
     def test_nan_statistics_rejected(self, max_drift, mean_drift):
         with pytest.raises(ValidationError):
             InvarianceReport(
@@ -467,9 +508,9 @@ class TestReportType:
     # these raised a bare TypeError from the sign comparison
     @pytest.mark.parametrize("drift", ["x", None], ids=repr)
     def test_non_real_drift_rejected(self, drift):
-        with pytest.raises(ValidationError, match="non-negative"):
+        with pytest.raises(ValidationError, match="finite real number"):
             InvarianceReport("x", trials=1, max_abs_drift=drift, mean_abs_drift=0.0, seed=0)
-        with pytest.raises(ValidationError, match="non-negative"):
+        with pytest.raises(ValidationError, match="finite real number"):
             InvarianceReport("x", trials=1, max_abs_drift=0.0, mean_abs_drift=drift, seed=0)
 
 

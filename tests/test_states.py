@@ -1,6 +1,8 @@
+import itertools
 import math
 import tracemalloc
 from decimal import Decimal
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -182,6 +184,34 @@ class TestConstructors:
     def test_rejects_index_that_is_not_integers(self, entries):
         with pytest.raises(ValidationError, match="not a sequence of integers"):
             make_state((2,), entries)
+
+
+    # iterable, but not a sequence: their bytes, keys or members were taken as dims
+    @pytest.mark.parametrize(
+        "dims",
+        [b"\x02\x03", bytearray(b"\x02\x03"), {2: 1, 3: 4}, MappingProxyType({2: 1, 3: 4}),
+         {2: 1, 3: 4}.keys(), {2, 3}, frozenset({2, 3})],
+        ids=repr,
+    )
+    def test_dims_that_are_not_a_sequence_rejected(self, dims):
+        message = r"dims must be a sequence of integers, got "
+        with pytest.raises(ValidationError, match=message):
+            make_state(dims, {(0, 0): 1})
+        with pytest.raises(ValidationError, match=message):
+            StateVector(dims, np.eye(6)[0])
+
+    @pytest.mark.parametrize(
+        "dims", [[2, 3], (2, 3), range(2, 4), np.array([2, 3])],
+        ids=["list", "tuple", "range", "array"],
+    )
+    def test_dims_sequences_kept(self, dims):
+        assert make_state(dims, {(0, 0): 1}).dims == (2, 3)
+        assert StateVector(dims, np.eye(6)[0]).dims == (2, 3)
+        assert make_state(iter([2, 3]), {(0, 0): 1}).dims == (2, 3)
+
+    def test_dims_iterator_stops_at_first_bad_item(self):
+        with pytest.raises(ValidationError, match="a local dimension must be >= 2, got 0"):
+            make_state(itertools.count(), {(0,): 1})
 
 
 class TestStateVector:
@@ -417,6 +447,14 @@ class TestLocalUnitary:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValidationError):
             LocalUnitary(factors=(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2)))
+
+    # each built a record with dims (), which failed later as a dims mismatch
+    @pytest.mark.parametrize(
+        "factors", [(), "", {}, iter([])], ids=["tuple", "str", "dict", "iterator"]
+    )
+    def test_needs_a_factor(self, factors):
+        with pytest.raises(ValidationError, match="a local unitary needs at least one factor"):
+            LocalUnitary(factors)
 
     def test_dims_mismatch(self):
         u = LocalUnitary(factors=(np.eye(2), np.eye(3)))
