@@ -1,8 +1,11 @@
 """Local unitaries: random draws, their application, and Monte-Carlo invariance checks.
 
 Randomness comes from counter-based Philox streams keyed by
-(seed, counter), so trial t of a run is reproducible in isolation and
-disjoint counter ranges never collide.  A :class:`LocalUnitary` holds
+(seed, counter), and distinct keys never collide.  The invariance suite
+reads its trials in windows of ``TRIAL_WINDOW``: trial t is row
+``t % TRIAL_WINDOW`` of the normals of the stream ``(seed, t //
+TRIAL_WINDOW)``, so one stream serves a window of trials and trial t
+is still reproducible in isolation.  A :class:`LocalUnitary` holds
 one checked unitary factor per party and :func:`apply_local_unitary`
 applies it to a state.  The invariance suite applies a fresh local
 unitary per trial and reports how far a chosen functional drifts from
@@ -14,9 +17,10 @@ unitarity and norm checks, the contraction and the functional once per
 block.  The public single-state path runs the same kernels on a stack
 of one trial: :func:`apply_local_unitary` contracts with the suite's
 contraction and :func:`named_invariant` evaluates the suite's
-functional, so trial t replayed through :func:`trial_rng`, the
-single-draw samplers, :class:`LocalUnitary`, :func:`apply_local_unitary`
-and the invariant gives the suite's value bit for bit.
+functional, so trial t replayed through its window's :func:`trial_rng`
+(with the window's earlier rows discarded), the single-draw samplers,
+:class:`LocalUnitary`, :func:`apply_local_unitary` and the invariant
+gives the suite's value bit for bit.
 
 The kernels on d x d matrices pick their body from the local dimension
 d alone, never from the number of trials.  Up to a small cut
@@ -86,6 +90,11 @@ _SMALL_D = 4
 #: before drawing, so a wide party raises instead of allocating
 _MAX_D = int(states.MAX_ENTRIES**0.5)
 
+#: trials read from one Philox stream: trial t reads row t % TRIAL_WINDOW of
+#: the normals of trial_rng(seed, t // TRIAL_WINDOW), so a stream is opened
+#: once per window and trial t still replays alone
+TRIAL_WINDOW = 256
+
 #: amplitudes held by one stacked block of trials, so memory stays bounded
 #: for any trial count; a block holds at least one trial
 _BLOCK_ENTRIES = 2**13
@@ -122,8 +131,10 @@ def trial_rng(seed: int, counter: int = 0) -> np.random.Generator:
     """Counter-based generator; identical (seed, counter) → identical stream.
 
     The 128-bit Philox key holds the seed in the high word and the
-    counter in the low word, so trials drawn from distinct counters are
-    independent and any single trial can be replayed alone.  Each must
+    counter in the low word, so streams of distinct counters are
+    independent.  :func:`invariance_suite` reads trial t from row
+    ``t % TRIAL_WINDOW`` of the stream with counter ``t //
+    TRIAL_WINDOW``, so any single trial can be replayed alone.  Each must
     be an integer in [0, 2**64) (bools are rejected), checked by
     ``states._as_int``, the seed first.
     """
@@ -398,32 +409,31 @@ def _group_maps(state: StateVector, group):
     return maps
 
 
-def _draw_block(maps, seed: int, start: int, stop: int) -> list:
-    """Factors of trials ``start..stop-1``: one ``(trials, d, d)`` array per party.
+def _draw_blocks(maps, seed: int, trials: int, block: int):
+    """Factors of trials ``0..trials-1``, ``block`` trials at a time.
 
-    Trial t reads one run of normals, covering every party in order,
-    from the Philox stream of :func:`trial_rng` ``(seed, t)``; one bit
-    generator is rekeyed per trial.  The stream is the one the
-    single-draw functions read, so the factors are bit for bit theirs.
-    The rekeying state dict holds plain ints, not numpy's ``uint64``
-    arrays: the ``Philox.state`` setter reads every word by indexing,
-    and indexing an array makes a numpy scalar per word, which cost
-    most of the loop.
+    Yields ``(rows, factors)``: the slice of trials and one ``(trials,
+    d, d)`` array per party.  Trial t reads one row of normals, covering
+    every party in order: row ``t % TRIAL_WINDOW`` of the stream
+    :func:`trial_rng` ``(seed, t // TRIAL_WINDOW)``.  The trials are
+    drawn in order from one generator, opened at each window's first
+    trial and read on across block boundaries, so no row is drawn twice
+    or skipped and a block holds its own rows only.  A row is the
+    single-draw functions' reads in party order, so once the window's
+    earlier rows are discarded they give the same factors bit for bit.
     """
-    normals = np.empty((stop - start, sum(n for n, _ in maps)))
-    bits = np.random.Philox(0)
-    draw = np.random.Generator(bits).standard_normal
-    fresh = bits.state
-    words = fresh["state"]
-    words["counter"] = words["counter"].tolist()
-    fresh["buffer"] = fresh["buffer"].tolist()
-    key = words["key"] = [0, seed]  # (low, high) words of (seed << 64) | t
-    for row, t in enumerate(range(start, stop)):
-        key[0] = t
-        bits.state = fresh
-        draw(out=normals[row])
-    runs = np.split(normals, np.cumsum([n for n, _ in maps])[:-1], axis=1)
-    return [to_unitary(g) for (_, to_unitary), g in zip(maps, runs)]
+    widths = [n for n, _ in maps]
+    w = TRIAL_WINDOW
+    for start in range(0, trials, block):
+        stop = min(start + block, trials)
+        normals = np.empty((stop - start, sum(widths)))
+        cuts = [start, *range(start - start % w + w, stop, w), stop]
+        for lo, hi in zip(cuts, cuts[1:]):
+            if lo % w == 0:
+                rng = trial_rng(seed, lo // w)
+            rng.standard_normal(out=normals[lo - start : hi - start])
+        runs = np.split(normals, np.cumsum(widths)[:-1], axis=1)
+        yield slice(start, stop), [to_unitary(g) for (_, to_unitary), g in zip(maps, runs)]
 
 
 def _schmidt_ranks_first(t: np.ndarray) -> np.ndarray:
@@ -505,12 +515,16 @@ def invariance_suite(
 
     Each trial draws one fresh unitary per party from the group
     descriptor, transforms the state, and records
-    |f(U state) - f(state)|.  Trials run in stacked blocks of bounded
-    size; trial t still draws from the Philox stream keyed (seed, t),
-    so any trial replays alone through :func:`trial_rng` and the
-    single-draw functions, and the report does not depend on the block
-    size.  The replayed trial's :func:`apply_local_unitary` equals the
-    suite's contraction bit for bit, and for a registry name so does its
+    |f(U state) - f(state)|.  Trial t reads row ``t % W`` (W =
+    ``TRIAL_WINDOW``, 256) of the normals of :func:`trial_rng` ``(seed,
+    t // W)``, one row holding every party's normals in order: 4 for an
+    "su" qubit party and 2 d**2 for every other party.  The trials run
+    in stacked blocks of bounded size, drawn in order from one generator
+    per window, so the report does not depend on the block size, and
+    any trial replays alone through its window's stream and the
+    single-draw functions (see the example).  The replayed trial's
+    :func:`apply_local_unitary` equals the suite's contraction bit for
+    bit, and for a registry name so does its
     :func:`named_invariant` value: the suite and the single-state API
     run the same kernels, one state being a stack of one trial.  Runs
     with equal (seed, trials) are bitwise identical.  Every block's
@@ -544,6 +558,28 @@ def invariance_suite(
     Returns
     -------
     InvarianceReport
+
+    Examples
+    --------
+    Replay every trial alone: open trial t's window, discard the rows of
+    the window's earlier trials (3 * 4 normals each here, three "su"
+    qubit parties), then draw one factor per party in order.
+
+    >>> import numpy as np
+    >>> import entkit as ek
+    >>> from entkit.sampling import TRIAL_WINDOW as W
+    >>> state, seed, trials = ek.ghz_state(3), 7, W + 4
+    >>> _, f = ek.named_invariant("amp00")
+    >>> values = []
+    >>> for t in range(trials):
+    ...     g = ek.trial_rng(seed, t // W)
+    ...     _ = g.standard_normal((t % W, 3 * 4))
+    ...     lu = ek.LocalUnitary([ek.random_sud(2, g) for _ in range(3)])
+    ...     values.append(f(ek.apply_local_unitary(state, lu)))
+    >>> drifts = np.abs(np.array(values) - f(state))
+    >>> report = ek.invariance_suite(state, "amp00", "su", trials, seed)
+    >>> (report.max_abs_drift, report.mean_abs_drift) == (drifts.max(), drifts.mean())
+    True
     """
     trials = _as_int(trials, "trials", lo=1, hi=states.MAX_ENTRIES)
     state = _as_instance(state, StateVector, "the state")
@@ -558,16 +594,14 @@ def invariance_suite(
     tensor = state.tensor()
     block = max(1, _BLOCK_ENTRIES // tensor.size)
     drifts = np.empty(trials)
-    for start in range(0, trials, block):
-        stop = min(start + block, trials)
-        factors = _draw_block(maps, seed, start, stop)
+    for rows, factors in _draw_blocks(maps, seed, trials, block):
         for k, u in enumerate(factors):
             _check_unitary(u, f"factor {k}")
         out = _apply_block(tensor, factors)
         _check_unit_norm(out.reshape(len(out), -1))
         values = stacked(out)
         with np.errstate(over="ignore"):
-            drifts[start:stop] = np.abs(values - baseline)
+            drifts[rows] = np.abs(values - baseline)
     with np.errstate(over="ignore"):
         mean = float(np.mean(drifts))
     if not math.isfinite(mean):  # an infinite drift makes the mean infinite too

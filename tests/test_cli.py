@@ -21,6 +21,7 @@ from entkit import (
     read_state,
     w_state,
 )
+import entkit.cli as cli
 from entkit.cli import main
 from entkit.states import MAX_ENTRIES
 from entkit.majorana import coherent_state, dicke_state
@@ -729,3 +730,14 @@ class TestStateDocumentFuzz:
                 r"note: input normalized \(norm before was \S+\)\n", message
             ), (doc, message)
 
+
+
+@pytest.mark.parametrize("value", [object(), np.float32(0.5), {1, 2}])
+def test_json_default_rejects_other_types(value):
+    # a document of any other type raises instead of printing null
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        json.dumps(value, default=cli._json_default)
+
+
+def test_json_default_writes_complex_as_a_pair():
+    assert json.loads(json.dumps(1.5 - 2j, default=cli._json_default)) == {"re": 1.5, "im": -2.0}

@@ -75,9 +75,36 @@ def single_draw(token: str, d: int, rng) -> np.ndarray:
     return random_sud(d, rng) if token.startswith("su") else haar_unitary(d, rng)
 
 
+#: trials read from one Philox stream by the suite
+W = sampling.TRIAL_WINDOW
+
+
+def replay_factors(seed: int, t: int, tokens, dims) -> list:
+    """Trial t's factors as README replays them, through public names only.
+
+    Open the stream of trial t's window, discard the rows of the
+    window's earlier trials (4 normals per "su" qubit party, 2 d^2 per
+    other party), then draw one factor per party in order.
+    """
+    m = sum(4 if tok.startswith("su") and d == 2 else 2 * d * d for tok, d in zip(tokens, dims))
+    g = trial_rng(seed, t // W)
+    g.standard_normal((t % W, m))
+    return [single_draw(tok, d, g) for tok, d in zip(tokens, dims)]
+
+
 #: dims whose trials are replayed alone; each holds a qubit party, whose
 #: "su" draw is the unit quaternion
 REPLAY_DIMS = [(2, 2), (2, 3), (2, 3, 4), (5, 2), (2, 2, 2)]
+
+#: one (dims, group) case per sampler kind: the su2 quaternion, su at
+#: d = 3, u at d = 4, a party above the kernels' cut, and per-party tokens
+WINDOW_EDGE_CASES = [
+    ((2, 2), "su"),
+    ((3, 3), "su"),
+    ((4, 4), "u"),
+    ((2, SMALL_D + 2), "u"),
+    ((2, 3, 4), ("su2", "u3", "su4")),
+]
 
 
 class TestTrialRng:
@@ -333,25 +360,29 @@ class TestStackedTrials:
     @given(
         st.sampled_from(DIMS_GROUPS),
         st.one_of(st.sampled_from([2**63, 2**64 - 1]), st.integers(0, 2**64 - 1)),
-        st.one_of(st.integers(0, 2**20), st.integers(0, 2**64 - 1)),
-        st.integers(1, 40),
+        st.integers(1, 3 * W),
+        st.integers(1, W + 1),
         st.integers(0, 2**31 - 1),
         st.booleans(),
     )
-    @example(((2, 2, 2), "su"), 2**64 - 1, 2**64 - 1, 40, 0, False)
-    @example(((3, 3, 3), "u"), 2**63, 2**64 - 1, 7, 1, True)
-    @example(DIMS_GROUPS[-2], 5, 0, 9, 2, False)
-    @example(DIMS_GROUPS[-1], 6, 2**64 - 1, 9, 3, True)
-    def test_draws_and_row_values(self, dims_group, seed, start, trials, state_seed, product):
-        start = min(start, 2**64 - trials)  # the last trial's counter stays below 2**64
+    @example(((2, 2, 2), "su"), 2**64 - 1, 2 * W + 1, W - 1, 0, False)
+    @example(((3, 3, 3), "u"), 2**63, W + 1, 1, 1, True)
+    @example(DIMS_GROUPS[-2], 5, 9, 2, 2, False)
+    @example(DIMS_GROUPS[-1], 6, W + 9, W + 1, 3, True)
+    def test_draws_and_row_values(self, dims_group, seed, trials, block, state_seed, product):
         dims, token = dims_group
         maps = sampling._group_maps(StateVector(dims, np.eye(np.prod(dims))[0]), token)
-        factors = sampling._draw_block(maps, seed, start, start + trials)
-        for row in range(trials):
-            rng = trial_rng(seed, start + row)
-            for k, d in enumerate(dims):
-                assert np.array_equal(factors[k][row], single_draw(token, d, rng))
+        blocks = list(sampling._draw_blocks(maps, seed, trials, block))
+        starts = range(0, trials, block)
+        assert [rows for rows, _ in blocks] == [slice(s, min(s + block, trials)) for s in starts]
+        factors = [np.concatenate(party) for party in zip(*(f for _, f in blocks))]
+        edges = {0, 1, block - 1, block, W - 1, W, 2 * W - 1, 2 * W, trials - 1}
+        for t in sorted(edges & set(range(trials))):
+            replayed = replay_factors(seed, t, [token] * len(dims), dims)
+            for k in range(len(dims)):
+                assert np.array_equal(factors[k][t], replayed[k])
 
+        factors = [f[:40] for f in factors]
         make = rand_product_state if product else rand_state
         state = make(np.random.default_rng(state_seed), dims)
         out = sampling._apply_block(state.tensor(), factors)
@@ -382,37 +413,68 @@ class TestStackedTrials:
     @pytest.mark.parametrize("state,invariant,group", REFERENCE_CASES)
     def test_report_matches_per_trial_loop(self, state, invariant, group):
         # the per-trial loop the engine replaced, kept here as the reference:
-        # each trial replayed through the public single-state API
+        # each trial replayed alone through the public single-state API,
+        # across the first window edge
         _, fn = named_invariant(invariant)
         tokens = [group] * state.n_parties
         values = []
-        for t in range(60):
-            rng = trial_rng(5, t)
-            lu = LocalUnitary(tuple(single_draw(g, d, rng) for g, d in zip(tokens, state.dims)))
+        for t in range(W + 5):
+            lu = LocalUnitary(replay_factors(5, t, tokens, state.dims))
             values.append(fn(apply_local_unitary(state, lu)))
         drifts = np.abs(np.array(values) - fn(state))
-        rep = invariance_suite(state, invariant, group, trials=60, seed=5)
+        rep = invariance_suite(state, invariant, group, trials=W + 5, seed=5)
         assert rep.max_abs_drift == np.max(drifts)
         assert rep.mean_abs_drift == np.mean(drifts)
 
     @pytest.mark.parametrize("dims", REPLAY_DIMS, ids=str)
     @pytest.mark.parametrize("group", ["su", "u", "per-party"])
     def test_trials_replay_alone_by_token(self, dims, group):
-        # trial t replayed as README describes: trial_rng(seed, t), then one
-        # random_sud per "su" party and one haar_unitary per "u" party
+        # trial t replayed as README describes: its window's stream with the
+        # window's earlier rows discarded, then one random_sud per "su" party
+        # and one haar_unitary per "u" party
         tokens = [("su", "u")[k % 2] + str(d) for k, d in enumerate(dims)]
         if group != "per-party":
             tokens = [group] * len(dims)
         state = rand_state(np.random.default_rng(11), dims)
         _, amp00 = named_invariant("amp00")
         values = []
-        for t in range(30):
-            g = trial_rng(11, t)
-            lu = LocalUnitary([single_draw(tok, d, g) for tok, d in zip(tokens, dims)])
+        for t in range(W + 2):
+            lu = LocalUnitary(replay_factors(11, t, tokens, dims))
             values.append(amp00(apply_local_unitary(state, lu)))
         drifts = np.abs(np.array(values) - amp00(state))
-        rep = invariance_suite(state, "amp00", tokens, trials=30, seed=11)
+        rep = invariance_suite(state, "amp00", tokens, trials=W + 2, seed=11)
         assert (rep.max_abs_drift, rep.mean_abs_drift) == (np.max(drifts), np.mean(drifts))
+
+    @pytest.mark.parametrize("dims,group", WINDOW_EDGE_CASES, ids=str)
+    def test_window_edges_replay_at_every_block_size(self, monkeypatch, dims, group):
+        # the trials at each window edge and the last trial, replayed alone,
+        # give the suite's transformed state bit for bit, however the suite
+        # cuts the trials into blocks; the suite's drift is a function of
+        # that state alone, so the replayed drift is the suite's too
+        tokens = [group] * len(dims) if isinstance(group, str) else list(group)
+        state = rand_state(np.random.default_rng(13), dims)
+        trials = 2 * W + 37  # not a multiple of W
+        size = state.amplitudes.size
+        _, amp00 = named_invariant("amp00")
+        reports = []
+        blocks = [1, W - 1, W + 1, trials, sampling._BLOCK_ENTRIES // size]
+        for block in blocks:
+            monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", block * size)
+            seen = []
+
+            def record(s):
+                seen.append(s)
+                return amp00(s)
+
+            rep = invariance_suite(state, ("amp00", record), group, trials, seed=21)
+            assert rep == invariance_suite(state, "amp00", group, trials, seed=21)
+            reports.append(rep)
+            for t in (0, W - 1, W, 2 * W - 1, trials - 1):
+                lu = LocalUnitary(replay_factors(21, t, tokens, dims))
+                replayed = apply_local_unitary(state, lu)
+                suite = seen[t + 1]  # seen[0] is the untransformed state
+                assert np.array_equal(replayed.amplitudes, suite.amplitudes)
+        assert all(rep == reports[0] for rep in reports)
 
     @pytest.mark.parametrize("state,invariant,group", REFERENCE_CASES + ABOVE_CUT_CASES)
     def test_report_independent_of_block_size(self, monkeypatch, state, invariant, group):

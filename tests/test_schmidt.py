@@ -26,7 +26,13 @@ from entkit import (
     write_state,
 )
 from entkit.cli import main
-from entkit.sampling import haar_unitary, named_invariant, random_su2, trial_rng
+from entkit.sampling import (
+    TRIAL_WINDOW,
+    haar_unitary,
+    named_invariant,
+    random_su2,
+    trial_rng,
+)
 from entkit.schmidt import _singular_values, bipartition_matrix
 
 R2 = 1.0 / math.sqrt(2.0)
@@ -225,15 +231,18 @@ class TestTwoRowFactor:
         lam = np.array([1.0, 1e-9]) / math.hypot(1.0, 1e-9)
         path = tmp_path / "edge.json"
         write_state(_state_with_spectrum(rng, 1, 2, lam), path)
+        trials = TRIAL_WINDOW + 44  # across the first window edge
         argv = ["check-invariance", str(path), "--invariant", "schmidt-rank",
-                "--trials", "40", "--seed", "3", "--json"]
+                "--trials", str(trials), "--seed", "3", "--json"]
         assert main(argv) == 0
         doc = json.loads(capsys.readouterr().out)
         state = read_state(path).state
         _, rank = named_invariant("schmidt-rank")
         drifts = []
-        for t in range(40):
-            draw = trial_rng(3, t)
+        for t in range(trials):
+            # trial t is row t % W of its window's stream, 3 x 4 normals a row
+            draw = trial_rng(3, t // TRIAL_WINDOW)
+            draw.standard_normal((t % TRIAL_WINDOW, 3 * 4))
             lu = LocalUnitary(tuple(random_su2(draw) for _ in range(3)))
             drifts.append(abs(rank(apply_local_unitary(state, lu)) - rank(state)))
         assert 0 < np.mean(drifts) < 1  # some trials flip, some do not

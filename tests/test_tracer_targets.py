@@ -7,8 +7,9 @@ tracer, runs one invariance and one classification operation under it,
 and checks that every patched name existed and is restored afterwards.
 A symmetric state's classification reaches every layer the classify
 metrics read, so a call path that went round a patched name would
-zero those metrics without failing anything else; the last test
-checks that it does not.
+zero those metrics without failing anything else; a test checks that
+it does not.  The invariance engine looks ``trial_rng`` up at call
+time, once per window of trials, so the last test counts its calls.
 """
 
 import importlib.util
@@ -75,3 +76,21 @@ def test_symmetric_classify_records_each_layer():
     assert calls["schmidt.schmidt_decompose"] == 1
     assert calls["majorana.find_stars"] == 1
     assert calls["majorana.majorana_polynomial"] == 1
+
+
+def test_invariance_records_one_stream_per_window():
+    # the engine looks trial_rng up at call time, once per window of trials
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.run_op(
+            0,
+            "invariance",
+            lambda: entkit.invariance_suite(
+                ghz_state(3), "hyperdet3q", trials=sampling.TRIAL_WINDOW + 1
+            ),
+        )
+    finally:
+        tracer.uninstall()
+    assert tracer.op_stats["sampling.trial_rng"][0] == 2
